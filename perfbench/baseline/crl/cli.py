@@ -1,0 +1,636 @@
+"""Command-line entry point.
+
+Subcommands cover the full workflow: ``synth`` emits the planted-rule
+benchmark, ``mine`` exports a candidate pool, ``train`` fits a companion rule
+list, ``tune`` sweeps the length penalty, ``evaluate``/``pair`` score a stored
+(or externally produced) rule list on held-out data, ``predict`` emits per-row
+predictions with provenance, and ``cv`` runs the k-fold protocol end to end.
+
+Exit codes: 0 success, 2 usage error, 3 data error, 4 search error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from .companion import CompanionEvaluator
+from .data import (
+    BinarizationManifest,
+    BinaryDataset,
+    PredictionVector,
+    apply_manifest,
+    binarize,
+    load_predictions,
+    load_table,
+    split_folds,
+    synth_oracle,
+    train_indices,
+)
+from .errors import CrlError, DataError, SearchError
+from .mining import mine_rules, subsample_for_mining
+from .model_io import (
+    load_model,
+    model_from_training,
+    resolve_rules,
+    save_curve_csv,
+    save_model,
+    save_pool,
+    save_trace_csv,
+)
+from .objective import autac_hat, blackbox_accuracy, curve
+from .search import ALPHA_CANDIDATES, SearchConfig, run_search, tune_alpha
+from .synth import planted_benchmark
+
+
+class UsageError(CrlError):
+    """Bad flag combination that argparse alone cannot express."""
+
+
+# Training and preprocessing knobs resolvable from a JSON config file; an
+# explicit command-line flag always wins over the file, the file over these.
+CONFIG_DEFAULTS = {
+    "alpha": 0.001,
+    "c0": 0.001,
+    "iters": 50_000,
+    "seed": 0,
+    "init_size": 3,
+    "max_rules": None,
+    "gamma": 0.05,
+    "max_card": 2,
+    "mine_fraction": 1.0,
+    "quantiles": 7,
+    "folds": 5,
+}
+
+
+def _apply_config(args) -> None:
+    cfg = {}
+    path = getattr(args, "config", None)
+    if path:
+        try:
+            obj = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}: config must be a JSON object")
+        unknown = sorted(set(obj) - set(CONFIG_DEFAULTS))
+        if unknown:
+            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+        cfg = obj
+    for key, hard_default in CONFIG_DEFAULTS.items():
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, cfg.get(key, hard_default))
+
+
+@dataclass(eq=False)
+class ExperimentReport:
+    """Cross-validated results: per-fold curves/areas plus their mean and std."""
+
+    config: dict
+    folds: list[dict]
+    autac_mean: float
+    autac_std: float
+    blackbox_accuracy_mean: float
+
+    def to_obj(self) -> dict:
+        return {
+            "config": self.config,
+            "folds": self.folds,
+            "autac_mean": self.autac_mean,
+            "autac_std": self.autac_std,
+            "blackbox_accuracy_mean": self.blackbox_accuracy_mean,
+        }
+
+    def text_table(self) -> str:
+        lines = ["fold  rules  train_autac  test_autac"]
+        for f in self.folds:
+            lines.append(
+                f"{f['fold']:>4}  {f['n_rules']:>5}  {f['train_autac']:>11.4f}  "
+                f"{f['test_autac']:>10.4f}"
+            )
+        lines.append("")
+        lines.append(
+            f"test AUTAC (mean over {len(self.folds)} folds, sample std in "
+            f"parentheses): {self.autac_mean:.3f} ({self.autac_std:.3f})"
+        )
+        return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Shared flag groups
+# ---------------------------------------------------------------------------
+
+
+def _add_data_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", required=True, help="delimited text file with a header row")
+    p.add_argument("--label-column", required=True, help="name of the label column")
+    p.add_argument(
+        "--positive-value",
+        default=None,
+        help="label value mapped to class 1 (default: lexicographically larger)",
+    )
+    p.add_argument("--delimiter", default=",")
+    p.add_argument(
+        "--quantiles", type=int, default=None, help="bins per numeric column (default 7)"
+    )
+    p.add_argument(
+        "--manifest",
+        default=None,
+        help="binarization manifest JSON; reuse training-time categories and edges",
+    )
+
+
+def _add_preds_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--preds", default=None, help="black-box predictions, one 0/1 value per line"
+    )
+    p.add_argument(
+        "--pred-column", default=None, help="read predictions from this CSV column"
+    )
+    p.add_argument(
+        "--oracle-accuracy",
+        type=float,
+        default=None,
+        help="synthesize a black-box with this per-row accuracy instead of --preds",
+    )
+    p.add_argument("--oracle-seed", type=int, default=0)
+
+
+def _add_mining_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--gamma", type=float, default=None, help="min class support (default 0.05)")
+    p.add_argument(
+        "--max-card", type=int, default=None, help="max conditions per rule (default 2)"
+    )
+    p.add_argument(
+        "--mine-fraction",
+        type=float,
+        default=None,
+        help="mine on a row subsample of this fraction (covers stay full-data)",
+    )
+
+
+def _add_search_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--alpha", type=float, default=None, help="rule-count penalty (default 0.001)"
+    )
+    p.add_argument(
+        "--c0", type=float, default=None, help="initial temperature (default 0.001)"
+    )
+    p.add_argument(
+        "--iters", type=int, default=None, help="search iterations (default 50000)"
+    )
+    p.add_argument("--seed", type=int, default=None, help="default 0")
+    p.add_argument("--init-size", type=int, default=None, help="default 3")
+    p.add_argument(
+        "--max-rules", type=int, default=None, help="hard cap on accepted list length"
+    )
+    p.add_argument(
+        "--config",
+        default=None,
+        help="JSON file supplying any of the training/preprocessing knobs; "
+        "explicit flags take precedence",
+    )
+
+
+def _load_dataset(args) -> tuple[BinaryDataset, BinarizationManifest]:
+    table = load_table(
+        args.data,
+        args.label_column,
+        delimiter=args.delimiter,
+        positive_value=args.positive_value,
+    )
+    if args.manifest:
+        manifest = BinarizationManifest.load(args.manifest)
+        return apply_manifest(table, manifest), manifest
+    return binarize(table, quantiles=args.quantiles)
+
+
+def _load_preds(args, data: BinaryDataset) -> PredictionVector:
+    if args.preds is not None and args.oracle_accuracy is not None:
+        raise UsageError("--preds and --oracle-accuracy are mutually exclusive")
+    if args.preds is not None:
+        return load_predictions(
+            args.preds, data.n_rows, column=args.pred_column, delimiter=args.delimiter
+        )
+    if args.oracle_accuracy is not None:
+        return synth_oracle(data.labels, args.oracle_accuracy, args.oracle_seed)
+    raise UsageError("black-box predictions required: pass --preds or --oracle-accuracy")
+
+
+def _search_config(args, seed: int | None = None) -> SearchConfig:
+    return SearchConfig(
+        alpha=args.alpha,
+        c0=args.c0,
+        n_iters=args.iters,
+        seed=args.seed if seed is None else seed,
+        init_size=args.init_size,
+        max_rules_guard=args.max_rules,
+    )
+
+
+def _mine(args, data: BinaryDataset):
+    mining_data = None
+    if args.mine_fraction < 1.0:
+        mining_data = subsample_for_mining(data, args.mine_fraction, seed=args.seed)
+    return mine_rules(
+        data, gamma=args.gamma, max_cardinality=args.max_card, mining_data=mining_data
+    )
+
+
+# ---------------------------------------------------------------------------
+# Subcommands
+# ---------------------------------------------------------------------------
+
+
+def cmd_train(args) -> int:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    data, manifest = _load_dataset(args)
+    preds = _load_preds(args, data)
+    pool = _mine(args, data)
+    result = run_search(data, preds, pool, _search_config(args))
+
+    doc = model_from_training(
+        result.best_list,
+        data.feature_names,
+        result.curve,
+        training={
+            "n_rows": data.n_rows,
+            "blackbox_accuracy": blackbox_accuracy(data, preds),
+            "autac": result.objective.autac,
+            "alpha": result.objective.alpha,
+            "objective": result.objective.objective,
+            "seed": args.seed,
+        },
+    )
+    save_model(out / "model.json", doc)
+    save_curve_csv(out / "curve.csv", result.curve)
+    save_trace_csv(out / "trace.csv", result.trace)
+    manifest.save(out / "manifest.json")
+    print(
+        f"trained {len(result.best_list)} rules: "
+        f"objective={result.objective.objective:.6f} "
+        f"autac={result.objective.autac:.6f} coverage={result.curve.coverage:.4f}"
+    )
+    print(f"artifacts written to {out}")
+    return 0
+
+
+def _evaluate_model(args) -> tuple[CompanionEvaluator, BinaryDataset]:
+    data, _ = _load_dataset(args)
+    preds = _load_preds(args, data)
+    doc = load_model(args.model)
+    rules = resolve_rules(doc, data)
+    return CompanionEvaluator(rules, data, preds), data
+
+
+def cmd_evaluate(args) -> int:
+    evaluator, _ = _evaluate_model(args)
+    if args.curve_out:
+        save_curve_csv(args.curve_out, evaluator.curve)
+    print(
+        f"autac={evaluator.autac()!r} coverage={evaluator.curve.coverage!r} "
+        f"blackbox_accuracy={evaluator.curve.points[0][1]!r}"
+    )
+    return 0
+
+
+def cmd_pair(args) -> int:
+    # Same estimators as `evaluate`; exists so externally trained rule lists
+    # can be scored as naive companions after conversion to the model schema.
+    return cmd_evaluate(args)
+
+
+def cmd_predict(args) -> int:
+    evaluator, _ = _evaluate_model(args)
+    if args.level is not None:
+        preds, prov = evaluator.level_predictions(args.level)
+    elif args.transparency is not None:
+        rng = np.random.default_rng(args.seed)
+        preds, prov = evaluator.stochastic_predictions(args.transparency, rng)
+    elif args.all_blackbox:
+        preds, prov = evaluator.blackbox_predictions()
+    else:
+        preds, prov = evaluator.rule_predictions()
+        print(
+            f"residual coverage: {evaluator.residual_fraction():.4f} of rows fall "
+            "through to the black-box"
+        )
+    with Path(args.out).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row", "prediction", "provenance"])
+        for i, (p, k) in enumerate(zip(preds, prov)):
+            writer.writerow([i, int(p), "blackbox" if k < 0 else str(int(k) + 1)])
+    print(f"wrote {len(preds)} predictions to {args.out}")
+    return 0
+
+
+def cmd_mine(args) -> int:
+    data, _ = _load_dataset(args)
+    pool = _mine(args, data)
+    save_pool(args.out, pool, data.feature_names)
+    print(f"mined {len(pool)} candidate rules to {args.out}")
+    return 0
+
+
+def cmd_tune(args) -> int:
+    data, _ = _load_dataset(args)
+    preds = _load_preds(args, data)
+    pool = _mine(args, data)
+    candidates = (
+        tuple(float(a) for a in args.candidates.split(","))
+        if args.candidates
+        else ALPHA_CANDIDATES
+    )
+    base = _search_config(args)
+    report = tune_alpha(
+        data, preds, pool, candidates=candidates, i_max=args.i_max, base_config=base
+    )
+    obj = {
+        "chosen_alpha": report.chosen_alpha,
+        "tied_alphas": list(report.tied_alphas),
+        "candidates": [
+            {
+                "alpha": c.alpha,
+                "n_rules": c.n_rules,
+                "n_conditions": c.n_conditions,
+                "train_autac": c.train_autac,
+                "admissible": c.admissible,
+            }
+            for c in report.candidates
+        ],
+    }
+    Path(args.out).write_text(json.dumps(obj, indent=2) + "\n")
+    for c in report.candidates:
+        flag = "ok " if c.admissible else "cap"
+        print(
+            f"alpha={c.alpha:<7g} rules={c.n_rules:<3d} conditions={c.n_conditions:<3d} "
+            f"train_autac={c.train_autac:.6f} [{flag}]"
+        )
+    print(f"chosen alpha: {report.chosen_alpha}")
+    if args.model_out:
+        doc = model_from_training(
+            report.chosen.best_list, data.feature_names, report.chosen.curve
+        )
+        save_model(args.model_out, doc)
+    return 0
+
+
+def cmd_cv(args) -> int:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    data, manifest = _load_dataset(args)
+    preds = _load_preds(args, data)
+    if args.folds < 2:
+        raise UsageError("--folds must be >= 2")
+    folds = split_folds(data, k=args.folds, seed=args.seed)
+    fold_seeds = [
+        int(s.generate_state(1)[0])
+        for s in np.random.SeedSequence(args.seed).spawn(len(folds))
+    ]
+    manifest.save(out / "manifest.json")
+
+    fold_rows: list[dict] = []
+    for i, test_idx in enumerate(folds):
+        try:
+            tr_idx = train_indices(folds, i)
+            data_tr = data.subset(tr_idx)
+            preds_tr = preds.subset(tr_idx)
+            data_te = data.subset(test_idx)
+            preds_te = preds.subset(test_idx)
+            mining_data = None
+            if args.mine_fraction < 1.0:
+                mining_data = subsample_for_mining(
+                    data_tr, args.mine_fraction, seed=fold_seeds[i]
+                )
+            pool = mine_rules(
+                data_tr,
+                gamma=args.gamma,
+                max_cardinality=args.max_card,
+                mining_data=mining_data,
+            )
+            result = run_search(
+                data_tr, preds_tr, pool, _search_config(args, seed=fold_seeds[i])
+            )
+            test_curve = curve(result.best_list, data_te, preds_te)
+        except CrlError as exc:
+            raise type(exc)(f"fold {i}: {exc}") from exc
+
+        fold_dir = out / f"fold_{i}"
+        fold_dir.mkdir(exist_ok=True)
+        doc = model_from_training(result.best_list, data.feature_names, result.curve)
+        save_model(fold_dir / "model.json", doc)
+        save_curve_csv(fold_dir / "curve_train.csv", result.curve)
+        save_curve_csv(fold_dir / "curve_test.csv", test_curve)
+        save_trace_csv(fold_dir / "trace.csv", result.trace)
+        fold_rows.append(
+            {
+                "fold": i,
+                "n_rows_train": int(len(tr_idx)),
+                "n_rows_test": int(len(test_idx)),
+                "n_rules": len(result.best_list),
+                "train_autac": autac_hat(result.curve),
+                "test_autac": autac_hat(test_curve),
+                "test_blackbox_accuracy": test_curve.points[0][1],
+                "model": f"fold_{i}/model.json",
+            }
+        )
+
+    test_autacs = np.array([f["test_autac"] for f in fold_rows])
+    report = ExperimentReport(
+        config={
+            "data": str(args.data),
+            "folds": args.folds,
+            "seed": args.seed,
+            "alpha": args.alpha,
+            "c0": args.c0,
+            "iters": args.iters,
+            "gamma": args.gamma,
+            "max_card": args.max_card,
+            "quantiles": args.quantiles,
+        },
+        folds=fold_rows,
+        autac_mean=float(np.mean(test_autacs)),
+        autac_std=float(np.std(test_autacs, ddof=1)),
+        blackbox_accuracy_mean=float(
+            np.mean([f["test_blackbox_accuracy"] for f in fold_rows])
+        ),
+    )
+    (out / "report.json").write_text(json.dumps(report.to_obj(), indent=2) + "\n")
+    (out / "report.txt").write_text(report.text_table() + "\n")
+    print(report.text_table())
+    return 0
+
+
+def cmd_synth(args) -> int:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    bench = planted_benchmark(
+        n_rows=args.rows,
+        seed=args.seed,
+        oracle_accuracy=args.oracle_accuracy,
+        covered_oracle_accuracy=args.covered_oracle_accuracy,
+    )
+    with (out / "data.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(bench.data.feature_names) + ["label"])
+        matrix = bench.data.matrix.astype(int)
+        for i in range(bench.data.n_rows):
+            writer.writerow(list(matrix[i]) + [int(bench.data.labels[i])])
+    (out / "preds.txt").write_text(
+        "\n".join(str(int(p)) for p in bench.preds.preds) + "\n"
+    )
+
+    # Re-load through the standard pipeline so the shipped planted model uses
+    # the one-hot feature names any `train`/`evaluate` run on data.csv will see.
+    table = load_table(out / "data.csv", "label")
+    bdata, manifest = binarize(table)
+    manifest.save(out / "manifest.json")
+    from .rules import Rule, RuleList
+
+    index = bdata.name_index
+    mapped = []
+    for rule in bench.planted:
+        conds = []
+        for i in rule.conditions:
+            col = manifest.columns[i]
+            code = int(np.searchsorted(list(col.edges or ()), 1.0, side="left"))
+            conds.append(index[f"{col.name}=bin{code}"])
+        mapped.append(Rule(tuple(conds), rule.output))
+    planted = RuleList(tuple(mapped))
+    planted_curve = curve(planted, bdata, bench.preds)
+    doc = model_from_training(planted, bdata.feature_names, planted_curve)
+    save_model(out / "planted_model.json", doc)
+    print(
+        f"wrote benchmark ({bench.data.n_rows} rows, "
+        f"planted coverage {planted_curve.coverage:.3f}) to {out}"
+    )
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="crl",
+        description="Train and evaluate companion rule lists against a black-box.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("train", help="mine a pool and fit a companion rule list")
+    _add_data_flags(p)
+    _add_preds_flags(p)
+    _add_mining_flags(p)
+    _add_search_flags(p)
+    p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(handler=cmd_train)
+
+    p = sub.add_parser("evaluate", help="score a stored model on a dataset")
+    _add_data_flags(p)
+    _add_preds_flags(p)
+    p.add_argument("--model", required=True)
+    p.add_argument("--curve-out", default=None)
+    p.set_defaults(handler=cmd_evaluate)
+
+    p = sub.add_parser("pair", help="score an imported rule list as a naive companion")
+    _add_data_flags(p)
+    _add_preds_flags(p)
+    p.add_argument("--model", required=True)
+    p.add_argument("--curve-out", default=None)
+    p.set_defaults(handler=cmd_pair)
+
+    p = sub.add_parser("predict", help="per-row predictions with provenance")
+    _add_data_flags(p)
+    _add_preds_flags(p)
+    p.add_argument("--model", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0, help="seed for --transparency draws")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--level", type=int, default=None)
+    mode.add_argument("--transparency", type=float, default=None)
+    mode.add_argument("--all-blackbox", action="store_true")
+    mode.add_argument("--all-rules", action="store_true")
+    p.set_defaults(handler=cmd_predict)
+
+    p = sub.add_parser("mine", help="export the candidate rule pool as JSON")
+    _add_data_flags(p)
+    _add_mining_flags(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+    p.set_defaults(handler=cmd_mine)
+
+    p = sub.add_parser("tune", help="sweep the length penalty alpha")
+    _add_data_flags(p)
+    _add_preds_flags(p)
+    _add_mining_flags(p)
+    _add_search_flags(p)
+    p.add_argument(
+        "--candidates", default=None, help="comma-separated alpha values to try"
+    )
+    p.add_argument("--i-max", type=int, default=20, help="rule-count admissibility cap")
+    p.add_argument("--out", required=True, help="report JSON path")
+    p.add_argument("--model-out", default=None, help="save the chosen model here")
+    p.set_defaults(handler=cmd_tune)
+
+    p = sub.add_parser("cv", help="k-fold cross-validated training and evaluation")
+    _add_data_flags(p)
+    _add_preds_flags(p)
+    _add_mining_flags(p)
+    _add_search_flags(p)
+    p.add_argument("--folds", type=int, default=None, help="default 5")
+    p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(handler=cmd_cv)
+
+    p = sub.add_parser("synth", help="emit the planted-rule benchmark")
+    p.add_argument("--rows", type=int, default=2000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--oracle-accuracy",
+        type=float,
+        default=0.85,
+        help="black-box accuracy off the planted region",
+    )
+    p.add_argument(
+        "--covered-oracle-accuracy",
+        type=float,
+        default=0.75,
+        help="black-box accuracy on the planted region",
+    )
+    p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(handler=cmd_synth)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        _apply_config(args)
+        return args.handler(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except SearchError as exc:
+        print(f"search error: {exc}", file=sys.stderr)
+        return 4
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

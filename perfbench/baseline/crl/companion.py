@@ -1,0 +1,175 @@
+"""The companion model: a rule list collaborating with a black-box.
+
+For every input the user may take the first-match rule prediction or the
+black-box prediction. The prediction modes are:
+
+* ``level m``: rows covered by the first m rules answer with their rule,
+  everything else with the black-box (level 0 is all black-box, level M all
+  rules with black-box fallback on uncovered rows);
+* ``stochastic t``: a target transparency t between level boundaries is hit in
+  expectation by letting the rows covered exactly by the next rule adopt it
+  with probability q, where q is the fractional position of t between the two
+  surrounding levels (each row draws its own uniform epsilon);
+* ``all_blackbox`` / ``all_rules``: the two endpoints.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Union
+
+import numpy as np
+
+from .bits import unpack_bool
+from .data import BinaryDataset, PredictionVector
+from .errors import DataError
+from .objective import TradeoffCurve, _locate_level, autac_hat, curve
+from .rules import RuleList, exclusive_covers
+
+Blackbox = Union[PredictionVector, Callable[[np.ndarray], int]]
+
+
+@dataclass(frozen=True, eq=False)
+class CompanionModel:
+    """A rule list bound to a black-box prediction source.
+
+    The black-box is either a row-aligned :class:`PredictionVector` (dataset
+    evaluation) or a per-instance callback (deployment).
+    """
+
+    rule_list: RuleList
+    blackbox: Blackbox
+
+    def evaluator(self, data: BinaryDataset) -> "CompanionEvaluator":
+        if not isinstance(self.blackbox, PredictionVector):
+            raise DataError("dataset evaluation needs a row-aligned prediction vector")
+        return CompanionEvaluator(self.rule_list, data, self.blackbox)
+
+
+class CompanionEvaluator:
+    """Dataset-aligned evaluation: covers, curve, and every prediction mode.
+
+    Covers are computed once at construction; each prediction mode is then a
+    few vector operations, which keeps Monte Carlo studies of the stochastic
+    mode cheap.
+    """
+
+    def __init__(
+        self, rule_list: RuleList, data: BinaryDataset, preds: PredictionVector
+    ) -> None:
+        if len(preds) != data.n_rows:
+            raise DataError(
+                f"prediction vector of length {len(preds)} does not align with "
+                f"{data.n_rows} dataset rows"
+            )
+        self.rule_list = rule_list
+        self.data = data
+        self.preds = preds
+        self.curve: TradeoffCurve = curve(rule_list, data, preds)
+
+        n = data.n_rows
+        excl = exclusive_covers(rule_list, data)
+        self._excl_bool = [unpack_bool(e, n) for e in excl]
+        cum = [np.zeros(n, dtype=bool)]
+        for e in self._excl_bool:
+            cum.append(cum[-1] | e)
+        self._cum_bool = cum
+
+        self._first_idx = np.full(n, -1, dtype=np.int32)
+        for k, e in enumerate(self._excl_bool):
+            self._first_idx[e] = k
+        outputs = np.array([r.output for r in rule_list] + [0], dtype=np.uint8)
+        self._rule_preds = outputs[self._first_idx]  # arbitrary where uncovered
+        self._bb = preds.preds
+
+    @property
+    def n_levels(self) -> int:
+        return len(self.rule_list)
+
+    def autac(self) -> float:
+        return autac_hat(self.curve)
+
+    def residual_fraction(self) -> float:
+        """Fraction of rows no rule covers (answered by the black-box even in
+        all-rules mode)."""
+        return 1.0 - self.curve.coverage
+
+    def _assemble(self, adopt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        preds = np.where(adopt, self._rule_preds, self._bb).astype(np.uint8)
+        provenance = np.where(adopt, self._first_idx, np.int32(-1))
+        return preds, provenance
+
+    def level_predictions(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions and provenance at transparency level m.
+
+        Provenance holds the 0-based index of the answering rule, or -1 for the
+        black-box.
+        """
+        if m < 0 or m > self.n_levels:
+            raise DataError(f"level {m} out of range 0..{self.n_levels}")
+        return self._assemble(self._cum_bool[m])
+
+    def blackbox_predictions(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.level_predictions(0)
+
+    def rule_predictions(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.level_predictions(self.n_levels)
+
+    def stochastic_predictions(
+        self, t: float, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One draw of the stochastic companion at target transparency t.
+
+        Each row draws one uniform epsilon from ``rng`` (exactly one batch of
+        ``n_rows`` draws per call); rows covered exactly by the next rule adopt
+        it when epsilon < q. The expected fraction of rule-answered rows equals
+        t, and at a level boundary (q = 0) the draw coincides with that level's
+        deterministic predictions for every seed.
+        """
+        m, q = _locate_level(self.curve.transparency, t)
+        eps = rng.random(self.data.n_rows)
+        adopt = self._cum_bool[m]
+        if m < self.n_levels:
+            adopt = adopt | (self._excl_bool[m] & (eps < q))
+        return self._assemble(adopt)
+
+
+def predict_companion_instance(
+    rule_list: RuleList,
+    instance,
+    blackbox_value: int,
+    *,
+    level: int | None = None,
+    transparency: float | None = None,
+    level_transparencies=None,
+    epsilon: float | None = None,
+) -> tuple[int, int]:
+    """Single-instance companion prediction; returns (prediction, provenance).
+
+    Provenance is the 0-based index of the answering rule or -1 for the
+    black-box. ``level`` selects the deterministic mode. ``transparency``
+    selects the stochastic mode and additionally needs the level
+    transparencies recorded at training time plus a uniform draw ``epsilon``.
+    """
+    bits = np.asarray(instance, dtype=bool)
+    first = -1
+    for k, r in enumerate(rule_list):
+        if all(bits[c] for c in r.conditions):
+            first = k
+            break
+    if transparency is None:
+        m = len(rule_list) if level is None else level
+    else:
+        if level_transparencies is None or epsilon is None:
+            raise ValueError(
+                "stochastic prediction needs level_transparencies and epsilon"
+            )
+        m, q = _locate_level(tuple(level_transparencies), transparency)
+        if first == m and q > epsilon:
+            return rule_list[first].output, first
+        if first != -1 and first < m:
+            return rule_list[first].output, first
+        return blackbox_value, -1
+    if first != -1 and first < m:
+        return rule_list[first].output, first
+    return blackbox_value, -1

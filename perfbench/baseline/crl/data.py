@@ -1,0 +1,565 @@
+"""Tabular loading, binarization, black-box predictions, and fold splitting.
+
+The pipeline is: delimited text file -> :class:`RawTable` (typed columns plus a
+0/1 label vector) -> :class:`BinaryDataset` (one bit column per
+(source column, category) pair). Numeric columns are first discretized into
+quantile bins; categorical columns (and the bins) are one-hot encoded. The
+exact encoding is captured in a :class:`BinarizationManifest` so held-out data
+can be transformed with the edges learned on training data.
+
+Black-box classifiers never enter this package as models; they are consumed as
+row-aligned 0/1 prediction vectors (:class:`PredictionVector`), either read
+from a file or synthesized by :func:`synth_oracle` for experiments.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import warnings
+from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
+
+import numpy as np
+
+from .bits import all_rows_mask, pack_bool, unpack_bool
+from .errors import DataError
+
+MISSING_CATEGORY = "<missing>"
+
+_KIND_NUMERIC = "numeric"
+_KIND_CATEGORICAL = "categorical"
+
+
+@dataclass(frozen=True)
+class RawColumn:
+    """One named feature column, values kept as raw strings."""
+
+    name: str
+    values: tuple[str, ...]
+    kind: str  # "numeric" or "categorical"
+
+
+@dataclass(frozen=True, eq=False)
+class RawTable:
+    """A parsed table: feature columns plus an already-binarized label vector."""
+
+    columns: tuple[RawColumn, ...]
+    label_column: str
+    labels: np.ndarray  # uint8 in {0, 1}
+    positive_value: str
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.labels)
+
+    def column(self, name: str) -> RawColumn:
+        for col in self.columns:
+            if col.name == name:
+                return col
+        raise DataError(f"no column named {name!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class BinaryDataset:
+    """An immutable N x d' binary feature matrix with labels.
+
+    Features are stored column-major as int bitsets (bit i = row i), which is
+    what makes cover computation and all downstream counting cheap.
+    """
+
+    feature_bits: tuple[int, ...]
+    feature_names: tuple[str, ...]
+    labels: np.ndarray  # uint8 in {0, 1}
+    n_rows: int
+
+    def __post_init__(self) -> None:
+        if self.n_rows < 1:
+            raise DataError("dataset must contain at least one row")
+        if len(self.feature_bits) < 1:
+            raise DataError("dataset must contain at least one binary feature")
+        if len(self.feature_bits) != len(self.feature_names):
+            raise DataError("feature_bits and feature_names lengths differ")
+        if len(self.labels) != self.n_rows:
+            raise DataError("label vector length does not match row count")
+        if not np.isin(self.labels, (0, 1)).all():
+            raise DataError("labels must be 0/1")
+
+    @property
+    def n_features(self) -> int:
+        return len(self.feature_bits)
+
+    @cached_property
+    def full_mask(self) -> int:
+        return all_rows_mask(self.n_rows)
+
+    @cached_property
+    def label_mask(self) -> int:
+        return pack_bool(self.labels.astype(bool))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        cols = [unpack_bool(b, self.n_rows) for b in self.feature_bits]
+        return np.column_stack(cols)
+
+    @cached_property
+    def name_index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.feature_names)}
+
+    def column(self, i: int) -> int:
+        return self.feature_bits[i]
+
+    def row(self, i: int) -> np.ndarray:
+        return self.matrix[i]
+
+    def subset(self, rows) -> "BinaryDataset":
+        idx = np.asarray(rows, dtype=int)
+        return BinaryDataset.from_bool_matrix(
+            self.matrix[idx], self.labels[idx], self.feature_names
+        )
+
+    @classmethod
+    def from_bool_matrix(cls, matrix, labels, feature_names) -> "BinaryDataset":
+        mat = np.asarray(matrix, dtype=bool)
+        if mat.ndim != 2:
+            raise DataError("feature matrix must be two-dimensional")
+        bits = tuple(pack_bool(mat[:, j]) for j in range(mat.shape[1]))
+        return cls(
+            feature_bits=bits,
+            feature_names=tuple(feature_names),
+            labels=np.asarray(labels, dtype=np.uint8),
+            n_rows=mat.shape[0],
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class PredictionVector:
+    """Row-aligned 0/1 predictions of a black-box classifier."""
+
+    preds: np.ndarray  # uint8 in {0, 1}
+    source_tag: str = ""
+
+    def __post_init__(self) -> None:
+        if not np.isin(self.preds, (0, 1)).all():
+            raise DataError("predictions must be 0/1")
+
+    def __len__(self) -> int:
+        return len(self.preds)
+
+    def correct_mask(self, labels: np.ndarray) -> int:
+        """Bitset of rows where the black-box prediction equals the label."""
+        return pack_bool(np.equal(self.preds, labels))
+
+    def subset(self, rows) -> "PredictionVector":
+        idx = np.asarray(rows, dtype=int)
+        return PredictionVector(self.preds[idx], self.source_tag)
+
+
+# ---------------------------------------------------------------------------
+# Loading
+# ---------------------------------------------------------------------------
+
+
+def load_table(
+    path,
+    label: str,
+    *,
+    delimiter: str = ",",
+    positive_value: str | None = None,
+) -> RawTable:
+    """Parse a delimited text file with a header row into a :class:`RawTable`.
+
+    Column kinds are inferred: a column is numeric when every non-empty cell
+    parses as a float, categorical otherwise. Empty cells are treated as
+    missing values.
+
+    The label column is binarized: with ``positive_value`` given, rows equal to
+    it map to 1 and everything else to 0; without it the column must have
+    exactly two distinct values (the lexicographically larger one is positive),
+    or already be 0/1.
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: ragged row at line {lineno} "
+                    f"({len(row)} fields, expected {len(header)})"
+                )
+            rows.append([cell.strip() for cell in row])
+    if label not in header:
+        raise DataError(f"{path}: missing label column {label!r}")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+
+    by_name = {name: tuple(r[j] for r in rows) for j, name in enumerate(header)}
+    labels, positive = _map_labels(by_name[label], label, positive_value)
+
+    columns = []
+    for name in header:
+        if name == label:
+            continue
+        values = by_name[name]
+        columns.append(RawColumn(name=name, values=values, kind=_infer_kind(values)))
+    return RawTable(
+        columns=tuple(columns),
+        label_column=label,
+        labels=labels,
+        positive_value=positive,
+    )
+
+
+def _infer_kind(values) -> str:
+    seen_value = False
+    for v in values:
+        if v == "":
+            continue
+        seen_value = True
+        try:
+            float(v)
+        except ValueError:
+            return _KIND_CATEGORICAL
+    return _KIND_NUMERIC if seen_value else _KIND_CATEGORICAL
+
+
+def _map_labels(values, label, positive_value):
+    distinct = sorted(set(values))
+    if positive_value is None:
+        if set(distinct) <= {"0", "1"}:
+            positive_value = "1"
+        elif len(distinct) == 2:
+            positive_value = distinct[-1]
+        else:
+            raise DataError(
+                f"non-binary label: column {label!r} has {len(distinct)} distinct "
+                "values; declare the positive class explicitly"
+            )
+    labels = np.fromiter(
+        (1 if v == positive_value else 0 for v in values), dtype=np.uint8, count=len(values)
+    )
+    return labels, positive_value
+
+
+# ---------------------------------------------------------------------------
+# Quantile binning and one-hot encoding
+# ---------------------------------------------------------------------------
+
+
+def quantile_edges(values, q: int = 7) -> list[float]:
+    """Empirical (k/q)-quantiles for k = 1..q-1, with duplicate edges merged."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    vals = np.asarray(values, dtype=float)
+    if vals.size == 0:
+        raise ValueError("column must be nonempty")
+    raw = np.quantile(vals, [k / q for k in range(1, q)])
+    edges: list[float] = []
+    for e in raw:
+        e = float(e)
+        if not edges or e > edges[-1]:
+            edges.append(e)
+    return edges
+
+
+def quantile_bin(values, q: int = 7, *, edges: list[float] | None = None) -> np.ndarray:
+    """Map numeric values to bin codes in [0, q).
+
+    A value's code is the number of (deduplicated) quantile edges strictly
+    below it, so the mapping is monotone and a constant column collapses to the
+    single code 0. Because duplicate edges are merged the effective number of
+    bins can be smaller than ``q``.
+    """
+    if edges is None:
+        edges = quantile_edges(values, q)
+    return np.searchsorted(edges, np.asarray(values, dtype=float), side="left")
+
+
+@dataclass(frozen=True)
+class ManifestColumn:
+    name: str
+    kind: str
+    categories: tuple[str, ...]
+    edges: tuple[float, ...] | None  # quantile edges for numeric columns
+
+
+@dataclass(frozen=True)
+class BinarizationManifest:
+    """Everything needed to repeat a binarization on new data."""
+
+    columns: tuple[ManifestColumn, ...]
+    label_column: str
+    positive_value: str
+    quantiles: int
+
+    def to_obj(self) -> dict:
+        return {
+            "format": "crl-manifest",
+            "version": 1,
+            "label_column": self.label_column,
+            "positive_value": self.positive_value,
+            "quantiles": self.quantiles,
+            "columns": [
+                {
+                    "name": c.name,
+                    "kind": c.kind,
+                    "categories": list(c.categories),
+                    "edges": list(c.edges) if c.edges is not None else None,
+                }
+                for c in self.columns
+            ],
+        }
+
+    def save(self, path) -> None:
+        Path(path).write_text(json.dumps(self.to_obj(), indent=2) + "\n")
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "BinarizationManifest":
+        try:
+            if obj["format"] != "crl-manifest":
+                raise DataError(f"not a binarization manifest: {obj.get('format')!r}")
+            columns = tuple(
+                ManifestColumn(
+                    name=c["name"],
+                    kind=c["kind"],
+                    categories=tuple(c["categories"]),
+                    edges=tuple(c["edges"]) if c["edges"] is not None else None,
+                )
+                for c in obj["columns"]
+            )
+            return cls(
+                columns=columns,
+                label_column=obj["label_column"],
+                positive_value=obj["positive_value"],
+                quantiles=obj["quantiles"],
+            )
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"malformed binarization manifest: {exc}") from exc
+
+    @classmethod
+    def load(cls, path) -> "BinarizationManifest":
+        try:
+            obj = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+        return cls.from_obj(obj)
+
+    def feature_names(self) -> list[str]:
+        return [f"{c.name}={cat}" for c in self.columns for cat in c.categories]
+
+
+def _column_category_labels(col: RawColumn, quantiles: int):
+    """Per-row category labels and the quantile edges (numeric columns only)."""
+    if col.kind == _KIND_NUMERIC:
+        present = np.array([v != "" for v in col.values], dtype=bool)
+        if present.any():
+            floats = np.array([float(v) for v, p in zip(col.values, present) if p])
+            edges = quantile_edges(floats, quantiles)
+            codes = quantile_bin(floats, quantiles, edges=edges)
+        else:
+            edges, codes = [], np.empty(0, dtype=int)
+        labels = []
+        it = iter(codes)
+        for p in present:
+            labels.append(f"bin{next(it)}" if p else MISSING_CATEGORY)
+        return labels, tuple(edges)
+    labels = [v if v != "" else MISSING_CATEGORY for v in col.values]
+    return labels, None
+
+
+def _numeric_category_order(categories: set[str]) -> list[str]:
+    bins = sorted((c for c in categories if c != MISSING_CATEGORY), key=lambda c: int(c[3:]))
+    if MISSING_CATEGORY in categories:
+        bins.append(MISSING_CATEGORY)
+    return bins
+
+
+def binarize(
+    table: RawTable, quantiles: int = 7
+) -> tuple[BinaryDataset, BinarizationManifest]:
+    """One-hot encode a table into a :class:`BinaryDataset`.
+
+    Numeric columns are quantile-binned first (``quantiles`` bins by default);
+    every (column, category) pair becomes one bit column named
+    ``"column=category"``. Missing values get their own category, so each row
+    sets exactly one bit per source column.
+    """
+    feature_bits: list[int] = []
+    feature_names: list[str] = []
+    manifest_cols: list[ManifestColumn] = []
+    for col in table.columns:
+        row_labels, edges = _column_category_labels(col, quantiles)
+        cats = set(row_labels)
+        if col.kind == _KIND_NUMERIC:
+            ordered = _numeric_category_order(cats)
+        else:
+            ordered = sorted(cats)
+        arr = np.array(row_labels)
+        for cat in ordered:
+            feature_bits.append(pack_bool(arr == cat))
+            feature_names.append(f"{col.name}={cat}")
+        manifest_cols.append(
+            ManifestColumn(name=col.name, kind=col.kind, categories=tuple(ordered), edges=edges)
+        )
+    if not feature_bits:
+        raise DataError("zero usable feature columns after binarization")
+    dataset = BinaryDataset(
+        feature_bits=tuple(feature_bits),
+        feature_names=tuple(feature_names),
+        labels=table.labels,
+        n_rows=table.n_rows,
+    )
+    manifest = BinarizationManifest(
+        columns=tuple(manifest_cols),
+        label_column=table.label_column,
+        positive_value=table.positive_value,
+        quantiles=quantiles,
+    )
+    return dataset, manifest
+
+
+def apply_manifest(table: RawTable, manifest: BinarizationManifest) -> BinaryDataset:
+    """Binarize ``table`` with the categories and edges of a fitted manifest.
+
+    Values that fall into a category unseen at fit time set no bit in that
+    column group (exact one-hot coverage is only guaranteed on the data the
+    manifest was fitted on).
+    """
+    feature_bits: list[int] = []
+    feature_names: list[str] = []
+    for mcol in manifest.columns:
+        col = table.column(mcol.name)
+        if mcol.kind == _KIND_NUMERIC and col.kind == _KIND_NUMERIC:
+            present = np.array([v != "" for v in col.values], dtype=bool)
+            floats = np.array([float(v) for v, p in zip(col.values, present) if p])
+            codes = np.searchsorted(list(mcol.edges or ()), floats, side="left")
+            it = iter(codes)
+            row_labels = [f"bin{next(it)}" if p else MISSING_CATEGORY for p in present]
+        else:
+            row_labels = [v if v != "" else MISSING_CATEGORY for v in col.values]
+        arr = np.array(row_labels)
+        for cat in mcol.categories:
+            feature_bits.append(pack_bool(arr == cat))
+            feature_names.append(f"{mcol.name}={cat}")
+    if not feature_bits:
+        raise DataError("manifest produced zero feature columns")
+    return BinaryDataset(
+        feature_bits=tuple(feature_bits),
+        feature_names=tuple(feature_names),
+        labels=table.labels,
+        n_rows=table.n_rows,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Predictions
+# ---------------------------------------------------------------------------
+
+
+def load_predictions(
+    path,
+    n: int,
+    *,
+    column: str | None = None,
+    delimiter: str = ",",
+) -> PredictionVector:
+    """Read a black-box prediction vector from a file.
+
+    Default format is one 0/1 value per line; with ``column`` the file is
+    parsed as delimited text with a header and that column is used.
+    """
+    path = Path(path)
+    values: list[str] = []
+    if column is None:
+        for line in path.read_text().splitlines():
+            line = line.strip()
+            if line:
+                values.append(line)
+    else:
+        with path.open(newline="") as fh:
+            reader = csv.DictReader(fh, delimiter=delimiter)
+            if reader.fieldnames is None or column not in reader.fieldnames:
+                raise DataError(f"{path}: missing prediction column {column!r}")
+            for rec in reader:
+                values.append(rec[column].strip())
+    preds = np.empty(len(values), dtype=np.uint8)
+    for i, v in enumerate(values):
+        if v not in ("0", "1"):
+            raise DataError(f"{path}: non-binary prediction {v!r} at entry {i + 1}")
+        preds[i] = int(v)
+    if len(preds) != n:
+        raise DataError(
+            f"{path}: length mismatch: {len(preds)} predictions for {n} dataset rows"
+        )
+    return PredictionVector(preds=preds, source_tag=str(path))
+
+
+def synth_oracle(labels: np.ndarray, accuracy: float, seed: int) -> PredictionVector:
+    """Synthesize a black-box that agrees with each label with given probability.
+
+    Deterministic given (labels, accuracy, seed); accuracy 1.0 reproduces the
+    labels bit-exactly and 0.0 flips every one.
+    """
+    if not 0.0 <= accuracy <= 1.0:
+        raise ValueError("accuracy must be in [0, 1]")
+    labels = np.asarray(labels, dtype=np.uint8)
+    rng = np.random.default_rng(seed)
+    keep = rng.random(len(labels)) < accuracy
+    preds = np.where(keep, labels, 1 - labels).astype(np.uint8)
+    return PredictionVector(
+        preds=preds, source_tag=f"synth-oracle(accuracy={accuracy}, seed={seed})"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Fold splitting
+# ---------------------------------------------------------------------------
+
+
+def split_folds(data: BinaryDataset, k: int = 5, seed: int = 0) -> list[np.ndarray]:
+    """Partition row indices into k folds, stratified by label.
+
+    Folds are pairwise disjoint, their union covers every row, per-class fold
+    sizes differ by at most one, and the split is repeatable under a fixed
+    seed. If some label class has fewer than k members the split falls back to
+    unstratified (with a warning).
+    """
+    if k < 2:
+        raise ValueError("fold count must be >= 2")
+    if data.n_rows < k:
+        raise ValueError("dataset has fewer rows than folds")
+    rng = np.random.default_rng(seed)
+    labels = data.labels
+    classes, counts = np.unique(labels, return_counts=True)
+    folds: list[list[int]] = [[] for _ in range(k)]
+    if (counts < k).any():
+        warnings.warn(
+            "a label class has fewer members than folds; falling back to an "
+            "unstratified split",
+            stacklevel=2,
+        )
+        perm = rng.permutation(data.n_rows)
+        for f in range(k):
+            folds[f].extend(perm[f::k].tolist())
+    else:
+        for cls in classes:
+            idx = np.flatnonzero(labels == cls)
+            perm = rng.permutation(idx)
+            for f in range(k):
+                folds[f].extend(perm[f::k].tolist())
+    return [np.array(sorted(f), dtype=int) for f in folds]
+
+
+def train_indices(folds: list[np.ndarray], test_fold: int) -> np.ndarray:
+    """All row indices outside the given test fold, in ascending order."""
+    rest = [f for i, f in enumerate(folds) if i != test_fold]
+    return np.array(sorted(np.concatenate(rest).tolist()), dtype=int)

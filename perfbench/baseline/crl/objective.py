@@ -1,0 +1,269 @@
+"""Transparency and accuracy estimators, the trade-off curve, and the objective.
+
+For a rule list R = (r_1..r_M) over a dataset of N rows with black-box
+predictions b:
+
+* transparency at level m is the fraction of rows covered by the first m
+  rules;
+* accuracy at level m scores covered rows by their first-match rule and the
+  rest by the black-box;
+* the trade-off curve is the sequence of (transparency, accuracy) points for
+  m = 0..M, starting at (0, black-box accuracy);
+* the area under that curve (a trapezoid sum over consecutive points) is the
+  quality measure, and the training objective subtracts a length penalty
+  alpha * M.
+
+Everything is counted with integer popcounts and only divided at the end, so
+estimates are exact and invariant under row permutations.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from dataclasses import dataclass
+
+from .data import BinaryDataset, PredictionVector
+from .errors import DataError
+from .rules import RuleList, exclusive_covers, raw_cover
+
+_UNSET = object()
+
+
+@dataclass(frozen=True, eq=False)
+class TradeoffCurve:
+    """The transparency-accuracy curve of a rule list, one point per level.
+
+    ``points[m]`` is (transparency, accuracy) after adopting the first m rules;
+    the integer count fields are present when the curve was computed from data
+    (not when built from bare coordinates) and make exact cross-checks
+    possible.
+    """
+
+    points: tuple[tuple[float, float], ...]
+    n_rows: int | None = None
+    covered_counts: tuple[int, ...] | None = None  # cumulative |S_m|
+    rule_correct_counts: tuple[int, ...] | None = None  # cumulative, rules part
+    exclusive_counts: tuple[int, ...] | None = None  # per level, [0] == 0
+    exclusive_correct_counts: tuple[int, ...] | None = None  # per level, [0] == 0
+
+    @property
+    def n_levels(self) -> int:
+        return len(self.points) - 1
+
+    @property
+    def transparency(self) -> tuple[float, ...]:
+        return tuple(p[0] for p in self.points)
+
+    @property
+    def accuracy(self) -> tuple[float, ...]:
+        return tuple(p[1] for p in self.points)
+
+    @property
+    def coverage(self) -> float:
+        """Transparency of the full list (the curve's right endpoint)."""
+        return self.points[-1][0]
+
+    def rule_part_accuracy(self, m: int) -> float | None:
+        """Accuracy of rule m on its exclusive cover; None when that cover is empty."""
+        if self.exclusive_counts is None or self.exclusive_correct_counts is None:
+            return None
+        if m < 1 or m > self.n_levels:
+            raise IndexError("level out of range")
+        exc = self.exclusive_counts[m]
+        if exc == 0:
+            return None
+        return self.exclusive_correct_counts[m] / exc
+
+    @classmethod
+    def from_points(cls, points) -> "TradeoffCurve":
+        return cls(points=tuple((float(t), float(a)) for t, a in points))
+
+
+@dataclass(frozen=True)
+class ObjectiveValue:
+    """Penalized curve area: objective = autac - alpha * n_rules."""
+
+    autac: float
+    alpha: float
+    n_rules: int
+    penalty: float
+    objective: float
+
+
+def _check_alignment(data: BinaryDataset, preds: PredictionVector) -> None:
+    if len(preds) != data.n_rows:
+        raise DataError(
+            f"prediction vector of length {len(preds)} does not align with "
+            f"{data.n_rows} dataset rows"
+        )
+
+
+def blackbox_accuracy(data: BinaryDataset, preds: PredictionVector) -> float:
+    _check_alignment(data, preds)
+    return preds.correct_mask(data.labels).bit_count() / data.n_rows
+
+
+def transparency_hat(rule_list: RuleList, data: BinaryDataset, m: int) -> float:
+    """Fraction of rows covered by the first m rules (0 at level 0)."""
+    if m < 0 or m > len(rule_list):
+        raise IndexError("level out of range")
+    union = 0
+    for r in rule_list.rules[:m]:
+        union |= raw_cover(r, data)
+    return union.bit_count() / data.n_rows
+
+
+def accuracy_hat(
+    rule_list: RuleList, data: BinaryDataset, preds: PredictionVector, m: int
+) -> float:
+    """Accuracy when the first m rules answer what they cover and the black-box
+    answers the rest."""
+    if m < 0 or m > len(rule_list):
+        raise IndexError("level out of range")
+    _check_alignment(data, preds)
+    head = RuleList(rule_list.rules[:m])
+    correct = 0
+    covered = 0
+    for r, exc in zip(head, exclusive_covers(head, data)):
+        match = data.label_mask if r.output == 1 else ~data.label_mask & data.full_mask
+        correct += (exc & match).bit_count()
+        covered |= exc
+    correct += (preds.correct_mask(data.labels) & ~covered).bit_count()
+    return correct / data.n_rows
+
+
+def _sweep_counts(raws, hit_masks, n_rows: int, bb_correct: int):
+    """One incremental pass over the list, all quantities as integer counts."""
+    covered = 0
+    cover_cnt = 0
+    rule_correct = 0
+    covered_counts = [0]
+    rule_corrects = [0]
+    bb_rest = [bb_correct.bit_count()]
+    excl_counts = [0]
+    excl_corrects = [0]
+    for rc, hits in zip(raws, hit_masks):
+        free = ~covered
+        exc = rc & free
+        hit = (hits & free).bit_count()
+        exc_n = exc.bit_count()
+        cover_cnt += exc_n
+        rule_correct += hit
+        covered |= rc
+        covered_counts.append(cover_cnt)
+        rule_corrects.append(rule_correct)
+        bb_rest.append((bb_correct & ~covered).bit_count())
+        excl_counts.append(exc_n)
+        excl_corrects.append(hit)
+    return covered_counts, rule_corrects, bb_rest, excl_counts, excl_corrects
+
+
+def _points_from_counts(covered_counts, rule_corrects, bb_rest, n_rows):
+    return tuple(
+        (c / n_rows, (rc + rest) / n_rows)
+        for c, rc, rest in zip(covered_counts, rule_corrects, bb_rest)
+    )
+
+
+def curve(
+    rule_list: RuleList, data: BinaryDataset, preds: PredictionVector
+) -> TradeoffCurve:
+    """All M+1 curve points computed in a single incremental sweep.
+
+    Bit-identical to evaluating :func:`transparency_hat` and
+    :func:`accuracy_hat` level by level, but one pass instead of M.
+    """
+    _check_alignment(data, preds)
+    raws = [raw_cover(r, data) for r in rule_list]
+    label_mask = data.label_mask
+    neg_mask = ~label_mask & data.full_mask
+    hit_masks = [
+        rc & (label_mask if r.output == 1 else neg_mask)
+        for r, rc in zip(rule_list, raws)
+    ]
+    bb_correct = preds.correct_mask(data.labels)
+    covered, corrects, bb_rest, excl, excl_ok = _sweep_counts(
+        raws, hit_masks, data.n_rows, bb_correct
+    )
+    return TradeoffCurve(
+        points=_points_from_counts(covered, corrects, bb_rest, data.n_rows),
+        n_rows=data.n_rows,
+        covered_counts=tuple(covered),
+        rule_correct_counts=tuple(corrects),
+        exclusive_counts=tuple(excl),
+        exclusive_correct_counts=tuple(excl_ok),
+    )
+
+
+def _autac_from_points(points) -> float:
+    s = 0.0
+    for (t0, a0), (t1, a1) in zip(points, points[1:]):
+        s += (a1 + a0) * (t1 - t0)
+    return 0.5 * s
+
+
+def autac_hat(curve_or_points) -> float:
+    """Trapezoid area under the curve, over [0, coverage of the full list].
+
+    A single-point curve (empty list) has area 0; nothing is extrapolated
+    beyond the list's coverage.
+    """
+    points = (
+        curve_or_points.points
+        if isinstance(curve_or_points, TradeoffCurve)
+        else tuple(curve_or_points)
+    )
+    return _autac_from_points(points)
+
+
+def objective(
+    rule_list: RuleList,
+    data: BinaryDataset,
+    preds: PredictionVector,
+    alpha: float,
+) -> ObjectiveValue:
+    """The training objective: curve area minus alpha per rule."""
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    autac = autac_hat(curve(rule_list, data, preds))
+    return make_objective(autac, alpha, len(rule_list))
+
+
+def make_objective(autac: float, alpha: float, n_rules: int) -> ObjectiveValue:
+    penalty = alpha * n_rules
+    return ObjectiveValue(
+        autac=autac,
+        alpha=alpha,
+        n_rules=n_rules,
+        penalty=penalty,
+        objective=autac - penalty,
+    )
+
+
+def _locate_level(t_values, t: float) -> tuple[int, float]:
+    """Largest level whose transparency is <= t, plus the fractional position.
+
+    Duplicate transparency values (rules with empty exclusive cover) are
+    skipped by always taking the last index among ties, so the next level is
+    strictly larger and the fraction is well defined.
+    """
+    if t < 0.0 or t > t_values[-1]:
+        raise DataError(
+            f"transparency {t} exceeds list coverage {t_values[-1]} "
+            "(no rule level reaches it)"
+        )
+    m = bisect_right(t_values, t) - 1
+    if m >= len(t_values) - 1:
+        return len(t_values) - 1, 0.0
+    q = (t - t_values[m]) / (t_values[m + 1] - t_values[m])
+    return m, q
+
+
+def level_for_t(curve: TradeoffCurve, t: float) -> tuple[int, float]:
+    """Map a target transparency t to (level, interpolation fraction).
+
+    The fraction q in [0, 1) says how far t sits between the level's
+    transparency and the next strictly larger one; q is 0 exactly at a level
+    boundary.
+    """
+    return _locate_level(curve.transparency, t)

@@ -1,0 +1,125 @@
+"""Rules, ordered rule lists, and cover computation.
+
+A rule pairs an antecedent (a conjunction of binary-feature conditions, each
+"feature j is set") with an output class. An ordered rule list predicts by
+first match. The exclusive cover of rule m is the set of rows it catches after
+rules 1..m-1 have taken theirs; exclusive covers are pairwise disjoint and
+union to the list's total coverage.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .data import BinaryDataset
+
+# A condition is an index into the dataset's binary feature columns; the
+# condition holds on a row when that bit is set. Negations are expressed
+# through the complementary one-hot columns, never as an operator.
+Condition = int
+
+
+@dataclass(frozen=True)
+class Rule:
+    """An antecedent (sorted condition indices) with a predicted class.
+
+    ``raw_cover`` optionally caches the rule's cover bitset against the dataset
+    it was mined from; it is ignored by equality and hashing, so two rules are
+    the same exactly when antecedent and output coincide.
+    """
+
+    conditions: tuple[Condition, ...]
+    output: int
+    raw_cover: int | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        canon = tuple(sorted(set(self.conditions)))
+        if not canon:
+            raise ValueError("a rule needs at least one condition")
+        object.__setattr__(self, "conditions", canon)
+        if self.output not in (0, 1):
+            raise ValueError("rule output must be 0 or 1")
+
+    def describe(self, feature_names) -> str:
+        conds = " AND ".join(feature_names[c] for c in self.conditions)
+        return f"IF {conds} THEN {self.output}"
+
+
+@dataclass(frozen=True)
+class RuleList:
+    """An ordered sequence of rules; the list length is always ``len(rules)``."""
+
+    rules: tuple[Rule, ...] = ()
+
+    def __post_init__(self) -> None:
+        seen = set()
+        for r in self.rules:
+            key = (r.conditions, r.output)
+            if key in seen:
+                raise ValueError(f"duplicate rule in list: {key}")
+            seen.add(key)
+
+    def __len__(self) -> int:
+        return len(self.rules)
+
+    def __iter__(self):
+        return iter(self.rules)
+
+    def __getitem__(self, i) -> Rule:
+        return self.rules[i]
+
+    def describe(self, feature_names) -> str:
+        lines = []
+        for i, r in enumerate(self.rules):
+            head = "IF" if i == 0 else "ELSE IF"
+            conds = " AND ".join(feature_names[c] for c in r.conditions)
+            lines.append(f"{head} {conds} THEN {r.output}")
+        return "\n".join(lines)
+
+
+def raw_cover(rule: Rule, data: BinaryDataset) -> int:
+    """Bitset of rows satisfying every condition of the rule."""
+    mask = data.full_mask
+    for c in rule.conditions:
+        mask &= data.feature_bits[c]
+    return mask
+
+
+def raw_covers(rule_list: RuleList, data: BinaryDataset) -> list[int]:
+    return [raw_cover(r, data) for r in rule_list]
+
+
+def exclusive_covers(rule_list: RuleList, data: BinaryDataset) -> list[int]:
+    """Per-rule bitsets of rows assigned to each rule by first match.
+
+    Vector m is the raw cover of rule m minus everything covered earlier, so
+    the vectors are pairwise disjoint and union to the OR of all raw covers.
+    """
+    covered = 0
+    out = []
+    for r in rule_list:
+        rc = raw_cover(r, data)
+        out.append(rc & ~covered)
+        covered |= rc
+    return out
+
+
+def predict_rule_list(rule_list: RuleList, instance) -> int | None:
+    """First-match prediction for one instance; None when no rule fires."""
+    bits = np.asarray(instance, dtype=bool)
+    for r in rule_list:
+        if all(bits[c] for c in r.conditions):
+            return r.output
+    return None
+
+
+def first_match_indices(rule_list: RuleList, data: BinaryDataset) -> np.ndarray:
+    """Per-row 0-based index of the first matching rule, -1 when uncovered."""
+    from .bits import unpack_bool
+
+    idx = np.full(data.n_rows, -1, dtype=np.int32)
+    for k, exc in enumerate(exclusive_covers(rule_list, data)):
+        idx[unpack_bool(exc, data.n_rows)] = k
+    return idx

@@ -1,0 +1,362 @@
+"""Annealed stochastic local search over rule lists.
+
+Starting from a few random pool rules, each iteration proposes one edit
+(add / remove / swap / replace, drawn uniformly), scores the edited list, and
+accepts it with probability exp(delta / temperature) where delta is the
+objective change and the temperature c0 / log2(1 + n) cools as the iteration
+count n grows; improvements are always accepted. The best list seen so far is
+tracked separately, so the returned model never depends on where the chain
+happens to end.
+
+A single named generator drives every draw, which makes runs bit-reproducible
+for a fixed seed. Edits that are impossible on the current list (removing from
+an empty list, swapping with fewer than two rules, inserting a rule the list
+already contains) trigger a fresh operation draw, capped at 16 attempts before
+the proposal degenerates to the unchanged list.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
+
+import numpy as np
+
+from .data import BinaryDataset, PredictionVector
+from .errors import SearchError
+from .mining import CandidatePool
+from .objective import (
+    TradeoffCurve,
+    _autac_from_points,
+    _points_from_counts,
+    _sweep_counts,
+    autac_hat,
+    curve,
+    make_objective,
+    ObjectiveValue,
+)
+from .rules import Rule, RuleList, raw_cover
+
+ALPHA_CANDIDATES = (0.01, 0.005, 0.001, 0.0008, 0.0005, 0.0002, 0.0001)
+
+SCORING_COMPANION = "companion"
+SCORING_RULES_ONLY = "rules_only"
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """Knobs of one search chain.
+
+    ``scoring`` selects the trained objective: "companion" maximizes the
+    penalized area under the transparency-accuracy curve; "rules_only" is a
+    degenerate baseline that ignores the black-box entirely and maximizes the
+    stand-alone accuracy of the rule list (first-match on covered rows, the
+    training majority class on the rest), used to build naively-paired
+    reference models.
+    """
+
+    alpha: float
+    c0: float = 0.001
+    n_iters: int = 50_000
+    seed: int = 0
+    init_size: int = 3
+    max_rules_guard: int | None = None
+    scoring: str = SCORING_COMPANION
+
+    def __post_init__(self) -> None:
+        if self.alpha < 0:
+            raise ValueError("alpha must be >= 0")
+        if self.c0 <= 0:
+            raise ValueError("c0 must be positive")
+        if self.n_iters < 1:
+            raise ValueError("n_iters must be >= 1")
+        if self.init_size < 0:
+            raise ValueError("init_size must be >= 0")
+        if self.scoring not in (SCORING_COMPANION, SCORING_RULES_ONLY):
+            raise ValueError(f"unknown scoring {self.scoring!r}")
+
+
+class SearchStep(NamedTuple):
+    iteration: int
+    op: str
+    proposed_objective: float
+    accepted: bool
+    best_objective: float
+
+
+@dataclass(eq=False)
+class SearchTrace:
+    """Per-iteration record of the chain plus the final best list."""
+
+    steps: list[SearchStep] = field(default_factory=list)
+    best_list: RuleList | None = None
+
+    def best_objectives(self) -> list[float]:
+        return [s.best_objective for s in self.steps]
+
+
+@dataclass(eq=False)
+class SearchResult:
+    best_list: RuleList
+    curve: TradeoffCurve
+    trace: SearchTrace
+    objective: ObjectiveValue
+    config: SearchConfig
+
+
+def temperature(n: int, c0: float) -> float:
+    """Annealing temperature at iteration n >= 1; exactly c0 at n = 1."""
+    return c0 / math.log2(1 + n)
+
+
+def accept(delta: float, n: int, c0: float, rng: np.random.Generator) -> bool:
+    """Annealing acceptance test; always draws one uniform.
+
+    Non-negative objective changes are always accepted; a decrease passes with
+    probability exp(delta / temperature(n)).
+    """
+    eps = rng.random()
+    if delta >= 0:
+        return True
+    return eps <= math.exp(delta / temperature(n, c0))
+
+
+def init_list(pool: CandidatePool, k: int, rng: np.random.Generator) -> RuleList:
+    """k distinct pool rules drawn uniformly without replacement, in draw order."""
+    if len(pool) < k:
+        raise SearchError(f"pool of {len(pool)} rules is smaller than init size {k}")
+    idx = rng.choice(len(pool), size=k, replace=False)
+    return RuleList(tuple(pool.rules[int(i)] for i in idx))
+
+
+def propose(
+    rule_list: RuleList,
+    pool: CandidatePool,
+    rng: np.random.Generator,
+    max_attempts: int = 16,
+) -> tuple[RuleList, str]:
+    """Draw one edit of the list; returns (new list, operation name).
+
+    Operations are equiprobable. Add draws a pool rule, then an insertion slot
+    among the M+1 positions; remove and replace draw a list position (replace
+    additionally draws the incoming pool rule); swap draws two distinct
+    positions. Proposals that would violate list invariants re-draw the
+    operation, and after ``max_attempts`` failures the unchanged list is
+    returned with operation "identity". The input list is never mutated.
+    """
+    rules = rule_list.rules
+    m = len(rules)
+    present = set(rules)
+    for _ in range(max_attempts):
+        delta = rng.random()
+        if delta < 0.25:
+            j = int(rng.integers(len(pool)))
+            pos = int(rng.integers(m + 1))
+            cand = pool.rules[j]
+            if cand in present:
+                continue
+            return RuleList(rules[:pos] + (cand,) + rules[pos:]), "add"
+        elif delta < 0.5:
+            if m < 1:
+                continue
+            i = int(rng.integers(m))
+            return RuleList(rules[:i] + rules[i + 1 :]), "remove"
+        elif delta < 0.75:
+            if m < 2:
+                continue
+            i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
+            swapped = list(rules)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            return RuleList(tuple(swapped)), "swap"
+        else:
+            if m < 1:
+                continue
+            i = int(rng.integers(m))
+            j = int(rng.integers(len(pool)))
+            cand = pool.rules[j]
+            if cand != rules[i] and cand in present:
+                continue
+            replaced = list(rules)
+            replaced[i] = cand
+            return RuleList(tuple(replaced)), "replace"
+    return rule_list, "identity"
+
+
+class _Scorer:
+    """Objective evaluation for the hot loop: one prefix sweep per proposal.
+
+    Raw covers and per-rule correct-row masks are precomputed for the whole
+    pool against the training data, so scoring a list is O(M) big-int
+    operations and results are bit-identical to the module-level curve and
+    objective functions.
+    """
+
+    def __init__(
+        self,
+        data: BinaryDataset,
+        preds: PredictionVector,
+        pool: CandidatePool,
+        alpha: float,
+        scoring: str,
+    ) -> None:
+        self.n = data.n_rows
+        self.alpha = alpha
+        self.scoring = scoring
+        self.bb_correct = preds.correct_mask(data.labels)
+        label_mask = data.label_mask
+        neg_mask = ~label_mask & data.full_mask
+        majority = 1 if 2 * label_mask.bit_count() >= data.n_rows else 0
+        self.majority_correct = label_mask if majority == 1 else neg_mask
+        self.masks: dict[Rule, tuple[int, int]] = {}
+        for r in pool.rules:
+            raw = raw_cover(r, data)
+            hits = raw & (label_mask if r.output == 1 else neg_mask)
+            self.masks[r] = (raw, hits)
+
+    def score(self, rule_list: RuleList) -> float:
+        raws = []
+        hit_masks = []
+        for r in rule_list:
+            raw, hits = self.masks[r]
+            raws.append(raw)
+            hit_masks.append(hits)
+        if self.scoring == SCORING_RULES_ONLY:
+            covered = 0
+            correct = 0
+            for rc, hits in zip(raws, hit_masks):
+                free = ~covered
+                correct += (hits & free).bit_count()
+                covered |= rc
+            correct += (self.majority_correct & ~covered).bit_count()
+            return correct / self.n - self.alpha * len(rule_list)
+        covered, corrects, bb_rest, _, _ = _sweep_counts(
+            raws, hit_masks, self.n, self.bb_correct
+        )
+        points = _points_from_counts(covered, corrects, bb_rest, self.n)
+        return _autac_from_points(points) - self.alpha * len(rule_list)
+
+
+def run_search(
+    data: BinaryDataset,
+    preds: PredictionVector,
+    pool: CandidatePool,
+    config: SearchConfig,
+) -> SearchResult:
+    """Run one annealed search chain; fully deterministic given its inputs."""
+    if len(pool) == 0:
+        raise SearchError("cannot search an empty candidate pool")
+    rng = np.random.default_rng(config.seed)
+    scorer = _Scorer(data, preds, pool, config.alpha, config.scoring)
+
+    current = init_list(pool, config.init_size, rng)
+    current_obj = scorer.score(current)
+    best_list, best_obj = current, current_obj
+
+    trace = SearchTrace()
+    guard = config.max_rules_guard
+    for n in range(1, config.n_iters + 1):
+        proposal, op = propose(current, pool, rng)
+        proposed_obj = scorer.score(proposal)
+        if guard is not None and len(proposal) > guard:
+            accepted = False
+        else:
+            accepted = accept(proposed_obj - current_obj, n, config.c0, rng)
+        if accepted:
+            current, current_obj = proposal, proposed_obj
+        if current_obj > best_obj:
+            best_list, best_obj = current, current_obj
+        trace.steps.append(SearchStep(n, op, proposed_obj, accepted, best_obj))
+    trace.best_list = best_list
+
+    best_curve = curve(best_list, data, preds)
+    obj = make_objective(autac_hat(best_curve), config.alpha, len(best_list))
+    return SearchResult(
+        best_list=best_list,
+        curve=best_curve,
+        trace=trace,
+        objective=obj,
+        config=config,
+    )
+
+
+@dataclass(frozen=True)
+class AlphaCandidate:
+    alpha: float
+    n_rules: int
+    n_conditions: int
+    train_autac: float
+    admissible: bool
+
+
+@dataclass(eq=False)
+class AlphaTuneReport:
+    """Outcome of the penalty sweep: one search per candidate alpha.
+
+    A candidate is admissible when its best list stays under the rule cap; the
+    chosen alpha is the admissible one with maximal training curve area.
+    Candidates are scanned in the given (descending) order with a strict
+    improvement test, so on ties the larger alpha wins and the equal ones are
+    recorded in ``tied_alphas``.
+    """
+
+    candidates: tuple[AlphaCandidate, ...]
+    chosen_alpha: float
+    tied_alphas: tuple[float, ...]
+    chosen: SearchResult
+
+
+def tune_alpha(
+    data: BinaryDataset,
+    preds: PredictionVector,
+    pool: CandidatePool,
+    candidates=ALPHA_CANDIDATES,
+    i_max: int = 20,
+    base_config: SearchConfig | None = None,
+) -> AlphaTuneReport:
+    """Pick the penalty weight by maximizing training curve area under a cap.
+
+    Runs one full search per candidate against the shared pool (nothing is
+    re-mined), with per-candidate seeds derived deterministically from the base
+    seed. Candidates whose best list has ``i_max`` or more rules are
+    inadmissible; if every candidate is, the search fails with advice to use
+    larger alphas or a looser cap.
+    """
+    candidates = tuple(candidates)
+    if not candidates:
+        raise ValueError("need at least one alpha candidate")
+    base = base_config if base_config is not None else SearchConfig(alpha=0.0)
+    children = np.random.SeedSequence(base.seed).spawn(len(candidates))
+    records: list[AlphaCandidate] = []
+    chosen: SearchResult | None = None
+    chosen_alpha = 0.0
+    best_autac = -math.inf
+    ties: list[float] = []
+    for alpha, child in zip(candidates, children):
+        cfg = replace(base, alpha=alpha, seed=int(child.generate_state(1)[0]))
+        result = run_search(data, preds, pool, cfg)
+        n_rules = len(result.best_list)
+        n_conditions = sum(len(r.conditions) for r in result.best_list)
+        train_autac = autac_hat(result.curve)
+        admissible = n_rules < i_max
+        records.append(
+            AlphaCandidate(alpha, n_rules, n_conditions, train_autac, admissible)
+        )
+        if not admissible:
+            continue
+        if chosen is None or train_autac > best_autac:
+            chosen, chosen_alpha, best_autac = result, alpha, train_autac
+            ties = []
+        elif train_autac == best_autac:
+            ties.append(alpha)
+    if chosen is None:
+        raise SearchError(
+            f"every alpha candidate produced {i_max} rules or more; add larger "
+            "alpha candidates or raise the rule cap"
+        )
+    return AlphaTuneReport(
+        candidates=tuple(records),
+        chosen_alpha=chosen_alpha,
+        tied_alphas=tuple(ties),
+        chosen=chosen,
+    )
