@@ -57,7 +57,6 @@ from .rules import (
     first_match_indices,
     predict_rule_list,
     raw_cover,
-    raw_covers,
 )
 from .search import (
     ALPHA_CANDIDATES,
@@ -128,7 +127,6 @@ __all__ = [
     "quantile_bin",
     "quantile_edges",
     "raw_cover",
-    "raw_covers",
     "resolve_rules",
     "run_search",
     "save_curve_csv",

@@ -7,8 +7,6 @@ Arbitrary-precision ints give cheap AND/OR/NOT plus exact popcounts via
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
 
@@ -23,25 +21,3 @@ def unpack_bool(bits: int, n_rows: int) -> np.ndarray:
     n_bytes = max(1, (n_rows + 7) // 8)
     raw = np.frombuffer(bits.to_bytes(n_bytes, "little"), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little")[:n_rows].astype(bool)
-
-
-def from_indices(indices: Iterable[int]) -> int:
-    bits = 0
-    for i in indices:
-        bits |= 1 << i
-    return bits
-
-
-def to_indices(bits: int) -> list[int]:
-    out = []
-    i = 0
-    while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
-    return out
-
-
-def all_rows_mask(n_rows: int) -> int:
-    return (1 << n_rows) - 1

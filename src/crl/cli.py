@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,7 +51,16 @@ from .synth import planted_benchmark
 
 
 class UsageError(CrlError):
-    """Bad flag combination that argparse alone cannot express."""
+    """Bad flag combination or value that argparse alone cannot express."""
+
+
+@contextmanager
+def _knob_errors(knobs: str, error: type[CrlError] = UsageError):
+    """Report the library's ValueError for an out-of-range knob as a CLI error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise error(f"{knobs}: {exc}") from exc
 
 
 # Training and preprocessing knobs resolvable from a JSON config file; an
@@ -172,7 +182,8 @@ def _add_mining_flags(p: argparse.ArgumentParser) -> None:
         "--mine-fraction",
         type=float,
         default=None,
-        help="mine on a row subsample of this fraction (covers stay full-data)",
+        help="count supports on a row subsample of this fraction "
+        "(the search still scores rules on every row)",
     )
 
 
@@ -209,7 +220,8 @@ def _load_dataset(args) -> tuple[BinaryDataset, BinarizationManifest]:
     if args.manifest:
         manifest = BinarizationManifest.load(args.manifest)
         return apply_manifest(table, manifest), manifest
-    return binarize(table, quantiles=args.quantiles)
+    with _knob_errors("--quantiles"):
+        return binarize(table, quantiles=args.quantiles)
 
 
 def _load_preds(args, data: BinaryDataset) -> PredictionVector:
@@ -220,28 +232,36 @@ def _load_preds(args, data: BinaryDataset) -> PredictionVector:
             args.preds, data.n_rows, column=args.pred_column, delimiter=args.delimiter
         )
     if args.oracle_accuracy is not None:
-        return synth_oracle(data.labels, args.oracle_accuracy, args.oracle_seed)
+        with _knob_errors("--oracle-accuracy"):
+            return synth_oracle(data.labels, args.oracle_accuracy, args.oracle_seed)
     raise UsageError("black-box predictions required: pass --preds or --oracle-accuracy")
 
 
-def _search_config(args, seed: int | None = None) -> SearchConfig:
-    return SearchConfig(
-        alpha=args.alpha,
-        c0=args.c0,
-        n_iters=args.iters,
-        seed=args.seed if seed is None else seed,
-        init_size=args.init_size,
-        max_rules_guard=args.max_rules,
-    )
+def _search_config(args, seed: int) -> SearchConfig:
+    with _knob_errors("search options"):
+        return SearchConfig(
+            alpha=args.alpha,
+            c0=args.c0,
+            n_iters=args.iters,
+            seed=seed,
+            init_size=args.init_size,
+            max_rules_guard=args.max_rules,
+        )
 
 
-def _mine(args, data: BinaryDataset):
-    mining_data = None
-    if args.mine_fraction < 1.0:
-        mining_data = subsample_for_mining(data, args.mine_fraction, seed=args.seed)
-    return mine_rules(
-        data, gamma=args.gamma, max_cardinality=args.max_card, mining_data=mining_data
-    )
+def _mine(args, data: BinaryDataset, seed: int):
+    with _knob_errors("mining options"):
+        mining_data = subsample_for_mining(data, args.mine_fraction, seed=seed)
+        return mine_rules(
+            data, gamma=args.gamma, max_cardinality=args.max_card, mining_data=mining_data
+        )
+
+
+def _fit(args, data: BinaryDataset, preds: PredictionVector, seed: int):
+    """Mine a pool on ``data`` and run one search chain; ``seed`` drives both."""
+    config = _search_config(args, seed)
+    pool = _mine(args, data, seed)
+    return run_search(data, preds, pool, config)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +274,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     data, manifest = _load_dataset(args)
     preds = _load_preds(args, data)
-    pool = _mine(args, data)
-    result = run_search(data, preds, pool, _search_config(args))
+    result = _fit(args, data, preds, args.seed)
 
     doc = model_from_training(
         result.best_list,
@@ -334,7 +353,7 @@ def cmd_predict(args) -> int:
 
 def cmd_mine(args) -> int:
     data, _ = _load_dataset(args)
-    pool = _mine(args, data)
+    pool = _mine(args, data, args.seed)
     save_pool(args.out, pool, data.feature_names)
     print(f"mined {len(pool)} candidate rules to {args.out}")
     return 0
@@ -343,16 +362,17 @@ def cmd_mine(args) -> int:
 def cmd_tune(args) -> int:
     data, _ = _load_dataset(args)
     preds = _load_preds(args, data)
-    pool = _mine(args, data)
-    candidates = (
-        tuple(float(a) for a in args.candidates.split(","))
-        if args.candidates
-        else ALPHA_CANDIDATES
-    )
-    base = _search_config(args)
-    report = tune_alpha(
-        data, preds, pool, candidates=candidates, i_max=args.i_max, base_config=base
-    )
+    pool = _mine(args, data, args.seed)
+    base = _search_config(args, args.seed)
+    with _knob_errors("--candidates"):
+        candidates = (
+            tuple(float(a) for a in args.candidates.split(","))
+            if args.candidates
+            else ALPHA_CANDIDATES
+        )
+        report = tune_alpha(
+            data, preds, pool, candidates=candidates, i_max=args.i_max, base_config=base
+        )
     obj = {
         "chosen_alpha": report.chosen_alpha,
         "tied_alphas": list(report.tied_alphas),
@@ -390,7 +410,8 @@ def cmd_cv(args) -> int:
     preds = _load_preds(args, data)
     if args.folds < 2:
         raise UsageError("--folds must be >= 2")
-    folds = split_folds(data, k=args.folds, seed=args.seed)
+    with _knob_errors("--folds", DataError):
+        folds = split_folds(data, k=args.folds, seed=args.seed)
     fold_seeds = [
         int(s.generate_state(1)[0])
         for s in np.random.SeedSequence(args.seed).spawn(len(folds))
@@ -405,20 +426,7 @@ def cmd_cv(args) -> int:
             preds_tr = preds.subset(tr_idx)
             data_te = data.subset(test_idx)
             preds_te = preds.subset(test_idx)
-            mining_data = None
-            if args.mine_fraction < 1.0:
-                mining_data = subsample_for_mining(
-                    data_tr, args.mine_fraction, seed=fold_seeds[i]
-                )
-            pool = mine_rules(
-                data_tr,
-                gamma=args.gamma,
-                max_cardinality=args.max_card,
-                mining_data=mining_data,
-            )
-            result = run_search(
-                data_tr, preds_tr, pool, _search_config(args, seed=fold_seeds[i])
-            )
+            result = _fit(args, data_tr, preds_tr, fold_seeds[i])
             test_curve = curve(result.best_list, data_te, preds_te)
         except CrlError as exc:
             raise type(exc)(f"fold {i}: {exc}") from exc

@@ -20,13 +20,17 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .bits import unpack_bool
 from .data import BinaryDataset, PredictionVector
 from .errors import DataError
 from .objective import TradeoffCurve, _locate_level, autac_hat, curve
-from .rules import RuleList, exclusive_covers
+from .rules import RuleList, first_match, first_match_indices
 
 Blackbox = Union[PredictionVector, Callable[[np.ndarray], int]]
+
+
+def _check_level(m: int, n_levels: int) -> None:
+    if m < 0 or m > n_levels:
+        raise DataError(f"level {m} out of range 0..{n_levels}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,37 +51,22 @@ class CompanionModel:
 
 
 class CompanionEvaluator:
-    """Dataset-aligned evaluation: covers, curve, and every prediction mode.
+    """Dataset-aligned evaluation: curve and every prediction mode.
 
-    Covers are computed once at construction; each prediction mode is then a
-    few vector operations, which keeps Monte Carlo studies of the stochastic
-    mode cheap.
+    The first-match index of every row is computed once at construction; each
+    prediction mode is then a few vector comparisons against it (level m adopts
+    rows with ``0 <= index < m``, the stochastic band is ``index == m``), which
+    keeps Monte Carlo studies of the stochastic mode cheap.
     """
 
     def __init__(
         self, rule_list: RuleList, data: BinaryDataset, preds: PredictionVector
     ) -> None:
-        if len(preds) != data.n_rows:
-            raise DataError(
-                f"prediction vector of length {len(preds)} does not align with "
-                f"{data.n_rows} dataset rows"
-            )
         self.rule_list = rule_list
         self.data = data
         self.preds = preds
         self.curve: TradeoffCurve = curve(rule_list, data, preds)
-
-        n = data.n_rows
-        excl = exclusive_covers(rule_list, data)
-        self._excl_bool = [unpack_bool(e, n) for e in excl]
-        cum = [np.zeros(n, dtype=bool)]
-        for e in self._excl_bool:
-            cum.append(cum[-1] | e)
-        self._cum_bool = cum
-
-        self._first_idx = np.full(n, -1, dtype=np.int32)
-        for k, e in enumerate(self._excl_bool):
-            self._first_idx[e] = k
+        self._first_idx = first_match_indices(rule_list, data)
         outputs = np.array([r.output for r in rule_list] + [0], dtype=np.uint8)
         self._rule_preds = outputs[self._first_idx]  # arbitrary where uncovered
         self._bb = preds.preds
@@ -94,6 +83,10 @@ class CompanionEvaluator:
         all-rules mode)."""
         return 1.0 - self.curve.coverage
 
+    def _adopted(self, m: int) -> np.ndarray:
+        """Rows answered by a rule at level m."""
+        return (self._first_idx >= 0) & (self._first_idx < m)
+
     def _assemble(self, adopt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         preds = np.where(adopt, self._rule_preds, self._bb).astype(np.uint8)
         provenance = np.where(adopt, self._first_idx, np.int32(-1))
@@ -105,9 +98,8 @@ class CompanionEvaluator:
         Provenance holds the 0-based index of the answering rule, or -1 for the
         black-box.
         """
-        if m < 0 or m > self.n_levels:
-            raise DataError(f"level {m} out of range 0..{self.n_levels}")
-        return self._assemble(self._cum_bool[m])
+        _check_level(m, self.n_levels)
+        return self._assemble(self._adopted(m))
 
     def blackbox_predictions(self) -> tuple[np.ndarray, np.ndarray]:
         return self.level_predictions(0)
@@ -128,10 +120,8 @@ class CompanionEvaluator:
         """
         m, q = _locate_level(self.curve.transparency, t)
         eps = rng.random(self.data.n_rows)
-        adopt = self._cum_bool[m]
-        if m < self.n_levels:
-            adopt = adopt | (self._excl_bool[m] & (eps < q))
-        return self._assemble(adopt)
+        band = (self._first_idx == m) & (eps < q)
+        return self._assemble(self._adopted(m) | band)
 
 
 def predict_companion_instance(
@@ -151,25 +141,18 @@ def predict_companion_instance(
     selects the stochastic mode and additionally needs the level
     transparencies recorded at training time plus a uniform draw ``epsilon``.
     """
-    bits = np.asarray(instance, dtype=bool)
-    first = -1
-    for k, r in enumerate(rule_list):
-        if all(bits[c] for c in r.conditions):
-            first = k
-            break
+    first = first_match(rule_list, instance)
     if transparency is None:
         m = len(rule_list) if level is None else level
+        _check_level(m, len(rule_list))
+        adopt = 0 <= first < m
     else:
         if level_transparencies is None or epsilon is None:
             raise ValueError(
                 "stochastic prediction needs level_transparencies and epsilon"
             )
         m, q = _locate_level(tuple(level_transparencies), transparency)
-        if first == m and q > epsilon:
-            return rule_list[first].output, first
-        if first != -1 and first < m:
-            return rule_list[first].output, first
-        return blackbox_value, -1
-    if first != -1 and first < m:
+        adopt = 0 <= first < m or (first == m and epsilon < q)
+    if adopt:
         return rule_list[first].output, first
     return blackbox_value, -1

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bits import all_rows_mask, pack_bool, unpack_bool
+from .bits import pack_bool, unpack_bool
 from .errors import DataError
 
 MISSING_CATEGORY = "<missing>"
@@ -92,7 +92,7 @@ class BinaryDataset:
 
     @cached_property
     def full_mask(self) -> int:
-        return all_rows_mask(self.n_rows)
+        return (1 << self.n_rows) - 1
 
     @cached_property
     def label_mask(self) -> int:

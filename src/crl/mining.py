@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import BinaryDataset
 from .errors import DataError
-from .rules import Rule, raw_cover
+from .rules import Rule
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,8 @@ class CandidatePool:
     Ordering is by (antecedent size, condition indices, output) so that random
     draws from the pool are reproducible under a fixed seed. ``supports[j]`` is
     the class-conditional support of ``rules[j]`` on the data it was mined
-    from; each rule's ``raw_cover`` is cached against the full cover dataset.
+    from. The pool holds no covers: whoever scores the rules computes them
+    against their own data.
     """
 
     rules: tuple[Rule, ...]
@@ -76,9 +77,8 @@ def mine_rules(
     """Mine the candidate pool from a binary dataset.
 
     Supports are counted on ``mining_data`` when given (a row subsample, see
-    :func:`subsample_for_mining`), while raw covers are always cached against
-    ``data`` itself. Both label classes must be present; an empty result raises
-    with a hint to lower gamma.
+    :func:`subsample_for_mining`), else on ``data`` itself. Both label classes
+    must be present; an empty result raises with a hint to lower gamma.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
@@ -103,17 +103,9 @@ def mine_rules(
             f"no itemset reaches class-conditional support {gamma}; lower gamma"
         )
     entries.sort(key=lambda e: (len(e[0]), e[0], e[1]))
-    rules = []
-    supports = []
-    for items, output, support in entries:
-        rule = Rule(conditions=items, output=output)
-        rules.append(
-            Rule(conditions=items, output=output, raw_cover=raw_cover(rule, data))
-        )
-        supports.append(support)
     return CandidatePool(
-        rules=tuple(rules),
-        supports=tuple(supports),
+        rules=tuple(Rule(conditions=items, output=output) for items, output, _ in entries),
+        supports=tuple(support for _, _, support in entries),
         gamma=gamma,
         max_cardinality=max_cardinality,
     )
@@ -125,8 +117,8 @@ def subsample_for_mining(
     """Seeded uniform row subsample used only to bound mining cost.
 
     Fraction 1.0 returns the dataset itself. Pass the result as
-    ``mining_data`` to :func:`mine_rules`; covers of the mined rules still
-    refer to the full dataset.
+    ``mining_data`` to :func:`mine_rules`: only supports are counted on the
+    subsample, and the search scores the mined rules on the full dataset.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .data import BinaryDataset, PredictionVector
 from .errors import DataError
-from .rules import RuleList, exclusive_covers, raw_cover
-
-_UNSET = object()
+from .rules import RuleList, raw_cover
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +97,11 @@ def _check_alignment(data: BinaryDataset, preds: PredictionVector) -> None:
         )
 
 
+def _check_level(rule_list: RuleList, m: int) -> None:
+    if m < 0 or m > len(rule_list):
+        raise IndexError("level out of range")
+
+
 def blackbox_accuracy(data: BinaryDataset, preds: PredictionVector) -> float:
     _check_alignment(data, preds)
     return preds.correct_mask(data.labels).bit_count() / data.n_rows
@@ -105,12 +109,8 @@ def blackbox_accuracy(data: BinaryDataset, preds: PredictionVector) -> float:
 
 def transparency_hat(rule_list: RuleList, data: BinaryDataset, m: int) -> float:
     """Fraction of rows covered by the first m rules (0 at level 0)."""
-    if m < 0 or m > len(rule_list):
-        raise IndexError("level out of range")
-    union = 0
-    for r in rule_list.rules[:m]:
-        union |= raw_cover(r, data)
-    return union.bit_count() / data.n_rows
+    _check_level(rule_list, m)
+    return sweep(cover_masks(rule_list, data), 0).covered[m] / data.n_rows
 
 
 def accuracy_hat(
@@ -118,31 +118,48 @@ def accuracy_hat(
 ) -> float:
     """Accuracy when the first m rules answer what they cover and the black-box
     answers the rest."""
-    if m < 0 or m > len(rule_list):
-        raise IndexError("level out of range")
-    _check_alignment(data, preds)
-    head = RuleList(rule_list.rules[:m])
-    correct = 0
-    covered = 0
-    for r, exc in zip(head, exclusive_covers(head, data)):
-        match = data.label_mask if r.output == 1 else ~data.label_mask & data.full_mask
-        correct += (exc & match).bit_count()
-        covered |= exc
-    correct += (preds.correct_mask(data.labels) & ~covered).bit_count()
-    return correct / data.n_rows
+    _check_level(rule_list, m)
+    return curve(rule_list, data, preds).points[m][1]
 
 
-def _sweep_counts(raws, hit_masks, n_rows: int, bb_correct: int):
-    """One incremental pass over the list, all quantities as integer counts."""
+class SweepCounts(NamedTuple):
+    """Integer counts of one prefix sweep, each indexed by level m = 0..M."""
+
+    covered: list[int]  # cumulative |S_m|
+    rule_correct: list[int]  # cumulative, rules part
+    base_rest: list[int]  # base-correct rows outside S_m
+    exclusive: list[int]  # per level, [0] == 0
+    exclusive_correct: list[int]  # per level, [0] == 0
+
+
+def cover_masks(rules, data: BinaryDataset) -> list[tuple[int, int]]:
+    """Per rule, its raw cover and the covered rows its output gets right."""
+    label_mask = data.label_mask
+    neg_mask = ~label_mask & data.full_mask
+    masks = []
+    for r in rules:
+        raw = raw_cover(r, data)
+        masks.append((raw, raw & (label_mask if r.output == 1 else neg_mask)))
+    return masks
+
+
+def sweep(masks, base_correct: int) -> SweepCounts:
+    """The prefix sweep: walk a list's (raw cover, hit mask) pairs level by level.
+
+    Rows outside the first m covers are scored by ``base_correct`` (the
+    black-box's correct rows for the curve, the majority class's for the
+    rules-only baseline). Every other estimate in the package reads these
+    counts.
+    """
     covered = 0
     cover_cnt = 0
     rule_correct = 0
     covered_counts = [0]
     rule_corrects = [0]
-    bb_rest = [bb_correct.bit_count()]
+    base_rest = [base_correct.bit_count()]
     excl_counts = [0]
     excl_corrects = [0]
-    for rc, hits in zip(raws, hit_masks):
+    for rc, hits in masks:
         free = ~covered
         exc = rc & free
         hit = (hits & free).bit_count()
@@ -152,54 +169,33 @@ def _sweep_counts(raws, hit_masks, n_rows: int, bb_correct: int):
         covered |= rc
         covered_counts.append(cover_cnt)
         rule_corrects.append(rule_correct)
-        bb_rest.append((bb_correct & ~covered).bit_count())
+        base_rest.append((base_correct & ~covered).bit_count())
         excl_counts.append(exc_n)
         excl_corrects.append(hit)
-    return covered_counts, rule_corrects, bb_rest, excl_counts, excl_corrects
+    return SweepCounts(covered_counts, rule_corrects, base_rest, excl_counts, excl_corrects)
 
 
-def _points_from_counts(covered_counts, rule_corrects, bb_rest, n_rows):
+def _points_from_counts(counts: SweepCounts, n_rows: int):
     return tuple(
         (c / n_rows, (rc + rest) / n_rows)
-        for c, rc, rest in zip(covered_counts, rule_corrects, bb_rest)
+        for c, rc, rest in zip(counts.covered, counts.rule_correct, counts.base_rest)
     )
 
 
 def curve(
     rule_list: RuleList, data: BinaryDataset, preds: PredictionVector
 ) -> TradeoffCurve:
-    """All M+1 curve points computed in a single incremental sweep.
-
-    Bit-identical to evaluating :func:`transparency_hat` and
-    :func:`accuracy_hat` level by level, but one pass instead of M.
-    """
+    """All M+1 curve points, read off a single :func:`sweep`."""
     _check_alignment(data, preds)
-    raws = [raw_cover(r, data) for r in rule_list]
-    label_mask = data.label_mask
-    neg_mask = ~label_mask & data.full_mask
-    hit_masks = [
-        rc & (label_mask if r.output == 1 else neg_mask)
-        for r, rc in zip(rule_list, raws)
-    ]
-    bb_correct = preds.correct_mask(data.labels)
-    covered, corrects, bb_rest, excl, excl_ok = _sweep_counts(
-        raws, hit_masks, data.n_rows, bb_correct
-    )
+    counts = sweep(cover_masks(rule_list, data), preds.correct_mask(data.labels))
     return TradeoffCurve(
-        points=_points_from_counts(covered, corrects, bb_rest, data.n_rows),
+        points=_points_from_counts(counts, data.n_rows),
         n_rows=data.n_rows,
-        covered_counts=tuple(covered),
-        rule_correct_counts=tuple(corrects),
-        exclusive_counts=tuple(excl),
-        exclusive_correct_counts=tuple(excl_ok),
+        covered_counts=tuple(counts.covered),
+        rule_correct_counts=tuple(counts.rule_correct),
+        exclusive_counts=tuple(counts.exclusive),
+        exclusive_correct_counts=tuple(counts.exclusive_correct),
     )
-
-
-def _autac_from_points(points) -> float:
-    s = 0.0
-    for (t0, a0), (t1, a1) in zip(points, points[1:]):
-        s += (a1 + a0) * (t1 - t0)
-    return 0.5 * s
 
 
 def autac_hat(curve_or_points) -> float:
@@ -213,7 +209,10 @@ def autac_hat(curve_or_points) -> float:
         if isinstance(curve_or_points, TradeoffCurve)
         else tuple(curve_or_points)
     )
-    return _autac_from_points(points)
+    s = 0.0
+    for (t0, a0), (t1, a1) in zip(points, points[1:]):
+        s += (a1 + a0) * (t1 - t0)
+    return 0.5 * s
 
 
 def objective(

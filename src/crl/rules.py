@@ -9,10 +9,11 @@ union to the list's total coverage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .bits import unpack_bool
 from .data import BinaryDataset
 
 # A condition is an index into the dataset's binary feature columns; the
@@ -23,16 +24,10 @@ Condition = int
 
 @dataclass(frozen=True)
 class Rule:
-    """An antecedent (sorted condition indices) with a predicted class.
-
-    ``raw_cover`` optionally caches the rule's cover bitset against the dataset
-    it was mined from; it is ignored by equality and hashing, so two rules are
-    the same exactly when antecedent and output coincide.
-    """
+    """An antecedent (sorted condition indices) with a predicted class."""
 
     conditions: tuple[Condition, ...]
     output: int
-    raw_cover: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         canon = tuple(sorted(set(self.conditions)))
@@ -87,10 +82,6 @@ def raw_cover(rule: Rule, data: BinaryDataset) -> int:
     return mask
 
 
-def raw_covers(rule_list: RuleList, data: BinaryDataset) -> list[int]:
-    return [raw_cover(r, data) for r in rule_list]
-
-
 def exclusive_covers(rule_list: RuleList, data: BinaryDataset) -> list[int]:
     """Per-rule bitsets of rows assigned to each rule by first match.
 
@@ -106,19 +97,27 @@ def exclusive_covers(rule_list: RuleList, data: BinaryDataset) -> list[int]:
     return out
 
 
+def first_match(rule_list: RuleList, instance) -> int:
+    """0-based index of the first rule whose conditions all hold, -1 when none."""
+    bits = np.asarray(instance, dtype=bool)
+    for k, r in enumerate(rule_list):
+        if all(bits[c] for c in r.conditions):
+            return k
+    return -1
+
+
 def predict_rule_list(rule_list: RuleList, instance) -> int | None:
     """First-match prediction for one instance; None when no rule fires."""
-    bits = np.asarray(instance, dtype=bool)
-    for r in rule_list:
-        if all(bits[c] for c in r.conditions):
-            return r.output
-    return None
+    k = first_match(rule_list, instance)
+    return None if k < 0 else rule_list[k].output
 
 
 def first_match_indices(rule_list: RuleList, data: BinaryDataset) -> np.ndarray:
-    """Per-row 0-based index of the first matching rule, -1 when uncovered."""
-    from .bits import unpack_bool
+    """Per-row 0-based index of the first matching rule, -1 when uncovered.
 
+    The dataset-wide form of :func:`first_match`, built from the exclusive
+    covers.
+    """
     idx = np.full(data.n_rows, -1, dtype=np.int32)
     for k, exc in enumerate(exclusive_covers(rule_list, data)):
         idx[unpack_bool(exc, data.n_rows)] = k

@@ -27,16 +27,16 @@ from .data import BinaryDataset, PredictionVector
 from .errors import SearchError
 from .mining import CandidatePool
 from .objective import (
+    ObjectiveValue,
     TradeoffCurve,
-    _autac_from_points,
     _points_from_counts,
-    _sweep_counts,
     autac_hat,
+    cover_masks,
     curve,
     make_objective,
-    ObjectiveValue,
+    sweep,
 )
-from .rules import Rule, RuleList, raw_cover
+from .rules import RuleList
 
 ALPHA_CANDIDATES = (0.01, 0.005, 0.001, 0.0008, 0.0005, 0.0002, 0.0001)
 
@@ -188,8 +188,10 @@ class _Scorer:
 
     Raw covers and per-rule correct-row masks are precomputed for the whole
     pool against the training data, so scoring a list is O(M) big-int
-    operations and results are bit-identical to the module-level curve and
-    objective functions.
+    operations. Both scorings read the same :func:`sweep` as the module-level
+    curve and objective functions, so results are bit-identical to them.
+    Rules-only scoring answers uncovered rows with the training majority class
+    instead of the black-box and reads only the sweep's last level.
     """
 
     def __init__(
@@ -202,39 +204,24 @@ class _Scorer:
     ) -> None:
         self.n = data.n_rows
         self.alpha = alpha
-        self.scoring = scoring
-        self.bb_correct = preds.correct_mask(data.labels)
-        label_mask = data.label_mask
-        neg_mask = ~label_mask & data.full_mask
-        majority = 1 if 2 * label_mask.bit_count() >= data.n_rows else 0
-        self.majority_correct = label_mask if majority == 1 else neg_mask
-        self.masks: dict[Rule, tuple[int, int]] = {}
-        for r in pool.rules:
-            raw = raw_cover(r, data)
-            hits = raw & (label_mask if r.output == 1 else neg_mask)
-            self.masks[r] = (raw, hits)
+        self.rules_only = scoring == SCORING_RULES_ONLY
+        if self.rules_only:
+            label_mask = data.label_mask
+            if 2 * label_mask.bit_count() >= data.n_rows:
+                self.base_correct = label_mask
+            else:
+                self.base_correct = ~label_mask & data.full_mask
+        else:
+            self.base_correct = preds.correct_mask(data.labels)
+        self.masks = dict(zip(pool.rules, cover_masks(pool.rules, data)))
 
     def score(self, rule_list: RuleList) -> float:
-        raws = []
-        hit_masks = []
-        for r in rule_list:
-            raw, hits = self.masks[r]
-            raws.append(raw)
-            hit_masks.append(hits)
-        if self.scoring == SCORING_RULES_ONLY:
-            covered = 0
-            correct = 0
-            for rc, hits in zip(raws, hit_masks):
-                free = ~covered
-                correct += (hits & free).bit_count()
-                covered |= rc
-            correct += (self.majority_correct & ~covered).bit_count()
-            return correct / self.n - self.alpha * len(rule_list)
-        covered, corrects, bb_rest, _, _ = _sweep_counts(
-            raws, hit_masks, self.n, self.bb_correct
-        )
-        points = _points_from_counts(covered, corrects, bb_rest, self.n)
-        return _autac_from_points(points) - self.alpha * len(rule_list)
+        counts = sweep([self.masks[r] for r in rule_list], self.base_correct)
+        if self.rules_only:
+            area = (counts.rule_correct[-1] + counts.base_rest[-1]) / self.n
+        else:
+            area = autac_hat(_points_from_counts(counts, self.n))
+        return area - self.alpha * len(rule_list)
 
 
 def run_search(

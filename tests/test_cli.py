@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 
@@ -452,3 +453,86 @@ class TestCv:
         lo = json.loads((low / "report.json").read_text())["blackbox_accuracy_mean"]
         assert abs(hi - 0.9) <= 0.03
         assert abs(lo - 0.7) <= 0.03
+
+
+@pytest.mark.parametrize(
+    "command, knob, value, code, kind",
+    [
+        ("train", "--iters", 0, 2, "usage error"),
+        ("train", "--alpha", -1, 2, "usage error"),
+        ("train", "--c0", 0, 2, "usage error"),
+        ("train", "--gamma", 0, 2, "usage error"),
+        ("train", "--quantiles", 1, 2, "usage error"),
+        ("train", "--mine-fraction", 0, 2, "usage error"),
+        ("cv", "--folds", 500, 3, "data error"),
+        ("tune", "--candidates", "0.1,x", 2, "usage error"),
+        ("tune", "--candidates", "-0.1", 2, "usage error"),
+    ],
+)
+def test_out_of_range_knob_exit_code(tmp_path, capsys, command, knob, value, code, kind):
+    data_path = tmp_path / "d.csv"
+    write_random_csv(data_path, 200, seed=0)
+    got = run(
+        command,
+        "--data", data_path,
+        "--label-column", "y",
+        "--oracle-accuracy", 0.8,
+        "--iters", 20,
+        knob, value,
+        "--out", tmp_path / "out",
+    )
+    err = capsys.readouterr().err.splitlines()
+    assert got == code
+    assert len(err) == 1 and err[0].startswith(f"{kind}: "), err
+
+
+# sha256 of every artifact of a fixed synth -> train -> cv -> predict run.
+# Any change to these digests is a behaviour change of the CLI, not a refactor.
+GOLDEN_DIGESTS = {
+    "train/model.json": (
+        "f8dd8f4261dd10a466b881e65723510a5266b6333582a8fafd6808c531dcc64e"
+    ),
+    "train/curve.csv": (
+        "da0af1e9dc91530dd1f0055f03cab8566a105ff94fed522347a26ef30be62c43"
+    ),
+    "train/trace.csv": (
+        "f803932b5df5ae432f98659f28626a99ba062e7f43d4b6df586689ab5d5ec921"
+    ),
+    "cv/fold_1/trace.csv": (
+        "b3e120cc0fb7fdaea2ea29e9131bb1357eff346dab11fa7c8e01e33eaa870548"
+    ),
+    "cv/report.json": (
+        "a5ca89d3572b26951f2e6a46f2c70d3cc22254e9c457dc73ba53bd7242147981"
+    ),
+    "predict.csv": (
+        "390fe72c3626254c0a8b30f08da803ff4068f060fd9bd929251c94817a3f23d5"
+    ),
+}
+
+
+def test_golden_artifact_digests(tmp_path, monkeypatch):
+    # relative paths, because cv records the data path in report.json
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", "--rows", 400, "--seed", 0, "--out", "bench") == 0
+    common = (
+        "--data", "bench/data.csv",
+        "--label-column", "label",
+        "--preds", "bench/preds.txt",
+    )
+    knobs = ("--gamma", 0.1, "--iters", 300, "--mine-fraction", 0.5, "--seed", 2)
+    assert run("train", *common, *knobs, "--out", "train") == 0
+    assert run("cv", *common, *knobs, "--folds", 3, "--out", "cv") == 0
+    t = load_curve_csv("train/curve.csv").points[1][0] / 2
+    assert run(
+        "predict", *common,
+        "--model", "train/model.json",
+        "--manifest", "train/manifest.json",
+        "--transparency", t,
+        "--seed", 4,
+        "--out", "predict.csv",
+    ) == 0
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_DIGESTS
+    }
+    assert got == GOLDEN_DIGESTS

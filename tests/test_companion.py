@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crl import (
+    BinaryDataset,
     CompanionEvaluator,
     CompanionModel,
     DataError,
@@ -12,10 +13,10 @@ from crl import (
     RuleList,
     predict_companion_instance,
 )
-from crl.bits import unpack_bool
 from crl.rules import exclusive_covers
 
 from conftest import make_random_dataset, make_random_preds
+from oracles import random_instance, simulate_first_match
 
 
 def fixed_model(seed=11, n_rows=240):
@@ -73,6 +74,25 @@ class TestLevelPredictions:
         ev = fixed_model()
         with pytest.raises(DataError):
             ev.level_predictions(6)
+
+
+    @given(seed=st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_provenance_matches_per_row_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        matrix, labels, bb, specs = random_instance(rng)
+        names = tuple(f"f{j}" for j in range(matrix.shape[1]))
+        data = BinaryDataset.from_bool_matrix(matrix, labels, names)
+        rl = RuleList(tuple(Rule(c, z) for c, z in specs))
+        ev = CompanionEvaluator(rl, data, PredictionVector(bb, "oracle"))
+        match = simulate_first_match(specs, matrix)
+        for m in range(len(specs) + 1):
+            out, prov = ev.level_predictions(m)
+            expected = np.where((match >= 0) & (match < m), match, -1)
+            assert prov.tolist() == expected.tolist()
+            for i in range(len(bb)):
+                want = bb[i] if expected[i] == -1 else specs[expected[i]][1]
+                assert out[i] == want
 
 
 class TestStochasticPredictions:
@@ -141,6 +161,12 @@ class TestCompanionModel:
         assert (pred, who) == (1, 0)
         pred, who = predict_companion_instance(rl, data.row(0), 0, level=0)
         assert (pred, who) == (0, -1)
+
+    @pytest.mark.parametrize("level", [-1, 3])
+    def test_instance_level_out_of_range(self, d4, level):
+        data, _, rl = d4
+        with pytest.raises(DataError, match=f"level {level} out of range 0..2"):
+            predict_companion_instance(rl, data.row(0), 0, level=level)
 
 
 class TestAlignment:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crl import BinaryDataset, DataError, mine_rules, subsample_for_mining
-from crl.rules import raw_cover
 
 from oracles import brute_force_pool
 
@@ -50,12 +49,6 @@ class TestMineRules:
         data = BinaryDataset.from_bool_matrix(matrix, np.ones(4, dtype=np.uint8), ("a", "b"))
         with pytest.raises(DataError, match="both label classes"):
             mine_rules(data)
-
-    def test_raw_covers_cached(self):
-        data = tiny_dataset()
-        pool = mine_rules(data, gamma=0.4)
-        for r in pool.rules:
-            assert r.raw_cover == raw_cover(r, data)
 
     def test_canonical_order_and_determinism(self):
         data = random_dataset(7)
@@ -118,14 +111,6 @@ class TestSubsample:
         data = tiny_dataset()
         with pytest.raises(ValueError):
             subsample_for_mining(data, 0.1, seed=0)
-
-    def test_covers_cached_against_full_data(self):
-        data = random_dataset(6, n_rows=200)
-        sub = subsample_for_mining(data, 0.5, seed=1)
-        pool = mine_rules(data, gamma=0.05, mining_data=sub)
-        for r in pool.rules:
-            assert r.raw_cover == raw_cover(r, data)
-            assert r.raw_cover.bit_length() <= data.n_rows
 
     def test_repeated_shrink_mimics_step_decay(self):
         data = random_dataset(8, n_rows=1000)

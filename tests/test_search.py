@@ -25,6 +25,7 @@ from crl.mining import CandidatePool
 from crl.search import _Scorer
 
 from conftest import make_random_dataset, make_random_preds
+from oracles import simulate_first_match
 
 
 def small_problem(seed=0, n_rows=120):
@@ -243,6 +244,25 @@ class TestRunSearch:
         cfg = SearchConfig(alpha=0.001, n_iters=500, seed=0, scoring="rules_only")
         result = run_search(data, preds, pool, cfg)
         assert result.trace.best_list is result.best_list
+
+    def test_rules_only_scoring_matches_per_row_oracle_bitwise(self):
+        data, preds, pool = small_problem(seed=13)
+        alpha = 0.001
+        scorer = _Scorer(data, preds, pool, alpha=alpha, scoring="rules_only")
+        labels = data.labels.astype(int)
+        majority = 1 if 2 * int(labels.sum()) >= data.n_rows else 0
+        rng = np.random.default_rng(4)
+        current = init_list(pool, 3, rng)
+        for _ in range(200):
+            current, _op = propose(current, pool, rng)
+            specs = [(r.conditions, r.output) for r in current]
+            match = simulate_first_match(specs, data.matrix)
+            correct = 0
+            for i in range(data.n_rows):
+                z = majority if match[i] == -1 else specs[match[i]][1]
+                correct += int(z == labels[i])
+            expected = correct / data.n_rows - alpha * len(current)
+            assert scorer.score(current) == expected
 
     def test_empty_pool_rejected(self):
         data, preds, _ = small_problem()
