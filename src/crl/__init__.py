@@ -138,5 +138,6 @@ __all__ = [
     "synth_oracle",
     "temperature",
     "train_indices",
+    "transparency_hat",
     "tune_alpha",
 ]

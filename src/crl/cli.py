@@ -211,14 +211,20 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_dataset(args) -> tuple[BinaryDataset, BinarizationManifest]:
+    manifest = BinarizationManifest.load(args.manifest) if args.manifest else None
+    positive_value = args.positive_value
+    if manifest is not None:
+        for flag, given, fitted in (
+            ("--label-column", args.label_column, manifest.label_column),
+            ("--positive-value", args.positive_value, manifest.positive_value),
+        ):
+            if given is not None and given != fitted:
+                raise UsageError(f"{flag} {given!r} disagrees with the manifest's {fitted!r}")
+        positive_value = manifest.positive_value
     table = load_table(
-        args.data,
-        args.label_column,
-        delimiter=args.delimiter,
-        positive_value=args.positive_value,
+        args.data, args.label_column, delimiter=args.delimiter, positive_value=positive_value
     )
-    if args.manifest:
-        manifest = BinarizationManifest.load(args.manifest)
+    if manifest is not None:
         return apply_manifest(table, manifest), manifest
     with _knob_errors("--quantiles"):
         return binarize(table, quantiles=args.quantiles)
@@ -503,14 +509,17 @@ def cmd_synth(args) -> int:
     manifest.save(out / "manifest.json")
     from .rules import Rule, RuleList
 
+    # a planted condition is "column i takes value 1"; name it as binarize did
     index = bdata.name_index
     mapped = []
     for rule in bench.planted:
         conds = []
         for i in rule.conditions:
             col = manifest.columns[i]
-            code = int(np.searchsorted(list(col.edges or ()), 1.0, side="left"))
-            conds.append(index[f"{col.name}=bin{code}"])
+            k = col.indices(("1",))[0]
+            if k < 0:
+                raise DataError(f"planted feature {col.name!r} is never 1 in {args.rows} rows")
+            conds.append(index[col.feature_names()[k]])
         mapped.append(Rule(tuple(conds), rule.output))
     planted = RuleList(tuple(mapped))
     planted_curve = curve(planted, bdata, bench.preds)

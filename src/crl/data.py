@@ -107,9 +107,6 @@ class BinaryDataset:
     def name_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.feature_names)}
 
-    def column(self, i: int) -> int:
-        return self.feature_bits[i]
-
     def row(self, i: int) -> np.ndarray:
         return self.matrix[i]
 
@@ -187,6 +184,9 @@ def load_table(
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        dup = next((h for i, h in enumerate(header) if h in header[:i]), None)
+        if dup is not None:
+            raise DataError(f"{path}: duplicate column name {dup!r}")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -271,7 +271,7 @@ def quantile_edges(values, q: int = 7) -> list[float]:
     return edges
 
 
-def quantile_bin(values, q: int = 7, *, edges: list[float] | None = None) -> np.ndarray:
+def quantile_bin(values, q: int = 7) -> np.ndarray:
     """Map numeric values to bin codes in [0, q).
 
     A value's code is the number of (deduplicated) quantile edges strictly
@@ -279,9 +279,22 @@ def quantile_bin(values, q: int = 7, *, edges: list[float] | None = None) -> np.
     single code 0. Because duplicate edges are merged the effective number of
     bins can be smaller than ``q``.
     """
-    if edges is None:
-        edges = quantile_edges(values, q)
-    return np.searchsorted(edges, np.asarray(values, dtype=float), side="left")
+    return np.searchsorted(quantile_edges(values, q), np.asarray(values, dtype=float), side="left")
+
+
+def _numeric_cells(name: str, values) -> tuple[np.ndarray, np.ndarray]:
+    """Presence mask and float values of the non-blank cells of a numeric column."""
+    present = np.fromiter(map(bool, values), dtype=bool, count=len(values))
+    cells = [v for v in values if v]
+    try:
+        floats = np.array([float(v) for v in cells], dtype=float)
+    except ValueError as exc:
+        raise DataError(f"numeric column {name!r}: {exc}") from None
+    finite = np.isfinite(floats)
+    if not finite.all():
+        bad = cells[int(np.argmin(finite))]
+        raise DataError(f"numeric column {name!r}: non-finite value {bad!r}")
+    return present, floats
 
 
 @dataclass(frozen=True)
@@ -290,6 +303,47 @@ class ManifestColumn:
     kind: str
     categories: tuple[str, ...]
     edges: tuple[float, ...] | None  # quantile edges for numeric columns
+
+    def indices(self, values) -> np.ndarray:
+        """Index into ``categories`` of each raw cell; -1 for a category unseen at fit.
+
+        Numeric cells are labelled ``bin{k}`` with k the number of edges
+        strictly below the value; blank cells are ``<missing>``.
+        """
+        pos = {c: j for j, c in enumerate(self.categories)}
+        missing = pos.get(MISSING_CATEGORY, -1)
+        if self.kind != _KIND_NUMERIC:
+            return np.fromiter(
+                (pos.get(v, -1) if v else missing for v in values),
+                dtype=np.intp,
+                count=len(values),
+            )
+        present, floats = _numeric_cells(self.name, values)
+        edges = np.asarray(self.edges or (), dtype=float)
+        bin_index = np.array([pos.get(f"bin{k}", -1) for k in range(len(edges) + 1)])
+        idx = np.full(len(values), missing, dtype=np.intp)
+        idx[present] = bin_index[np.searchsorted(edges, floats, side="left")]
+        return idx
+
+    def feature_names(self) -> list[str]:
+        return [f"{self.name}={cat}" for cat in self.categories]
+
+    @classmethod
+    def fit(cls, col: RawColumn, quantiles: int) -> "ManifestColumn":
+        """The categories (and numeric edges) seen in ``col``, in feature order.
+
+        Numeric columns list ``bin{k}`` by ascending k with ``<missing>`` last;
+        categorical columns list their values sorted by code point, with blank
+        cells as ``<missing>`` sorted in.
+        """
+        if col.kind != _KIND_NUMERIC:
+            cats = sorted({v or MISSING_CATEGORY for v in col.values})
+            return cls(col.name, col.kind, tuple(cats), None)
+        present, floats = _numeric_cells(col.name, col.values)
+        edges = tuple(quantile_edges(floats, quantiles)) if floats.size else ()
+        codes = np.unique(np.searchsorted(edges, floats, side="left"))
+        cats = [f"bin{k}" for k in codes] + [MISSING_CATEGORY] * (not present.all())
+        return cls(col.name, col.kind, tuple(cats), edges)
 
 
 @dataclass(frozen=True)
@@ -354,33 +408,7 @@ class BinarizationManifest:
         return cls.from_obj(obj)
 
     def feature_names(self) -> list[str]:
-        return [f"{c.name}={cat}" for c in self.columns for cat in c.categories]
-
-
-def _column_category_labels(col: RawColumn, quantiles: int):
-    """Per-row category labels and the quantile edges (numeric columns only)."""
-    if col.kind == _KIND_NUMERIC:
-        present = np.array([v != "" for v in col.values], dtype=bool)
-        if present.any():
-            floats = np.array([float(v) for v, p in zip(col.values, present) if p])
-            edges = quantile_edges(floats, quantiles)
-            codes = quantile_bin(floats, quantiles, edges=edges)
-        else:
-            edges, codes = [], np.empty(0, dtype=int)
-        labels = []
-        it = iter(codes)
-        for p in present:
-            labels.append(f"bin{next(it)}" if p else MISSING_CATEGORY)
-        return labels, tuple(edges)
-    labels = [v if v != "" else MISSING_CATEGORY for v in col.values]
-    return labels, None
-
-
-def _numeric_category_order(categories: set[str]) -> list[str]:
-    bins = sorted((c for c in categories if c != MISSING_CATEGORY), key=lambda c: int(c[3:]))
-    if MISSING_CATEGORY in categories:
-        bins.append(MISSING_CATEGORY)
-    return bins
+        return [name for c in self.columns for name in c.feature_names()]
 
 
 def binarize(
@@ -391,70 +419,35 @@ def binarize(
     Numeric columns are quantile-binned first (``quantiles`` bins by default);
     every (column, category) pair becomes one bit column named
     ``"column=category"``. Missing values get their own category, so each row
-    sets exactly one bit per source column.
+    sets exactly one bit per source column. The encoding is fitted as a
+    manifest and applied with :func:`apply_manifest`.
     """
-    feature_bits: list[int] = []
-    feature_names: list[str] = []
-    manifest_cols: list[ManifestColumn] = []
-    for col in table.columns:
-        row_labels, edges = _column_category_labels(col, quantiles)
-        cats = set(row_labels)
-        if col.kind == _KIND_NUMERIC:
-            ordered = _numeric_category_order(cats)
-        else:
-            ordered = sorted(cats)
-        arr = np.array(row_labels)
-        for cat in ordered:
-            feature_bits.append(pack_bool(arr == cat))
-            feature_names.append(f"{col.name}={cat}")
-        manifest_cols.append(
-            ManifestColumn(name=col.name, kind=col.kind, categories=tuple(ordered), edges=edges)
-        )
-    if not feature_bits:
-        raise DataError("zero usable feature columns after binarization")
-    dataset = BinaryDataset(
-        feature_bits=tuple(feature_bits),
-        feature_names=tuple(feature_names),
-        labels=table.labels,
-        n_rows=table.n_rows,
-    )
     manifest = BinarizationManifest(
-        columns=tuple(manifest_cols),
+        columns=tuple(ManifestColumn.fit(col, quantiles) for col in table.columns),
         label_column=table.label_column,
         positive_value=table.positive_value,
         quantiles=quantiles,
     )
-    return dataset, manifest
+    return apply_manifest(table, manifest), manifest
 
 
 def apply_manifest(table: RawTable, manifest: BinarizationManifest) -> BinaryDataset:
     """Binarize ``table`` with the categories and edges of a fitted manifest.
 
-    Values that fall into a category unseen at fit time set no bit in that
-    column group (exact one-hot coverage is only guaranteed on the data the
-    manifest was fitted on).
+    Each column is read as the manifest's kind, so a non-numeric or non-finite
+    cell under a numeric column is a :class:`DataError`. Values that fall into
+    a category unseen at fit time set no bit in that column group (exact
+    one-hot coverage is only guaranteed on the data the manifest was fitted on).
     """
     feature_bits: list[int] = []
-    feature_names: list[str] = []
     for mcol in manifest.columns:
-        col = table.column(mcol.name)
-        if mcol.kind == _KIND_NUMERIC and col.kind == _KIND_NUMERIC:
-            present = np.array([v != "" for v in col.values], dtype=bool)
-            floats = np.array([float(v) for v, p in zip(col.values, present) if p])
-            codes = np.searchsorted(list(mcol.edges or ()), floats, side="left")
-            it = iter(codes)
-            row_labels = [f"bin{next(it)}" if p else MISSING_CATEGORY for p in present]
-        else:
-            row_labels = [v if v != "" else MISSING_CATEGORY for v in col.values]
-        arr = np.array(row_labels)
-        for cat in mcol.categories:
-            feature_bits.append(pack_bool(arr == cat))
-            feature_names.append(f"{mcol.name}={cat}")
+        idx = mcol.indices(table.column(mcol.name).values)
+        feature_bits.extend(pack_bool(idx == k) for k in range(len(mcol.categories)))
     if not feature_bits:
-        raise DataError("manifest produced zero feature columns")
+        raise DataError("zero usable feature columns after binarization")
     return BinaryDataset(
         feature_bits=tuple(feature_bits),
-        feature_names=tuple(feature_names),
+        feature_names=tuple(manifest.feature_names()),
         labels=table.labels,
         n_rows=table.n_rows,
     )

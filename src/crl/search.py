@@ -73,6 +73,8 @@ class SearchConfig:
             raise ValueError("n_iters must be >= 1")
         if self.init_size < 0:
             raise ValueError("init_size must be >= 0")
+        if self.max_rules_guard is not None and self.max_rules_guard < self.init_size:
+            raise ValueError("max_rules_guard must be >= init_size")
         if self.scoring not in (SCORING_COMPANION, SCORING_RULES_ONLY):
             raise ValueError(f"unknown scoring {self.scoring!r}")
 

@@ -167,3 +167,39 @@ def random_instance(rng, max_rows=64, max_features=8, max_rules=3):
         seen.add((conds, z))
         specs.append((conds, z))
     return matrix, labels, bb, specs
+
+
+def reference_binarize(columns, quantiles: int):
+    """One-hot matrix and feature names by per-row labelling of raw cells.
+
+    ``columns`` is a sequence of (name, kind, values) with string cells. A
+    numeric cell is labelled ``bin{k}``, k = the number of distinct
+    (k/quantiles)-quantiles of the column strictly below it; a blank cell is
+    ``<missing>``. Numeric labels are ordered by k with ``<missing>`` last,
+    categorical labels by plain string sort.
+    """
+    names = []
+    bit_columns = []
+    for name, kind, values in columns:
+        if kind == "numeric":
+            floats = [float(v) for v in values if v != ""]
+            edges = []
+            if floats:
+                for e in np.quantile(floats, [k / quantiles for k in range(1, quantiles)]):
+                    if not edges or e > edges[-1]:
+                        edges.append(float(e))
+            labels = [
+                "<missing>" if v == "" else f"bin{sum(e < float(v) for e in edges)}"
+                for v in values
+            ]
+            seen = set(labels)
+            order = sorted((c for c in seen if c != "<missing>"), key=lambda c: int(c[3:]))
+            if "<missing>" in seen:
+                order.append("<missing>")
+        else:
+            labels = [v if v != "" else "<missing>" for v in values]
+            order = sorted(set(labels))
+        for cat in order:
+            names.append(f"{name}={cat}")
+            bit_columns.append([label == cat for label in labels])
+    return np.array(bit_columns, dtype=bool).T, names

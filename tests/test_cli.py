@@ -67,6 +67,11 @@ class TestSynth:
         pv = load_predictions(bench_dir / "preds.txt", table.n_rows)
         assert len(pv) == 400
 
+    def test_planted_feature_never_one_is_data_error(self, tmp_path, capsys):
+        # with one row some planted column is constant 0, so "x=1" has no bin
+        assert run("synth", "--rows", 1, "--out", tmp_path) == 3
+        assert "never 1" in one_error_line(capsys, "data error")
+
 
 class TestTrain:
     def test_artifacts(self, trained_dir):
@@ -455,6 +460,85 @@ class TestCv:
         assert abs(lo - 0.7) <= 0.03
 
 
+def one_error_line(capsys, kind):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{kind}: "), err
+    return err[0]
+
+
+class TestManifestReuse:
+    @pytest.fixture
+    def yes_no_run(self, tmp_path):
+        # label "no" is the positive class; the default mapping would pick "yes"
+        rng = np.random.default_rng(4)
+        a = rng.integers(0, 4, size=200)
+        y = np.where(rng.random(200) < 0.2, a >= 2, a < 2)
+        data_path = tmp_path / "d.csv"
+        data_path.write_text(
+            "a,y\n" + "".join(f"{v},{'no' if p else 'yes'}\n" for v, p in zip(a, y))
+        )
+        preds_path = tmp_path / "p.txt"
+        preds_path.write_text("".join(f"{int(p)}\n" for p in rng.random(200) < 0.5))
+        common = ("--data", data_path, "--label-column", "y", "--preds", preds_path)
+        out = tmp_path / "run"
+        assert run(
+            "train", *common, "--positive-value", "no", "--gamma", 0.1, "--iters", 200,
+            "--out", out,
+        ) == 0
+        reuse = (*common, "--model", out / "model.json", "--manifest", out / "manifest.json")
+        return out, reuse
+
+    def test_manifest_positive_value_is_applied(self, yes_no_run, capsys):
+        out, reuse = yes_no_run
+        trained = load_model(out / "model.json").training["autac"]
+        capsys.readouterr()
+        assert run("evaluate", *reuse) == 0
+        assert autac_from_stdout(capsys) == trained
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--positive-value", "yes"), ("--label-column", "a")]
+    )
+    def test_flag_disagreeing_with_manifest_is_usage_error(
+        self, yes_no_run, capsys, flag, value
+    ):
+        _, reuse = yes_no_run
+        capsys.readouterr()
+        assert run("evaluate", *reuse, flag, value) == 2
+        assert "manifest" in one_error_line(capsys, "usage error")
+
+
+FIT_CSV = "a,b,y\n" + "".join(f"{i},{'pq'[i % 2]},{i % 2}\n" for i in range(1, 9))
+
+
+@pytest.mark.parametrize(
+    "fit_text, held_out_text, message",
+    [
+        ("a,a,y\n1,2,0\n3,4,1\n", None, "duplicate column name 'a'"),
+        (FIT_CSV.replace("\n3,", "\nnan,"), None, "non-finite value 'nan'"),
+        (FIT_CSV, FIT_CSV.replace("\n3,", "\nfoo,"), "'foo'"),
+        (FIT_CSV, FIT_CSV.replace("\n3,", "\ninf,"), "non-finite value 'inf'"),
+    ],
+    ids=["duplicate-header", "nan-at-fit", "text-under-numeric", "inf-held-out"],
+)
+def test_bad_cell_is_data_error(tmp_path, capsys, fit_text, held_out_text, message):
+    fit_path = tmp_path / "fit.csv"
+    fit_path.write_text(fit_text)
+    out = tmp_path / "run"
+    common = ("--label-column", "y", "--oracle-accuracy", 0.8)
+    code = run("train", "--data", fit_path, *common, "--gamma", 0.1, "--iters", 20, "--out", out)
+    if held_out_text is not None:
+        assert code == 0
+        capsys.readouterr()
+        held_out_path = tmp_path / "held_out.csv"
+        held_out_path.write_text(held_out_text)
+        code = run(
+            "evaluate", "--data", held_out_path, *common,
+            "--model", out / "model.json", "--manifest", out / "manifest.json",
+        )
+    assert code == 3
+    assert message in one_error_line(capsys, "data error")
+
+
 @pytest.mark.parametrize(
     "command, knob, value, code, kind",
     [
@@ -464,6 +548,7 @@ class TestCv:
         ("train", "--gamma", 0, 2, "usage error"),
         ("train", "--quantiles", 1, 2, "usage error"),
         ("train", "--mine-fraction", 0, 2, "usage error"),
+        ("train", "--max-rules", -1, 2, "usage error"),
         ("cv", "--folds", 500, 3, "data error"),
         ("tune", "--candidates", "0.1,x", 2, "usage error"),
         ("tune", "--candidates", "-0.1", 2, "usage error"),
@@ -506,6 +591,15 @@ GOLDEN_DIGESTS = {
     ),
     "predict.csv": (
         "390fe72c3626254c0a8b30f08da803ff4068f060fd9bd929251c94817a3f23d5"
+    ),
+    "train/manifest.json": (
+        "e61c54ff30d4691c242300c9f326d1a68120c8948bf9eb6d7e8d0a51d05bbcaf"
+    ),
+    "bench/manifest.json": (
+        "e61c54ff30d4691c242300c9f326d1a68120c8948bf9eb6d7e8d0a51d05bbcaf"
+    ),
+    "bench/planted_model.json": (
+        "c5e1dd6fbf43d42485f75a33ac1c513680c0c0049259395ba93bd3bb0fdbc11e"
     ),
 }
 

@@ -1,4 +1,8 @@
+import csv
+import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from crl import (
     split_folds,
     synth_oracle,
 )
+from oracles import reference_binarize
 
 
 def write(tmp_path, name, text):
@@ -180,6 +185,99 @@ class TestManifest:
         p = write(tmp_path, "t.csv", "c,y\nA,0\nB,1\n")
         data, manifest = binarize(load_table(p, "y"))
         assert tuple(manifest.feature_names()) == data.feature_names
+
+
+# Categorical values whose code points sort just before, at and after
+# "<missing>", plus numeric-looking strings that a stray "x" keeps categorical.
+AROUND_MISSING = ["", "<missing>", "<", "<m", "<missinf", "<missingA", ";", "=", "A", "a"]
+NUMERIC_LOOKING = ["", "1", "01", "2", "10", "1.5", "-3", "x"]
+
+
+@st.composite
+def mixed_columns(draw):
+    n = draw(st.integers(min_value=1, max_value=25))
+    numeric_cell = st.one_of(
+        st.just(""),
+        st.integers(-5, 5).map(str),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False).map(repr),
+    )
+    cell = draw(
+        st.lists(
+            st.sampled_from(
+                [numeric_cell, st.sampled_from(AROUND_MISSING), st.sampled_from(NUMERIC_LOOKING)]
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return [draw(st.lists(c, min_size=n, max_size=n)) for c in cell]
+
+
+def load_columns(columns, labels):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.csv"
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"c{j}" for j in range(len(columns))] + ["y"])
+            writer.writerows(zip(*columns, labels))
+        return load_table(path, "y")
+
+
+class TestBinarizationPath:
+    @given(columns=mixed_columns(), quantiles=st.integers(min_value=2, max_value=9))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_row_reference_and_manifest_round_trip(self, columns, quantiles):
+        n = len(columns[0])
+        table = load_columns(columns, [str(i % 2) for i in range(n)])
+        data, manifest = binarize(table, quantiles=quantiles)
+
+        matrix, names = reference_binarize(
+            [(c.name, c.kind, c.values) for c in table.columns], quantiles
+        )
+        assert data.feature_names == tuple(names)
+        assert (data.matrix == matrix).all()
+
+        text = json.dumps(manifest.to_obj(), allow_nan=False)
+        again = apply_manifest(table, BinarizationManifest.from_obj(json.loads(text)))
+        assert again.feature_names == data.feature_names
+        assert again.feature_bits == data.feature_bits
+
+        start = 0
+        for mcol in manifest.columns:
+            stop = start + len(mcol.categories)
+            assert (matrix[:, start:stop].sum(axis=1) == 1).all()
+            start = stop
+        assert start == data.n_features
+
+
+class TestInputHardening:
+    def test_non_numeric_cell_under_numeric_manifest_column(self, tmp_path):
+        fit = write(tmp_path, "a.csv", "a,y\n1,0\n2,1\n3,0\n4,1\n")
+        _, manifest = binarize(load_table(fit, "y"))
+        held_out = load_table(write(tmp_path, "b.csv", "a,y\n2,0\nfoo,1\n"), "y")
+        with pytest.raises(DataError, match="'a'.*'foo'"):
+            apply_manifest(held_out, manifest)
+
+    def test_all_blank_held_out_column_maps_to_missing(self, tmp_path):
+        _, manifest = binarize(load_table(write(tmp_path, "a.csv", "a,y\n1,0\n,1\n3,0\n"), "y"))
+        held_out = load_table(write(tmp_path, "b.csv", "a,y\n,0\n,1\n"), "y")
+        data = apply_manifest(held_out, manifest)
+        assert data.feature_names[-1] == "a=<missing>"
+        assert data.matrix.tolist() == [[False, False, True]] * 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_is_rejected_at_fit_and_on_reuse(self, tmp_path, cell):
+        with pytest.raises(DataError, match=f"'a'.*non-finite value '{cell}'"):
+            binarize(load_table(write(tmp_path, "a.csv", f"a,y\n1,0\n{cell},1\n"), "y"))
+        _, manifest = binarize(load_table(write(tmp_path, "b.csv", "a,y\n1,0\n2,1\n"), "y"))
+        held_out = load_table(write(tmp_path, "c.csv", f"a,y\n{cell},0\n"), "y")
+        with pytest.raises(DataError, match="non-finite"):
+            apply_manifest(held_out, manifest)
+
+    def test_duplicate_header_name(self, tmp_path):
+        p = write(tmp_path, "t.csv", "a,a,b,y\n1,2,3,0\n")
+        with pytest.raises(DataError, match="duplicate column name 'a'"):
+            load_table(p, "y")
 
 
 class TestLoadPredictions:
