@@ -211,6 +211,8 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_dataset(args) -> tuple[BinaryDataset, BinarizationManifest]:
+    if args.quantiles < 2:
+        raise UsageError("--quantiles must be >= 2")
     manifest = BinarizationManifest.load(args.manifest) if args.manifest else None
     positive_value = args.positive_value
     if manifest is not None:
@@ -226,8 +228,7 @@ def _load_dataset(args) -> tuple[BinaryDataset, BinarizationManifest]:
     )
     if manifest is not None:
         return apply_manifest(table, manifest), manifest
-    with _knob_errors("--quantiles"):
-        return binarize(table, quantiles=args.quantiles)
+    return binarize(table, quantiles=args.quantiles)
 
 
 def _load_preds(args, data: BinaryDataset) -> PredictionVector:
@@ -325,12 +326,6 @@ def cmd_evaluate(args) -> int:
         f"blackbox_accuracy={evaluator.curve.points[0][1]!r}"
     )
     return 0
-
-
-def cmd_pair(args) -> int:
-    # Same estimators as `evaluate`; exists so externally trained rule lists
-    # can be scored as naive companions after conversion to the model schema.
-    return cmd_evaluate(args)
 
 
 def cmd_predict(args) -> int:
@@ -552,19 +547,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a stored model on a dataset")
+    # `pair` scores an externally trained rule list, converted to the model
+    # schema, as a naive companion under the same estimators.
+    p = sub.add_parser(
+        "evaluate", aliases=["pair"], help="score a stored or imported model on a dataset"
+    )
     _add_data_flags(p)
     _add_preds_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--curve-out", default=None)
     p.set_defaults(handler=cmd_evaluate)
-
-    p = sub.add_parser("pair", help="score an imported rule list as a naive companion")
-    _add_data_flags(p)
-    _add_preds_flags(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--curve-out", default=None)
-    p.set_defaults(handler=cmd_pair)
 
     p = sub.add_parser("predict", help="per-row predictions with provenance")
     _add_data_flags(p)

@@ -15,39 +15,17 @@ black-box prediction. The prediction modes are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
-
 import numpy as np
 
 from .data import BinaryDataset, PredictionVector
 from .errors import DataError
-from .objective import TradeoffCurve, _locate_level, autac_hat, curve
+from .objective import TradeoffCurve, autac_hat, curve, level_for_t
 from .rules import RuleList, first_match, first_match_indices
-
-Blackbox = Union[PredictionVector, Callable[[np.ndarray], int]]
 
 
 def _check_level(m: int, n_levels: int) -> None:
     if m < 0 or m > n_levels:
         raise DataError(f"level {m} out of range 0..{n_levels}")
-
-
-@dataclass(frozen=True, eq=False)
-class CompanionModel:
-    """A rule list bound to a black-box prediction source.
-
-    The black-box is either a row-aligned :class:`PredictionVector` (dataset
-    evaluation) or a per-instance callback (deployment).
-    """
-
-    rule_list: RuleList
-    blackbox: Blackbox
-
-    def evaluator(self, data: BinaryDataset) -> "CompanionEvaluator":
-        if not isinstance(self.blackbox, PredictionVector):
-            raise DataError("dataset evaluation needs a row-aligned prediction vector")
-        return CompanionEvaluator(self.rule_list, data, self.blackbox)
 
 
 class CompanionEvaluator:
@@ -118,7 +96,7 @@ class CompanionEvaluator:
         t, and at a level boundary (q = 0) the draw coincides with that level's
         deterministic predictions for every seed.
         """
-        m, q = _locate_level(self.curve.transparency, t)
+        m, q = level_for_t(self.curve.transparency, t)
         eps = rng.random(self.data.n_rows)
         band = (self._first_idx == m) & (eps < q)
         return self._assemble(self._adopted(m) | band)
@@ -151,7 +129,7 @@ def predict_companion_instance(
             raise ValueError(
                 "stochastic prediction needs level_transparencies and epsilon"
             )
-        m, q = _locate_level(tuple(level_transparencies), transparency)
+        m, q = level_for_t(tuple(level_transparencies), transparency)
         adopt = 0 <= first < m or (first == m and epsilon < q)
     if adopt:
         return rule_list[first].output, first

@@ -1,6 +1,6 @@
 """Tabular loading, binarization, black-box predictions, and fold splitting.
 
-The pipeline is: delimited text file -> :class:`RawTable` (typed columns plus a
+The pipeline is: delimited text file -> :class:`RawTable` (string columns plus a
 0/1 label vector) -> :class:`BinaryDataset` (one bit column per
 (source column, category) pair). Numeric columns are first discretized into
 quantile bins; categorical columns (and the bins) are one-hot encoded. The
@@ -34,11 +34,14 @@ _KIND_CATEGORICAL = "categorical"
 
 @dataclass(frozen=True)
 class RawColumn:
-    """One named feature column, values kept as raw strings."""
+    """One named feature column, values kept as raw strings.
+
+    The column's kind (numeric or categorical) is decided when a manifest is
+    fitted to it, see :meth:`ManifestColumn.fit`.
+    """
 
     name: str
     values: tuple[str, ...]
-    kind: str  # "numeric" or "categorical"
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +110,6 @@ class BinaryDataset:
     def name_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.feature_names)}
 
-    def row(self, i: int) -> np.ndarray:
-        return self.matrix[i]
-
     def subset(self, rows) -> "BinaryDataset":
         idx = np.asarray(rows, dtype=int)
         return BinaryDataset.from_bool_matrix(
@@ -167,14 +167,13 @@ def load_table(
 ) -> RawTable:
     """Parse a delimited text file with a header row into a :class:`RawTable`.
 
-    Column kinds are inferred: a column is numeric when every non-empty cell
-    parses as a float, categorical otherwise. Empty cells are treated as
-    missing values.
+    Feature cells stay strings; empty cells are missing values.
 
     The label column is binarized: with ``positive_value`` given, rows equal to
-    it map to 1 and everything else to 0; without it the column must have
-    exactly two distinct values (the lexicographically larger one is positive),
-    or already be 0/1.
+    it map to 1 and everything else to 0 (a column of two or more distinct
+    values none of which is ``positive_value`` is a :class:`DataError`);
+    without it the column must have exactly two distinct values (the
+    lexicographically larger one is positive), or already be 0/1.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -205,31 +204,12 @@ def load_table(
     by_name = {name: tuple(r[j] for r in rows) for j, name in enumerate(header)}
     labels, positive = _map_labels(by_name[label], label, positive_value)
 
-    columns = []
-    for name in header:
-        if name == label:
-            continue
-        values = by_name[name]
-        columns.append(RawColumn(name=name, values=values, kind=_infer_kind(values)))
     return RawTable(
-        columns=tuple(columns),
+        columns=tuple(RawColumn(name, by_name[name]) for name in header if name != label),
         label_column=label,
         labels=labels,
         positive_value=positive,
     )
-
-
-def _infer_kind(values) -> str:
-    seen_value = False
-    for v in values:
-        if v == "":
-            continue
-        seen_value = True
-        try:
-            float(v)
-        except ValueError:
-            return _KIND_CATEGORICAL
-    return _KIND_NUMERIC if seen_value else _KIND_CATEGORICAL
 
 
 def _map_labels(values, label, positive_value):
@@ -244,6 +224,10 @@ def _map_labels(values, label, positive_value):
                 f"non-binary label: column {label!r} has {len(distinct)} distinct "
                 "values; declare the positive class explicitly"
             )
+    elif len(distinct) > 1 and positive_value not in distinct:
+        raise DataError(
+            f"label column {label!r} never takes the positive value {positive_value!r}"
+        )
     labels = np.fromiter(
         (1 if v == positive_value else 0 for v in values), dtype=np.uint8, count=len(values)
     )
@@ -271,25 +255,15 @@ def quantile_edges(values, q: int = 7) -> list[float]:
     return edges
 
 
-def quantile_bin(values, q: int = 7) -> np.ndarray:
-    """Map numeric values to bin codes in [0, q).
-
-    A value's code is the number of (deduplicated) quantile edges strictly
-    below it, so the mapping is monotone and a constant column collapses to the
-    single code 0. Because duplicate edges are merged the effective number of
-    bins can be smaller than ``q``.
-    """
-    return np.searchsorted(quantile_edges(values, q), np.asarray(values, dtype=float), side="left")
-
-
 def _numeric_cells(name: str, values) -> tuple[np.ndarray, np.ndarray]:
-    """Presence mask and float values of the non-blank cells of a numeric column."""
+    """Presence mask and float values of the non-blank cells of a column.
+
+    A cell that is not a number raises ``ValueError``; a non-finite one
+    (``nan``, ``inf``) is a :class:`DataError`.
+    """
     present = np.fromiter(map(bool, values), dtype=bool, count=len(values))
     cells = [v for v in values if v]
-    try:
-        floats = np.array([float(v) for v in cells], dtype=float)
-    except ValueError as exc:
-        raise DataError(f"numeric column {name!r}: {exc}") from None
+    floats = np.array([float(v) for v in cells], dtype=float)
     finite = np.isfinite(floats)
     if not finite.all():
         bad = cells[int(np.argmin(finite))]
@@ -318,7 +292,10 @@ class ManifestColumn:
                 dtype=np.intp,
                 count=len(values),
             )
-        present, floats = _numeric_cells(self.name, values)
+        try:
+            present, floats = _numeric_cells(self.name, values)
+        except ValueError as exc:
+            raise DataError(f"numeric column {self.name!r}: {exc}") from None
         edges = np.asarray(self.edges or (), dtype=float)
         bin_index = np.array([pos.get(f"bin{k}", -1) for k in range(len(edges) + 1)])
         idx = np.full(len(values), missing, dtype=np.intp)
@@ -330,20 +307,25 @@ class ManifestColumn:
 
     @classmethod
     def fit(cls, col: RawColumn, quantiles: int) -> "ManifestColumn":
-        """The categories (and numeric edges) seen in ``col``, in feature order.
+        """The kind, categories (and numeric edges) seen in ``col``, in feature order.
 
-        Numeric columns list ``bin{k}`` by ascending k with ``<missing>`` last;
-        categorical columns list their values sorted by code point, with blank
-        cells as ``<missing>`` sorted in.
+        A column is numeric when it has a non-blank cell and every non-blank
+        cell parses as a float, categorical otherwise. Numeric columns list
+        ``bin{k}`` by ascending k with ``<missing>`` last; categorical columns
+        list their values sorted by code point, with blank cells as
+        ``<missing>`` sorted in.
         """
-        if col.kind != _KIND_NUMERIC:
+        try:
+            present, floats = _numeric_cells(col.name, col.values)
+        except ValueError:
+            floats = None
+        if floats is None or not floats.size:
             cats = sorted({v or MISSING_CATEGORY for v in col.values})
-            return cls(col.name, col.kind, tuple(cats), None)
-        present, floats = _numeric_cells(col.name, col.values)
-        edges = tuple(quantile_edges(floats, quantiles)) if floats.size else ()
+            return cls(col.name, _KIND_CATEGORICAL, tuple(cats), None)
+        edges = tuple(quantile_edges(floats, quantiles))
         codes = np.unique(np.searchsorted(edges, floats, side="left"))
         cats = [f"bin{k}" for k in codes] + [MISSING_CATEGORY] * (not present.all())
-        return cls(col.name, col.kind, tuple(cats), edges)
+        return cls(col.name, _KIND_NUMERIC, tuple(cats), edges)
 
 
 @dataclass(frozen=True)

@@ -97,29 +97,9 @@ def _check_alignment(data: BinaryDataset, preds: PredictionVector) -> None:
         )
 
 
-def _check_level(rule_list: RuleList, m: int) -> None:
-    if m < 0 or m > len(rule_list):
-        raise IndexError("level out of range")
-
-
 def blackbox_accuracy(data: BinaryDataset, preds: PredictionVector) -> float:
     _check_alignment(data, preds)
     return preds.correct_mask(data.labels).bit_count() / data.n_rows
-
-
-def transparency_hat(rule_list: RuleList, data: BinaryDataset, m: int) -> float:
-    """Fraction of rows covered by the first m rules (0 at level 0)."""
-    _check_level(rule_list, m)
-    return sweep(cover_masks(rule_list, data), 0).covered[m] / data.n_rows
-
-
-def accuracy_hat(
-    rule_list: RuleList, data: BinaryDataset, preds: PredictionVector, m: int
-) -> float:
-    """Accuracy when the first m rules answer what they cover and the black-box
-    answers the rest."""
-    _check_level(rule_list, m)
-    return curve(rule_list, data, preds).points[m][1]
 
 
 class SweepCounts(NamedTuple):
@@ -239,12 +219,15 @@ def make_objective(autac: float, alpha: float, n_rules: int) -> ObjectiveValue:
     )
 
 
-def _locate_level(t_values, t: float) -> tuple[int, float]:
-    """Largest level whose transparency is <= t, plus the fractional position.
+def level_for_t(t_values, t: float) -> tuple[int, float]:
+    """Map a target transparency t to (level, interpolation fraction).
 
-    Duplicate transparency values (rules with empty exclusive cover) are
-    skipped by always taking the last index among ties, so the next level is
-    strictly larger and the fraction is well defined.
+    ``t_values`` are the level transparencies (a curve's ``transparency``).
+    The result is the largest level whose transparency is <= t, and the
+    fraction q in [0, 1) says how far t sits between that level and the next
+    strictly larger one; q is 0 exactly at a level boundary. Duplicate
+    transparency values (rules with empty exclusive cover) are skipped by
+    always taking the last index among ties.
     """
     if t < 0.0 or t > t_values[-1]:
         raise DataError(
@@ -256,13 +239,3 @@ def _locate_level(t_values, t: float) -> tuple[int, float]:
         return len(t_values) - 1, 0.0
     q = (t - t_values[m]) / (t_values[m + 1] - t_values[m])
     return m, q
-
-
-def level_for_t(curve: TradeoffCurve, t: float) -> tuple[int, float]:
-    """Map a target transparency t to (level, interpolation fraction).
-
-    The fraction q in [0, 1) says how far t sits between the level's
-    transparency and the next strictly larger one; q is 0 exactly at a level
-    boundary.
-    """
-    return _locate_level(curve.transparency, t)

@@ -106,12 +106,6 @@ def first_match(rule_list: RuleList, instance) -> int:
     return -1
 
 
-def predict_rule_list(rule_list: RuleList, instance) -> int | None:
-    """First-match prediction for one instance; None when no rule fires."""
-    k = first_match(rule_list, instance)
-    return None if k < 0 else rule_list[k].output
-
-
 def first_match_indices(rule_list: RuleList, data: BinaryDataset) -> np.ndarray:
     """Per-row 0-based index of the first matching rule, -1 when uncovered.
 

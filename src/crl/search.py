@@ -89,10 +89,9 @@ class SearchStep(NamedTuple):
 
 @dataclass(eq=False)
 class SearchTrace:
-    """Per-iteration record of the chain plus the final best list."""
+    """Per-iteration record of the chain."""
 
     steps: list[SearchStep] = field(default_factory=list)
-    best_list: RuleList | None = None
 
     def best_objectives(self) -> list[float]:
         return [s.best_objective for s in self.steps]
@@ -256,7 +255,6 @@ def run_search(
         if current_obj > best_obj:
             best_list, best_obj = current, current_obj
         trace.steps.append(SearchStep(n, op, proposed_obj, accepted, best_obj))
-    trace.best_list = best_list
 
     best_curve = curve(best_list, data, preds)
     obj = make_objective(autac_hat(best_curve), config.alpha, len(best_list))

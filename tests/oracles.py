@@ -169,19 +169,30 @@ def random_instance(rng, max_rows=64, max_features=8, max_rules=3):
     return matrix, labels, bb, specs
 
 
+def _is_numeric(values) -> bool:
+    cells = [v for v in values if v != ""]
+    try:
+        for v in cells:
+            float(v)
+    except ValueError:
+        return False
+    return bool(cells)
+
+
 def reference_binarize(columns, quantiles: int):
     """One-hot matrix and feature names by per-row labelling of raw cells.
 
-    ``columns`` is a sequence of (name, kind, values) with string cells. A
-    numeric cell is labelled ``bin{k}``, k = the number of distinct
+    ``columns`` is a sequence of (name, values) with string cells. A column is
+    numeric when it has a non-blank cell and every non-blank cell parses as a
+    float. A numeric cell is labelled ``bin{k}``, k = the number of distinct
     (k/quantiles)-quantiles of the column strictly below it; a blank cell is
     ``<missing>``. Numeric labels are ordered by k with ``<missing>`` last,
     categorical labels by plain string sort.
     """
     names = []
     bit_columns = []
-    for name, kind, values in columns:
-        if kind == "numeric":
+    for name, values in columns:
+        if _is_numeric(values):
             floats = [float(v) for v in values if v != ""]
             edges = []
             if floats:

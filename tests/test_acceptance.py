@@ -15,8 +15,6 @@ from crl import (
     Rule,
     RuleList,
     SearchConfig,
-    TradeoffCurve,
-    accept,
     autac_hat,
     curve,
     mine_rules,
@@ -24,10 +22,11 @@ from crl import (
     planted_benchmark,
     run_search,
     split_folds,
-    temperature,
     train_indices,
 )
 from crl.cli import main
+from crl.objective import TradeoffCurve
+from crl.search import accept, temperature
 
 from conftest import make_random_dataset, make_random_preds
 from oracles import (
@@ -133,7 +132,7 @@ def test_criterion_5_search_soundness(bench_split):
     r1 = run_search(data_tr, preds_tr, pool, cfg)
     best = r1.trace.best_objectives()
     assert all(b0 <= b1 for b0, b1 in zip(best, best[1:]))
-    from crl import init_list
+    from crl.search import init_list
 
     init = init_list(pool, cfg.init_size, np.random.default_rng(cfg.seed))
     assert best[-1] >= objective(init, data_tr, preds_tr, cfg.alpha).objective

@@ -10,6 +10,7 @@ from crl import (
     BinarizationManifest,
     CompanionEvaluator,
     apply_manifest,
+    binarize,
     curve,
     load_model,
     load_predictions,
@@ -506,6 +507,27 @@ class TestManifestReuse:
         assert run("evaluate", *reuse, flag, value) == 2
         assert "manifest" in one_error_line(capsys, "usage error")
 
+    def test_held_out_labels_without_positive_value_are_data_error(
+        self, yes_no_run, tmp_path, capsys
+    ):
+        # the training rows relabelled 1/0 never name the manifest's "no"
+        out, _ = yes_no_run
+        lines = (tmp_path / "d.csv").read_text().splitlines()
+        relabelled = [lines[0]] + [
+            line.replace(",no", ",1").replace(",yes", ",0") for line in lines[1:]
+        ]
+        data_path = tmp_path / "relabelled.csv"
+        data_path.write_text("\n".join(relabelled) + "\n")
+        preds_path = tmp_path / "perfect.txt"
+        preds_path.write_text("".join(line[-1] + "\n" for line in relabelled[1:]))
+        capsys.readouterr()
+        code = run(
+            "evaluate", "--data", data_path, "--label-column", "y", "--preds", preds_path,
+            "--model", out / "model.json", "--manifest", out / "manifest.json",
+        )
+        assert code == 3
+        assert "'y'" in (line := one_error_line(capsys, "data error")) and "'no'" in line
+
 
 FIT_CSV = "a,b,y\n" + "".join(f"{i},{'pq'[i % 2]},{i % 2}\n" for i in range(1, 9))
 
@@ -539,24 +561,41 @@ def test_bad_cell_is_data_error(tmp_path, capsys, fit_text, held_out_text, messa
     assert message in one_error_line(capsys, "data error")
 
 
+KNOB_CASES = [
+    ("train", "--iters", 0, 2, "usage error", "numeric"),
+    ("train", "--alpha", -1, 2, "usage error", "numeric"),
+    ("train", "--c0", 0, 2, "usage error", "numeric"),
+    ("train", "--gamma", 0, 2, "usage error", "numeric"),
+    ("train", "--quantiles", 1, 2, "usage error", "numeric"),
+    ("train", "--mine-fraction", 0, 2, "usage error", "numeric"),
+    ("train", "--max-rules", -1, 2, "usage error", "numeric"),
+    ("cv", "--folds", 500, 3, "data error", "numeric"),
+    ("tune", "--candidates", "0.1,x", 2, "usage error", "numeric"),
+    ("tune", "--candidates", "-0.1", 2, "usage error", "numeric"),
+    # --quantiles is checked even where no column gets quantile bins
+    ("train", "--quantiles", 1, 2, "usage error", "categorical"),
+    ("train", "--quantiles", 1, 2, "usage error", "manifest"),
+]
+
+
 @pytest.mark.parametrize(
-    "command, knob, value, code, kind",
-    [
-        ("train", "--iters", 0, 2, "usage error"),
-        ("train", "--alpha", -1, 2, "usage error"),
-        ("train", "--c0", 0, 2, "usage error"),
-        ("train", "--gamma", 0, 2, "usage error"),
-        ("train", "--quantiles", 1, 2, "usage error"),
-        ("train", "--mine-fraction", 0, 2, "usage error"),
-        ("train", "--max-rules", -1, 2, "usage error"),
-        ("cv", "--folds", 500, 3, "data error"),
-        ("tune", "--candidates", "0.1,x", 2, "usage error"),
-        ("tune", "--candidates", "-0.1", 2, "usage error"),
-    ],
+    "command, knob, value, code, kind, table",
+    KNOB_CASES,
+    # cases on the default numeric table are named by their first five fields
+    ids=["-".join(map(str, c[:-1] if c[-1] == "numeric" else c)) for c in KNOB_CASES],
 )
-def test_out_of_range_knob_exit_code(tmp_path, capsys, command, knob, value, code, kind):
+def test_out_of_range_knob_exit_code(tmp_path, capsys, command, knob, value, code, kind, table):
     data_path = tmp_path / "d.csv"
     write_random_csv(data_path, 200, seed=0)
+    extra = ()
+    if table == "categorical":
+        header, *rows = data_path.read_text().splitlines()
+        rows = ["v" + row.replace(",", ",v", 2) for row in rows]
+        data_path.write_text("\n".join([header, *rows]) + "\n")
+    elif table == "manifest":
+        _, manifest = binarize(load_table(data_path, "y"))
+        manifest.save(tmp_path / "manifest.json")
+        extra = ("--manifest", tmp_path / "manifest.json")
     got = run(
         command,
         "--data", data_path,
@@ -564,6 +603,7 @@ def test_out_of_range_knob_exit_code(tmp_path, capsys, command, knob, value, cod
         "--oracle-accuracy", 0.8,
         "--iters", 20,
         knob, value,
+        *extra,
         "--out", tmp_path / "out",
     )
     err = capsys.readouterr().err.splitlines()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from crl import (
     BinaryDataset,
     CompanionEvaluator,
-    CompanionModel,
     DataError,
     PredictionVector,
     Rule,
@@ -135,7 +134,7 @@ class TestStochasticPredictions:
         for i in range(ev.data.n_rows):
             pred, who = predict_companion_instance(
                 ev.rule_list,
-                ev.data.row(i),
+                ev.data.matrix[i],
                 int(ev.preds.preds[i]),
                 transparency=t,
                 level_transparencies=ts,
@@ -146,27 +145,21 @@ class TestStochasticPredictions:
 
 
 class TestCompanionModel:
-    def test_evaluator_requires_vector(self, d4):
-        data, _, rl = d4
-        model = CompanionModel(rl, blackbox=lambda bits: 1)
-        with pytest.raises(DataError):
-            model.evaluator(data)
-
     def test_instance_level_prediction_with_callback(self, d4):
         data, preds, rl = d4
         # uncovered row 3 goes to the callback
-        pred, who = predict_companion_instance(rl, data.row(3), 0, level=2)
+        pred, who = predict_companion_instance(rl, data.matrix[3], 0, level=2)
         assert (pred, who) == (0, -1)
-        pred, who = predict_companion_instance(rl, data.row(0), 0, level=2)
+        pred, who = predict_companion_instance(rl, data.matrix[0], 0, level=2)
         assert (pred, who) == (1, 0)
-        pred, who = predict_companion_instance(rl, data.row(0), 0, level=0)
+        pred, who = predict_companion_instance(rl, data.matrix[0], 0, level=0)
         assert (pred, who) == (0, -1)
 
     @pytest.mark.parametrize("level", [-1, 3])
     def test_instance_level_out_of_range(self, d4, level):
         data, _, rl = d4
         with pytest.raises(DataError, match=f"level {level} out of range 0..2"):
-            predict_companion_instance(rl, data.row(0), 0, level=level)
+            predict_companion_instance(rl, data.matrix[0], 0, level=level)
 
 
 class TestAlignment:

@@ -17,11 +17,9 @@ from crl import (
     binarize,
     load_predictions,
     load_table,
-    quantile_bin,
-    quantile_edges,
     split_folds,
-    synth_oracle,
 )
+from crl.data import ManifestColumn, RawColumn, quantile_edges, synth_oracle
 from oracles import reference_binarize
 
 
@@ -37,13 +35,24 @@ class TestLoadTable:
         table = load_table(p, "y")
         assert table.n_rows == 4
         assert [c.name for c in table.columns] == ["f0", "f1", "f2"]
-        kinds = {c.name: c.kind for c in table.columns}
+        _, manifest = binarize(table)
+        kinds = {c.name: c.kind for c in manifest.columns}
         assert kinds == {"f0": "numeric", "f1": "categorical", "f2": "numeric"}
 
     def test_declared_positive_value(self, tmp_path):
         p = write(tmp_path, "t.csv", "x,y\n1,yes\n2,no\n3,yes\n")
         table = load_table(p, "y", positive_value="yes")
         assert table.labels.tolist() == [1, 0, 1]
+
+    def test_positive_value_never_taken_is_data_error(self, tmp_path):
+        p = write(tmp_path, "t.csv", "x,y\n1,1\n2,0\n")
+        with pytest.raises(DataError, match="'y'.*'yes'"):
+            load_table(p, "y", positive_value="yes")
+
+    @pytest.mark.parametrize("text", ["x,y\n1,no\n", "x,y\n1,no\n2,no\n"])
+    def test_one_row_or_one_class_without_positive_value_is_valid(self, tmp_path, text):
+        table = load_table(write(tmp_path, "t.csv", text), "y", positive_value="yes")
+        assert table.labels.tolist() == [0] * table.n_rows
 
     def test_default_positive_is_lexicographically_larger(self, tmp_path):
         p = write(tmp_path, "t.csv", "x,y\n1,yes\n2,no\n")
@@ -75,23 +84,29 @@ class TestLoadTable:
         assert load_table(p, "y", delimiter="\t").n_rows == 2
 
 
+def bin_indices(values, q):
+    """Each value's bin index under a numeric manifest column fitted on the values."""
+    col = RawColumn("v", tuple(map(repr, values)))
+    return ManifestColumn.fit(col, q).indices(col.values)
+
+
 class TestQuantileBin:
     def test_seven_distinct_values_fill_seven_bins(self):
-        codes = quantile_bin([1, 2, 3, 4, 5, 6, 7], q=7)
+        codes = bin_indices([1, 2, 3, 4, 5, 6, 7], q=7)
         assert sorted(set(codes.tolist())) == [0, 1, 2, 3, 4, 5, 6]
 
     def test_constant_column_single_code(self):
-        codes = quantile_bin([5, 5, 5, 5], q=7)
+        codes = bin_indices([5, 5, 5, 5], q=7)
         assert set(codes.tolist()) == {0}
 
     def test_outlier_gets_highest_code(self):
-        codes = quantile_bin([1, 1, 1, 1, 1, 1, 10], q=7)
+        codes = bin_indices([1, 1, 1, 1, 1, 1, 10], q=7)
         assert codes[-1] == max(codes)
         assert len(set(codes[:-1].tolist())) == 1
         assert codes[0] < codes[-1]
 
     def test_codes_within_range(self):
-        codes = quantile_bin(list(range(100)), q=7)
+        codes = bin_indices(list(range(100)), q=7)
         assert codes.min() >= 0 and codes.max() < 7
 
     def test_edges_deduplicated(self):
@@ -106,7 +121,7 @@ class TestQuantileBin:
     )
     @settings(max_examples=60, deadline=None)
     def test_monotone(self, values, q):
-        codes = quantile_bin(values, q=q)
+        codes = bin_indices(values, q=q)
         order = np.argsort(values, kind="stable")
         sorted_codes = codes[order]
         assert (np.diff(sorted_codes) >= 0).all()
@@ -232,7 +247,7 @@ class TestBinarizationPath:
         data, manifest = binarize(table, quantiles=quantiles)
 
         matrix, names = reference_binarize(
-            [(c.name, c.kind, c.values) for c in table.columns], quantiles
+            [(c.name, c.values) for c in table.columns], quantiles
         )
         assert data.feature_names == tuple(names)
         assert (data.matrix == matrix).all()

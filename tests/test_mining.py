@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crl import BinaryDataset, DataError, mine_rules, subsample_for_mining
+from crl import BinaryDataset, DataError, mine_rules
+from crl.mining import subsample_for_mining
 
 from oracles import brute_force_pool
 

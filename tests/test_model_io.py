@@ -6,19 +6,20 @@ import pytest
 from crl import (
     CompanionEvaluator,
     DataError,
-    Rule,
-    RuleList,
     curve,
     load_model,
     mine_rules,
     model_from_training,
     resolve_rules,
-    save_curve_csv,
     save_model,
+)
+from crl.model_io import (
+    load_curve_csv,
+    model_from_obj,
+    save_curve_csv,
     save_pool,
     save_trace_csv,
 )
-from crl.model_io import load_curve_csv, model_from_obj
 from crl.search import SearchStep, SearchTrace
 
 
@@ -112,7 +113,6 @@ class TestTraceCsv:
                 SearchStep(1, "add", 0.5, True, 0.5),
                 SearchStep(2, "swap", 0.4, False, 0.5),
             ],
-            best_list=RuleList(),
         )
         p = tmp_path / "trace.csv"
         save_trace_csv(p, trace)

@@ -9,15 +9,11 @@ from crl import (
     PredictionVector,
     Rule,
     RuleList,
-    TradeoffCurve,
-    accuracy_hat,
     autac_hat,
-    blackbox_accuracy,
     curve,
-    level_for_t,
     objective,
-    transparency_hat,
 )
+from crl.objective import TradeoffCurve, blackbox_accuracy, level_for_t
 
 from conftest import make_random_dataset, make_random_preds
 from oracles import random_instance, simulate_autac, simulate_curve
@@ -27,16 +23,16 @@ FIG_POINTS = ((0.0, 0.92), (0.4, 0.90), (0.7, 0.84), (1.0, 0.75))
 
 class TestEstimatorsOnWorkedExample:
     def test_transparency_levels(self, d4):
-        data, _, rl = d4
-        assert transparency_hat(rl, data, 0) == 0.0
-        assert transparency_hat(rl, data, 1) == 0.5
-        assert transparency_hat(rl, data, 2) == 0.75
+        data, preds, rl = d4
+        assert curve(rl, data, preds).points[0][0] == 0.0
+        assert curve(rl, data, preds).points[1][0] == 0.5
+        assert curve(rl, data, preds).points[2][0] == 0.75
 
     def test_accuracy_levels(self, d4):
         data, preds, rl = d4
-        assert accuracy_hat(rl, data, preds, 0) == 0.5
-        assert accuracy_hat(rl, data, preds, 1) == 0.25
-        assert accuracy_hat(rl, data, preds, 2) == 0.5
+        assert curve(rl, data, preds).points[0][1] == 0.5
+        assert curve(rl, data, preds).points[1][1] == 0.25
+        assert curve(rl, data, preds).points[2][1] == 0.5
 
     def test_curve_points(self, d4):
         data, preds, rl = d4
@@ -96,34 +92,34 @@ class TestZeroCoverPenalty:
 class TestLevelForT:
     def test_interpolation_between_levels(self):
         c = TradeoffCurve.from_points(FIG_POINTS)
-        m, q = level_for_t(c, 0.55)
+        m, q = level_for_t(c.transparency, 0.55)
         assert m == 1
         assert q == pytest.approx(0.5, abs=1e-12)
 
     def test_boundary_has_zero_fraction(self):
         c = TradeoffCurve.from_points(FIG_POINTS)
-        assert level_for_t(c, 0.7) == (2, 0.0)
+        assert level_for_t(c.transparency, 0.7) == (2, 0.0)
 
     def test_zero_transparency(self):
         c = TradeoffCurve.from_points(FIG_POINTS)
-        assert level_for_t(c, 0.0) == (0, 0.0)
+        assert level_for_t(c.transparency, 0.0) == (0, 0.0)
 
     def test_beyond_coverage_raises(self):
         c = TradeoffCurve.from_points(((0.0, 0.9), (0.6, 0.8)))
         with pytest.raises(DataError, match="exceeds list coverage"):
-            level_for_t(c, 0.7)
+            level_for_t(c.transparency, 0.7)
 
     def test_duplicate_levels_skipped(self):
         c = TradeoffCurve.from_points(((0.0, 0.9), (0.4, 0.85), (0.4, 0.85), (0.8, 0.8)))
-        m, q = level_for_t(c, 0.4)
+        m, q = level_for_t(c.transparency, 0.4)
         assert m == 2 and q == 0.0
-        m, q = level_for_t(c, 0.6)
+        m, q = level_for_t(c.transparency, 0.6)
         assert m == 2
         assert q == pytest.approx(0.5, abs=1e-12)
 
     def test_full_coverage_endpoint(self):
         c = TradeoffCurve.from_points(FIG_POINTS)
-        assert level_for_t(c, 1.0) == (3, 0.0)
+        assert level_for_t(c.transparency, 1.0) == (3, 0.0)
 
 
 class TestInvariants:
@@ -167,8 +163,8 @@ class TestInvariants:
         specs = [(r.conditions, r.output) for r in rl]
         *_, points = simulate_curve(specs, data.matrix, data.labels, preds.preds)
         for m in range(len(rl) + 1):
-            assert transparency_hat(rl, data, m) == points[m][0] == c.points[m][0]
-            assert accuracy_hat(rl, data, preds, m) == points[m][1] == c.points[m][1]
+            assert points[m][0] == c.points[m][0]
+            assert points[m][1] == c.points[m][1]
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)

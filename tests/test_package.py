@@ -1,4 +1,6 @@
 import ast
+import importlib.util
+import re
 from pathlib import Path
 
 import crl
@@ -21,3 +23,28 @@ def test_all_lists_every_public_name_bound_in_init():
     }
     assert set(crl.__all__) == {name for name in bound if not name.startswith("_")}
     assert len(crl.__all__) == len(set(crl.__all__))
+
+
+def test_every_exported_name_is_documented_in_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [name for name in crl.__all__ if not re.search(rf"\b{name}\b", readme)]
+    assert missing == []
+
+
+def test_benchmark_tracer_patches_and_restores_every_traced_name():
+    # perfbench/tracing.py wraps crl names by attribute; renaming one must fail here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._undo)
+        assert patched
+        for owner, attr, original in patched:
+            assert getattr(owner, attr) is not original, attr
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, attr

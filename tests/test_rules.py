@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crl import (
-    BinaryDataset,
-    Rule,
-    RuleList,
-    exclusive_covers,
-    first_match_indices,
-    predict_rule_list,
-    raw_cover,
-)
+from crl import BinaryDataset, Rule, RuleList
+from crl.rules import exclusive_covers, first_match, first_match_indices, raw_cover
 
 from conftest import make_random_dataset
 from oracles import simulate_first_match
@@ -105,18 +98,24 @@ class TestExclusiveCovers:
         assert first_match_indices(rl, data).tolist() == sim.tolist()
 
 
+def first_match_output(rule_list, instance):
+    """The first matching rule's output for one instance; None when no rule fires."""
+    k = first_match(rule_list, instance)
+    return None if k < 0 else rule_list[k].output
+
+
 class TestPredictRuleList:
     def test_first_match_wins(self):
         rl = RuleList((Rule((0,), 1), Rule((1,), 0)))
-        assert predict_rule_list(rl, [1, 1]) == 1
+        assert first_match_output(rl, [1, 1]) == 1
 
     def test_second_rule_when_first_misses(self):
         rl = RuleList((Rule((0,), 1), Rule((1,), 0)))
-        assert predict_rule_list(rl, [0, 1]) == 0
+        assert first_match_output(rl, [0, 1]) == 0
 
     def test_uncovered_is_none(self):
         rl = RuleList((Rule((0,), 1),))
-        assert predict_rule_list(rl, [0, 1]) is None
+        assert first_match_output(rl, [0, 1]) is None
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
@@ -126,7 +125,7 @@ class TestPredictRuleList:
         idx = first_match_indices(rl, data)
         for i in range(data.n_rows):
             expected = None if idx[i] == -1 else rl[int(idx[i])].output
-            assert predict_rule_list(rl, data.row(i)) == expected
+            assert first_match_output(rl, data.matrix[i]) == expected
 
 
 class TestRuleValidation:

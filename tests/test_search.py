@@ -10,19 +10,15 @@ from crl import (
     RuleList,
     SearchConfig,
     SearchError,
-    accept,
     autac_hat,
     curve,
-    init_list,
     mine_rules,
     objective,
-    propose,
     run_search,
-    temperature,
     tune_alpha,
 )
 from crl.mining import CandidatePool
-from crl.search import _Scorer
+from crl.search import _Scorer, accept, init_list, propose, temperature
 
 from conftest import make_random_dataset, make_random_preds
 from oracles import simulate_first_match
@@ -238,12 +234,6 @@ class TestRunSearch:
         cfg = SearchConfig(alpha=0.001, n_iters=2000, seed=3)
         result = run_search(data, preds, pool, cfg)
         assert Rule((0,), 1) in result.best_list.rules
-
-    def test_rules_only_scoring_runs(self):
-        data, preds, pool = small_problem(seed=13)
-        cfg = SearchConfig(alpha=0.001, n_iters=500, seed=0, scoring="rules_only")
-        result = run_search(data, preds, pool, cfg)
-        assert result.trace.best_list is result.best_list
 
     def test_rules_only_scoring_matches_per_row_oracle_bitwise(self):
         data, preds, pool = small_problem(seed=13)
