@@ -361,6 +361,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    if args.i_max < 1:
+        raise UsageError("--i-max must be >= 1")
     data, _ = _load_dataset(args)
     preds = _load_preds(args, data)
     pool = _mine(args, data, args.seed)

@@ -284,9 +284,9 @@ class ManifestColumn:
         Numeric cells are labelled ``bin{k}`` with k the number of edges
         strictly below the value; blank cells are ``<missing>``.
         """
-        pos = {c: j for j, c in enumerate(self.categories)}
-        missing = pos.get(MISSING_CATEGORY, -1)
         if self.kind != _KIND_NUMERIC:
+            pos = {c: j for j, c in enumerate(self.categories)}
+            missing = pos.get(MISSING_CATEGORY, -1)
             return np.fromiter(
                 (pos.get(v, -1) if v else missing for v in values),
                 dtype=np.intp,
@@ -296,9 +296,14 @@ class ManifestColumn:
             present, floats = _numeric_cells(self.name, values)
         except ValueError as exc:
             raise DataError(f"numeric column {self.name!r}: {exc}") from None
+        return self._bin_indices(present, floats)
+
+    def _bin_indices(self, present: np.ndarray, floats: np.ndarray) -> np.ndarray:
+        """:meth:`indices` of a numeric column from its parsed cells."""
+        pos = {c: j for j, c in enumerate(self.categories)}
         edges = np.asarray(self.edges or (), dtype=float)
         bin_index = np.array([pos.get(f"bin{k}", -1) for k in range(len(edges) + 1)])
-        idx = np.full(len(values), missing, dtype=np.intp)
+        idx = np.full(len(present), pos.get(MISSING_CATEGORY, -1), dtype=np.intp)
         idx[present] = bin_index[np.searchsorted(edges, floats, side="left")]
         return idx
 
@@ -306,14 +311,15 @@ class ManifestColumn:
         return [f"{self.name}={cat}" for cat in self.categories]
 
     @classmethod
-    def fit(cls, col: RawColumn, quantiles: int) -> "ManifestColumn":
+    def fit(cls, col: RawColumn, quantiles: int) -> tuple["ManifestColumn", np.ndarray]:
         """The kind, categories (and numeric edges) seen in ``col``, in feature order.
 
         A column is numeric when it has a non-blank cell and every non-blank
         cell parses as a float, categorical otherwise. Numeric columns list
         ``bin{k}`` by ascending k with ``<missing>`` last; categorical columns
         list their values sorted by code point, with blank cells as
-        ``<missing>`` sorted in.
+        ``<missing>`` sorted in. Returns the fitted column and the
+        :meth:`indices` of ``col``'s cells, labelled from the same parse.
         """
         try:
             present, floats = _numeric_cells(col.name, col.values)
@@ -321,11 +327,13 @@ class ManifestColumn:
             floats = None
         if floats is None or not floats.size:
             cats = sorted({v or MISSING_CATEGORY for v in col.values})
-            return cls(col.name, _KIND_CATEGORICAL, tuple(cats), None)
+            fitted = cls(col.name, _KIND_CATEGORICAL, tuple(cats), None)
+            return fitted, fitted.indices(col.values)
         edges = tuple(quantile_edges(floats, quantiles))
         codes = np.unique(np.searchsorted(edges, floats, side="left"))
         cats = [f"bin{k}" for k in codes] + [MISSING_CATEGORY] * (not present.all())
-        return cls(col.name, _KIND_NUMERIC, tuple(cats), edges)
+        fitted = cls(col.name, _KIND_NUMERIC, tuple(cats), edges)
+        return fitted, fitted._bin_indices(present, floats)
 
 
 @dataclass(frozen=True)
@@ -402,15 +410,16 @@ def binarize(
     every (column, category) pair becomes one bit column named
     ``"column=category"``. Missing values get their own category, so each row
     sets exactly one bit per source column. The encoding is fitted as a
-    manifest and applied with :func:`apply_manifest`.
+    manifest, and rows are labelled as :func:`apply_manifest` labels them.
     """
+    fitted = [ManifestColumn.fit(col, quantiles) for col in table.columns]
     manifest = BinarizationManifest(
-        columns=tuple(ManifestColumn.fit(col, quantiles) for col in table.columns),
+        columns=tuple(mcol for mcol, _ in fitted),
         label_column=table.label_column,
         positive_value=table.positive_value,
         quantiles=quantiles,
     )
-    return apply_manifest(table, manifest), manifest
+    return _one_hot(table, manifest, [idx for _, idx in fitted]), manifest
 
 
 def apply_manifest(table: RawTable, manifest: BinarizationManifest) -> BinaryDataset:
@@ -421,10 +430,17 @@ def apply_manifest(table: RawTable, manifest: BinarizationManifest) -> BinaryDat
     a category unseen at fit time set no bit in that column group (exact
     one-hot coverage is only guaranteed on the data the manifest was fitted on).
     """
-    feature_bits: list[int] = []
-    for mcol in manifest.columns:
-        idx = mcol.indices(table.column(mcol.name).values)
-        feature_bits.extend(pack_bool(idx == k) for k in range(len(mcol.categories)))
+    column_indices = [mcol.indices(table.column(mcol.name).values) for mcol in manifest.columns]
+    return _one_hot(table, manifest, column_indices)
+
+
+def _one_hot(table: RawTable, manifest: BinarizationManifest, column_indices) -> BinaryDataset:
+    """One bit column per manifest category, from each column's :meth:`ManifestColumn.indices`."""
+    feature_bits = [
+        pack_bool(idx == k)
+        for mcol, idx in zip(manifest.columns, column_indices)
+        for k in range(len(mcol.categories))
+    ]
     if not feature_bits:
         raise DataError("zero usable feature columns after binarization")
     return BinaryDataset(

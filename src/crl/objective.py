@@ -103,56 +103,76 @@ def blackbox_accuracy(data: BinaryDataset, preds: PredictionVector) -> float:
 
 
 class SweepCounts(NamedTuple):
-    """Integer counts of one prefix sweep, each indexed by level m = 0..M."""
+    """Per-level state of one prefix sweep, each list indexed by level m = 0..M."""
 
+    covered_mask: list[int]  # S_m as a row bitset
     covered: list[int]  # cumulative |S_m|
     rule_correct: list[int]  # cumulative, rules part
     base_rest: list[int]  # base-correct rows outside S_m
-    exclusive: list[int]  # per level, [0] == 0
-    exclusive_correct: list[int]  # per level, [0] == 0
+    area: list[float]  # trapezoid sum over points 0..m, twice the area
 
 
-def cover_masks(rules, data: BinaryDataset) -> list[tuple[int, int]]:
-    """Per rule, its raw cover and the covered rows its output gets right."""
+def cover_masks(rules, data: BinaryDataset) -> list[tuple[int, int, int, int]]:
+    """Per rule, its raw cover, the covered rows its output gets right, and both popcounts."""
     label_mask = data.label_mask
     neg_mask = ~label_mask & data.full_mask
     masks = []
     for r in rules:
         raw = raw_cover(r, data)
-        masks.append((raw, raw & (label_mask if r.output == 1 else neg_mask)))
+        hits = raw & (label_mask if r.output == 1 else neg_mask)
+        masks.append((raw, hits, raw.bit_count(), hits.bit_count()))
     return masks
 
 
-def sweep(masks, base_correct: int) -> SweepCounts:
-    """The prefix sweep: walk a list's (raw cover, hit mask) pairs level by level.
+def sweep(
+    masks,
+    base_correct: int,
+    n_rows: int,
+    start: SweepCounts | None = None,
+    level: int = 0,
+) -> SweepCounts:
+    """The prefix sweep: walk a list's :func:`cover_masks` entries level by level.
 
     Rows outside the first m covers are scored by ``base_correct`` (the
     black-box's correct rows for the curve, the majority class's for the
     rules-only baseline). Every other estimate in the package reads these
     counts.
+
+    Without ``start`` the walk begins at the empty list (level 0). With
+    ``start``, the sweep of a list that shares its first ``level`` rules, it
+    keeps levels 0..``level`` of ``start`` and walks only ``masks``, the rules
+    after that shared prefix. Each level's counts depend only on the level
+    before it, and the trapezoid is summed left to right as in
+    :func:`autac_hat`, so a resumed sweep is bit-identical to a full one.
     """
-    covered = 0
-    cover_cnt = 0
-    rule_correct = 0
-    covered_counts = [0]
-    rule_corrects = [0]
-    base_rest = [base_correct.bit_count()]
-    excl_counts = [0]
-    excl_corrects = [0]
-    for rc, hits in masks:
-        free = ~covered
-        exc = rc & free
-        hit = (hits & free).bit_count()
-        exc_n = exc.bit_count()
-        cover_cnt += exc_n
-        rule_correct += hit
-        covered |= rc
+    if start is None:
+        counts = SweepCounts([0], [0], [0], [base_correct.bit_count()], [0.0])
+    else:
+        counts = SweepCounts(*(col[: level + 1] for col in start))
+    covered_masks, covered_counts, rule_corrects, base_rests, areas = counts
+    covered = covered_masks[-1]
+    cover_cnt = covered_counts[-1]
+    rule_correct = rule_corrects[-1]
+    area = areas[-1]
+    base_total = base_rests[0]
+    t0 = cover_cnt / n_rows
+    a0 = (rule_correct + base_rests[-1]) / n_rows
+    # |x \ S| is taken as |x| - |x & S|: ANDing with ~S costs more in CPython.
+    for raw, hits, raw_n, hits_n in masks:
+        cover_cnt += raw_n - (raw & covered).bit_count()
+        rule_correct += hits_n - (hits & covered).bit_count()
+        covered |= raw
+        rest = base_total - (base_correct & covered).bit_count()
+        t1 = cover_cnt / n_rows
+        a1 = (rule_correct + rest) / n_rows
+        area += (a1 + a0) * (t1 - t0)
+        t0, a0 = t1, a1
+        covered_masks.append(covered)
         covered_counts.append(cover_cnt)
         rule_corrects.append(rule_correct)
-        base_rest.append((base_correct & ~covered).bit_count())
-        excl_counts.append(exc_n)
-        excl_corrects.append(hit)
-    return SweepCounts(covered_counts, rule_corrects, base_rest, excl_counts, excl_corrects)
+        base_rests.append(rest)
+        areas.append(area)
+    return counts
 
 
 def _points_from_counts(counts: SweepCounts, n_rows: int):
@@ -162,19 +182,25 @@ def _points_from_counts(counts: SweepCounts, n_rows: int):
     )
 
 
+def _differences(cumulative) -> tuple[int, ...]:
+    return (0,) + tuple(b - a for a, b in zip(cumulative, cumulative[1:]))
+
+
 def curve(
     rule_list: RuleList, data: BinaryDataset, preds: PredictionVector
 ) -> TradeoffCurve:
     """All M+1 curve points, read off a single :func:`sweep`."""
     _check_alignment(data, preds)
-    counts = sweep(cover_masks(rule_list, data), preds.correct_mask(data.labels))
+    counts = sweep(
+        cover_masks(rule_list, data), preds.correct_mask(data.labels), data.n_rows
+    )
     return TradeoffCurve(
         points=_points_from_counts(counts, data.n_rows),
         n_rows=data.n_rows,
         covered_counts=tuple(counts.covered),
         rule_correct_counts=tuple(counts.rule_correct),
-        exclusive_counts=tuple(counts.exclusive),
-        exclusive_correct_counts=tuple(counts.exclusive_correct),
+        exclusive_counts=_differences(counts.covered),
+        exclusive_correct_counts=_differences(counts.rule_correct),
     )
 
 

@@ -29,7 +29,6 @@ from .mining import CandidatePool
 from .objective import (
     ObjectiveValue,
     TradeoffCurve,
-    _points_from_counts,
     autac_hat,
     cover_masks,
     curve,
@@ -185,14 +184,19 @@ def propose(
 
 
 class _Scorer:
-    """Objective evaluation for the hot loop: one prefix sweep per proposal.
+    """Objective evaluation for the hot loop: a proposal re-sweeps from its first changed rule.
 
-    Raw covers and per-rule correct-row masks are precomputed for the whole
-    pool against the training data, so scoring a list is O(M) big-int
-    operations. Both scorings read the same :func:`sweep` as the module-level
-    curve and objective functions, so results are bit-identical to them.
-    Rules-only scoring answers uncovered rows with the training majority class
-    instead of the black-box and reads only the sweep's last level.
+    Raw covers, per-rule correct-row masks and their popcounts are
+    precomputed for the whole pool against the training data. The scorer
+    keeps the per-level :func:`sweep` state of the committed list (the last
+    one passed to :meth:`commit`). :meth:`score` finds the first position
+    where a list differs from it, comparing rules by identity, and sweeps
+    only from there; it is exact for any list, and a list sharing no prefix
+    is swept from level 0. Both scorings read the same :func:`sweep` as the
+    module-level curve and objective functions, so results are bit-identical
+    to them. Rules-only scoring answers uncovered rows with the training
+    majority class instead of the black-box and reads only the sweep's last
+    level.
     """
 
     def __init__(
@@ -215,14 +219,34 @@ class _Scorer:
         else:
             self.base_correct = preds.correct_mask(data.labels)
         self.masks = dict(zip(pool.rules, cover_masks(pool.rules, data)))
+        self.committed = ((), sweep((), self.base_correct, self.n))
+        self._scored = self.committed
 
     def score(self, rule_list: RuleList) -> float:
-        counts = sweep([self.masks[r] for r in rule_list], self.base_correct)
+        rules = rule_list.rules
+        committed_rules, committed_counts = self.committed
+        k = 0
+        for old, new in zip(committed_rules, rules):
+            if old is not new:
+                break
+            k += 1
+        counts = sweep(
+            [self.masks[r] for r in rules[k:]],
+            self.base_correct,
+            self.n,
+            committed_counts,
+            k,
+        )
+        self._scored = (rules, counts)
         if self.rules_only:
             area = (counts.rule_correct[-1] + counts.base_rest[-1]) / self.n
         else:
-            area = autac_hat(_points_from_counts(counts, self.n))
-        return area - self.alpha * len(rule_list)
+            area = 0.5 * counts.area[-1]
+        return area - self.alpha * len(rules)
+
+    def commit(self) -> None:
+        """Make the last scored list the one later proposals are swept against."""
+        self.committed = self._scored
 
 
 def run_search(
@@ -239,6 +263,7 @@ def run_search(
 
     current = init_list(pool, config.init_size, rng)
     current_obj = scorer.score(current)
+    scorer.commit()
     best_list, best_obj = current, current_obj
 
     trace = SearchTrace()
@@ -252,6 +277,7 @@ def run_search(
             accepted = accept(proposed_obj - current_obj, n, config.c0, rng)
         if accepted:
             current, current_obj = proposal, proposed_obj
+            scorer.commit()
         if current_obj > best_obj:
             best_list, best_obj = current, current_obj
         trace.steps.append(SearchStep(n, op, proposed_obj, accepted, best_obj))

@@ -572,6 +572,8 @@ KNOB_CASES = [
     ("cv", "--folds", 500, 3, "data error", "numeric"),
     ("tune", "--candidates", "0.1,x", 2, "usage error", "numeric"),
     ("tune", "--candidates", "-0.1", 2, "usage error", "numeric"),
+    ("tune", "--i-max", 0, 2, "usage error", "numeric"),
+    ("tune", "--i-max", -5, 2, "usage error", "numeric"),
     # --quantiles is checked even where no column gets quantile bins
     ("train", "--quantiles", 1, 2, "usage error", "categorical"),
     ("train", "--quantiles", 1, 2, "usage error", "manifest"),

@@ -87,7 +87,10 @@ class TestLoadTable:
 def bin_indices(values, q):
     """Each value's bin index under a numeric manifest column fitted on the values."""
     col = RawColumn("v", tuple(map(repr, values)))
-    return ManifestColumn.fit(col, q).indices(col.values)
+    mcol, fitted = ManifestColumn.fit(col, q)
+    idx = mcol.indices(col.values)
+    assert (fitted == idx).all()
+    return idx
 
 
 class TestQuantileBin:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from crl import (
     tune_alpha,
 )
 from crl.mining import CandidatePool
+from crl.objective import cover_masks, sweep
 from crl.search import _Scorer, accept, init_list, propose, temperature
 
 from conftest import make_random_dataset, make_random_preds
@@ -29,6 +31,19 @@ def small_problem(seed=0, n_rows=120):
     preds = make_random_preds(seed + 1, data, accuracy=0.75)
     pool = mine_rules(data, gamma=0.05, max_cardinality=2)
     return data, preds, pool
+
+
+def rules_only_oracle(data, rule_list, alpha):
+    """Rules-only objective by per-row first match; the majority class answers the rest."""
+    labels = data.labels.astype(int)
+    majority = 1 if 2 * int(labels.sum()) >= data.n_rows else 0
+    specs = [(r.conditions, r.output) for r in rule_list]
+    match = simulate_first_match(specs, data.matrix)
+    correct = 0
+    for i in range(data.n_rows):
+        z = majority if match[i] == -1 else specs[match[i]][1]
+        correct += int(z == labels[i])
+    return correct / data.n_rows - alpha * len(rule_list)
 
 
 def pool_from_rules(rules):
@@ -239,26 +254,83 @@ class TestRunSearch:
         data, preds, pool = small_problem(seed=13)
         alpha = 0.001
         scorer = _Scorer(data, preds, pool, alpha=alpha, scoring="rules_only")
-        labels = data.labels.astype(int)
-        majority = 1 if 2 * int(labels.sum()) >= data.n_rows else 0
         rng = np.random.default_rng(4)
         current = init_list(pool, 3, rng)
         for _ in range(200):
             current, _op = propose(current, pool, rng)
-            specs = [(r.conditions, r.output) for r in current]
-            match = simulate_first_match(specs, data.matrix)
-            correct = 0
-            for i in range(data.n_rows):
-                z = majority if match[i] == -1 else specs[match[i]][1]
-                correct += int(z == labels[i])
-            expected = correct / data.n_rows - alpha * len(current)
-            assert scorer.score(current) == expected
+            assert scorer.score(current) == rules_only_oracle(data, current, alpha)
+
+    @given(
+        seed=st.integers(0, 2**31),
+        scoring=st.sampled_from(["companion", "rules_only"]),
+        guard=st.integers(3, 8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stateful_scorer_through_random_chains(self, seed, scoring, guard):
+        data, preds, pool = small_problem(seed=seed % 7, n_rows=60)
+        alpha = 0.001
+        scorer = _Scorer(data, preds, pool, alpha=alpha, scoring=scoring)
+        masks = dict(zip(pool.rules, cover_masks(pool.rules, data)))
+
+        def full_sweep(rule_list):
+            return sweep([masks[r] for r in rule_list], scorer.base_correct, data.n_rows)
+
+        rng = np.random.default_rng(seed)
+        current = init_list(pool, 3, rng)
+        scorer.score(current)
+        scorer.commit()
+        for _ in range(60):
+            if rng.random() < 0.1:
+                proposal = current  # an identity proposal
+            else:
+                proposal, _op = propose(current, pool, rng)
+            committed = scorer.committed
+            got = scorer.score(proposal)
+            if scoring == "companion":
+                expected = objective(proposal, data, preds, alpha).objective
+            else:
+                expected = rules_only_oracle(data, proposal, alpha)
+            assert got == expected
+            if len(proposal) <= guard and rng.random() < 0.5:
+                scorer.commit()
+                current = proposal
+            else:  # rejected, by the guard or the coin
+                assert scorer.committed is committed
+            assert scorer.committed[0] == current.rules
+            assert scorer.committed[1] == full_sweep(current)
 
     def test_empty_pool_rejected(self):
         data, preds, _ = small_problem()
         empty = CandidatePool(rules=(), supports=(), gamma=0.5, max_cardinality=2)
         with pytest.raises(SearchError):
             run_search(data, preds, empty, SearchConfig(alpha=0.001, n_iters=10))
+
+
+# sha256 over (op, accepted, float.hex of the proposed and best objectives) of
+# every step of a fixed chain on small_problem(). Any change to these digests is
+# a behaviour change of the search, not a speed-up.
+TRACE_DIGESTS = {
+    "rules_only": "bef5e52abb7b2f83f8bf482219b39bd227a3abaaeaca8695411d6c575e14c3bb",
+    "companion-guard": "de81da5f2d3782a786994e604352b7d386b70c3e569719cafd45f8f563bf30ee",
+}
+
+
+@pytest.mark.parametrize(
+    "name, knobs",
+    [
+        ("rules_only", {"alpha": 0.001, "scoring": "rules_only"}),
+        ("companion-guard", {"alpha": 0.0, "max_rules_guard": 4}),
+    ],
+)
+def test_search_trace_digest(name, knobs):
+    data, preds, pool = small_problem()
+    result = run_search(data, preds, pool, SearchConfig(n_iters=2000, seed=5, **knobs))
+    h = hashlib.sha256()
+    for s in result.trace.steps:
+        h.update(
+            f"{s.op},{s.accepted},{s.proposed_objective.hex()},{s.best_objective.hex()}\n".encode()
+        )
+    assert h.hexdigest() == TRACE_DIGESTS[name]
 
 
 class TestTuneAlpha:
