@@ -210,6 +210,14 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _check_seeds(args) -> None:
+    """Reject negative seeds before any data loads; numpy refuses them later."""
+    for flag in ("seed", "oracle_seed"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
+
+
 def _load_dataset(args) -> tuple[BinaryDataset, BinarizationManifest]:
     if args.quantiles < 2:
         raise UsageError("--quantiles must be >= 2")
@@ -628,6 +636,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
+        _check_seeds(args)
         return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

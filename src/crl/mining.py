@@ -36,6 +36,12 @@ class CandidatePool:
     gamma: float
     max_cardinality: int
 
+    def __post_init__(self) -> None:
+        # The search holds lists as pool indices, so equal rules would be two
+        # different indices for one rule.
+        if len(set(self.rules)) != len(self.rules):
+            raise ValueError("candidate pool rules must be distinct")
+
     def __len__(self) -> int:
         return len(self.rules)
 

@@ -13,6 +13,13 @@ for a fixed seed. Edits that are impossible on the current list (removing from
 an empty list, swapping with fewer than two rules, inserting a rule the list
 already contains) trigger a fresh operation draw, capped at 16 attempts before
 the proposal degenerates to the unchanged list.
+
+Inside the loop a list is a tuple of indices into the candidate pool, whose
+rules are distinct, so membership is an integer test and no :class:`RuleList`
+is built until the best list is returned. Each proposal also reports the first
+position its edit touches (the insertion slot, the removed or replaced
+position, the smaller swapped position, or the list length for identity), and
+the scorer re-sweeps the objective only from that level of the current list.
 """
 
 from __future__ import annotations
@@ -64,10 +71,13 @@ class SearchConfig:
     scoring: str = SCORING_COMPANION
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
+        # NaN fails every comparison, so finiteness is checked on its own.
+        if not math.isfinite(self.alpha) or self.alpha < 0:
+            raise ValueError("alpha must be a finite number >= 0")
+        if not math.isfinite(self.c0) or self.c0 <= 0:
+            raise ValueError("c0 must be a finite positive number")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_iters < 1:
             raise ValueError("n_iters must be >= 1")
         if self.init_size < 0:
@@ -91,9 +101,6 @@ class SearchTrace:
     """Per-iteration record of the chain."""
 
     steps: list[SearchStep] = field(default_factory=list)
-
-    def best_objectives(self) -> list[float]:
-        return [s.best_objective for s in self.steps]
 
 
 @dataclass(eq=False)
@@ -122,81 +129,78 @@ def accept(delta: float, n: int, c0: float, rng: np.random.Generator) -> bool:
     return eps <= math.exp(delta / temperature(n, c0))
 
 
-def init_list(pool: CandidatePool, k: int, rng: np.random.Generator) -> RuleList:
-    """k distinct pool rules drawn uniformly without replacement, in draw order."""
+def init_list(pool: CandidatePool, k: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """k distinct pool indices drawn uniformly without replacement, in draw order."""
     if len(pool) < k:
         raise SearchError(f"pool of {len(pool)} rules is smaller than init size {k}")
     idx = rng.choice(len(pool), size=k, replace=False)
-    return RuleList(tuple(pool.rules[int(i)] for i in idx))
+    return tuple(int(i) for i in idx)
 
 
 def propose(
-    rule_list: RuleList,
+    state: tuple[int, ...],
     pool: CandidatePool,
     rng: np.random.Generator,
     max_attempts: int = 16,
-) -> tuple[RuleList, str]:
-    """Draw one edit of the list; returns (new list, operation name).
+) -> tuple[tuple[int, ...], str, int]:
+    """Draw one edit of a list of pool indices; returns (new state, operation, k).
 
     Operations are equiprobable. Add draws a pool rule, then an insertion slot
     among the M+1 positions; remove and replace draw a list position (replace
     additionally draws the incoming pool rule); swap draws two distinct
-    positions. Proposals that would violate list invariants re-draw the
-    operation, and after ``max_attempts`` failures the unchanged list is
-    returned with operation "identity". The input list is never mutated.
+    positions. Proposals that are impossible on the state, including one
+    that would hold a pool index twice, re-draw the operation, and after
+    ``max_attempts`` failures the unchanged state is returned with operation
+    "identity". ``k`` is the first position the edit touches (``len(state)``
+    for identity): the two states share their first ``k`` indices, which is
+    what :meth:`_Scorer.score` resumes from.
     """
-    rules = rule_list.rules
-    m = len(rules)
-    present = set(rules)
+    m = len(state)
+    n_pool = len(pool)
     for _ in range(max_attempts):
         delta = rng.random()
         if delta < 0.25:
-            j = int(rng.integers(len(pool)))
+            j = int(rng.integers(n_pool))
             pos = int(rng.integers(m + 1))
-            cand = pool.rules[j]
-            if cand in present:
+            if j in state:
                 continue
-            return RuleList(rules[:pos] + (cand,) + rules[pos:]), "add"
+            return state[:pos] + (j,) + state[pos:], "add", pos
         elif delta < 0.5:
             if m < 1:
                 continue
             i = int(rng.integers(m))
-            return RuleList(rules[:i] + rules[i + 1 :]), "remove"
+            return state[:i] + state[i + 1 :], "remove", i
         elif delta < 0.75:
             if m < 2:
                 continue
             i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
-            swapped = list(rules)
+            swapped = list(state)
             swapped[i], swapped[j] = swapped[j], swapped[i]
-            return RuleList(tuple(swapped)), "swap"
+            return tuple(swapped), "swap", min(i, j)
         else:
             if m < 1:
                 continue
             i = int(rng.integers(m))
-            j = int(rng.integers(len(pool)))
-            cand = pool.rules[j]
-            if cand != rules[i] and cand in present:
+            j = int(rng.integers(n_pool))
+            if j != state[i] and j in state:
                 continue
-            replaced = list(rules)
-            replaced[i] = cand
-            return RuleList(tuple(replaced)), "replace"
-    return rule_list, "identity"
+            return state[:i] + (j,) + state[i + 1 :], "replace", i
+    return state, "identity", m
 
 
 class _Scorer:
     """Objective evaluation for the hot loop: a proposal re-sweeps from its first changed rule.
 
     Raw covers, per-rule correct-row masks and their popcounts are
-    precomputed for the whole pool against the training data. The scorer
-    keeps the per-level :func:`sweep` state of the committed list (the last
-    one passed to :meth:`commit`). :meth:`score` finds the first position
-    where a list differs from it, comparing rules by identity, and sweeps
-    only from there; it is exact for any list, and a list sharing no prefix
-    is swept from level 0. Both scorings read the same :func:`sweep` as the
-    module-level curve and objective functions, so results are bit-identical
-    to them. Rules-only scoring answers uncovered rows with the training
-    majority class instead of the black-box and reads only the sweep's last
-    level.
+    precomputed for the whole pool against the training data, in a list
+    indexed like ``pool.rules``. The scorer keeps the per-level :func:`sweep`
+    state of the committed list (the last one scored before :meth:`commit`).
+    :meth:`score` takes a state of pool indices and the level ``k`` up to
+    which it agrees with the committed one, and sweeps only from there. Both
+    scorings read the same :func:`sweep` as the module-level curve and
+    objective functions, so results are bit-identical to them. Rules-only
+    scoring answers uncovered rows with the training majority class instead
+    of the black-box and reads only the sweep's last level.
     """
 
     def __init__(
@@ -218,31 +222,26 @@ class _Scorer:
                 self.base_correct = ~label_mask & data.full_mask
         else:
             self.base_correct = preds.correct_mask(data.labels)
-        self.masks = dict(zip(pool.rules, cover_masks(pool.rules, data)))
+        self.masks = cover_masks(pool.rules, data)
         self.committed = ((), sweep((), self.base_correct, self.n))
         self._scored = self.committed
 
-    def score(self, rule_list: RuleList) -> float:
-        rules = rule_list.rules
-        committed_rules, committed_counts = self.committed
-        k = 0
-        for old, new in zip(committed_rules, rules):
-            if old is not new:
-                break
-            k += 1
+    def score(self, state: tuple[int, ...], k: int) -> float:
+        """Objective of ``state``, whose first ``k`` indices are the committed state's."""
+        masks = self.masks
         counts = sweep(
-            [self.masks[r] for r in rules[k:]],
+            [masks[i] for i in state[k:]],
             self.base_correct,
             self.n,
-            committed_counts,
+            self.committed[1],
             k,
         )
-        self._scored = (rules, counts)
+        self._scored = (state, counts)
         if self.rules_only:
             area = (counts.rule_correct[-1] + counts.base_rest[-1]) / self.n
         else:
             area = 0.5 * counts.area[-1]
-        return area - self.alpha * len(rules)
+        return area - self.alpha * len(state)
 
     def commit(self) -> None:
         """Make the last scored list the one later proposals are swept against."""
@@ -262,15 +261,15 @@ def run_search(
     scorer = _Scorer(data, preds, pool, config.alpha, config.scoring)
 
     current = init_list(pool, config.init_size, rng)
-    current_obj = scorer.score(current)
+    current_obj = scorer.score(current, 0)
     scorer.commit()
-    best_list, best_obj = current, current_obj
+    best, best_obj = current, current_obj
 
     trace = SearchTrace()
     guard = config.max_rules_guard
     for n in range(1, config.n_iters + 1):
-        proposal, op = propose(current, pool, rng)
-        proposed_obj = scorer.score(proposal)
+        proposal, op, k = propose(current, pool, rng)
+        proposed_obj = scorer.score(proposal, k)
         if guard is not None and len(proposal) > guard:
             accepted = False
         else:
@@ -279,9 +278,10 @@ def run_search(
             current, current_obj = proposal, proposed_obj
             scorer.commit()
         if current_obj > best_obj:
-            best_list, best_obj = current, current_obj
+            best, best_obj = current, current_obj
         trace.steps.append(SearchStep(n, op, proposed_obj, accepted, best_obj))
 
+    best_list = RuleList(tuple(pool.rules[i] for i in best))
     best_curve = curve(best_list, data, preds)
     obj = make_objective(autac_hat(best_curve), config.alpha, len(best_list))
     return SearchResult(
@@ -340,13 +340,17 @@ def tune_alpha(
         raise ValueError("need at least one alpha candidate")
     base = base_config if base_config is not None else SearchConfig(alpha=0.0)
     children = np.random.SeedSequence(base.seed).spawn(len(candidates))
+    # Every candidate is validated before the first search runs.
+    configs = [
+        replace(base, alpha=alpha, seed=int(child.generate_state(1)[0]))
+        for alpha, child in zip(candidates, children)
+    ]
     records: list[AlphaCandidate] = []
     chosen: SearchResult | None = None
     chosen_alpha = 0.0
     best_autac = -math.inf
     ties: list[float] = []
-    for alpha, child in zip(candidates, children):
-        cfg = replace(base, alpha=alpha, seed=int(child.generate_state(1)[0]))
+    for alpha, cfg in zip(candidates, configs):
         result = run_search(data, preds, pool, cfg)
         n_rules = len(result.best_list)
         n_conditions = sum(len(r.conditions) for r in result.best_list)

@@ -130,11 +130,12 @@ def test_criterion_5_search_soundness(bench_split):
     _, data_tr, preds_tr, _, _, pool = bench_split
     cfg = SearchConfig(alpha=0.001, n_iters=3000, seed=17)
     r1 = run_search(data_tr, preds_tr, pool, cfg)
-    best = r1.trace.best_objectives()
+    best = [s.best_objective for s in r1.trace.steps]
     assert all(b0 <= b1 for b0, b1 in zip(best, best[1:]))
     from crl.search import init_list
 
-    init = init_list(pool, cfg.init_size, np.random.default_rng(cfg.seed))
+    state = init_list(pool, cfg.init_size, np.random.default_rng(cfg.seed))
+    init = RuleList(tuple(pool.rules[i] for i in state))
     assert best[-1] >= objective(init, data_tr, preds_tr, cfg.alpha).objective
     r2 = run_search(data_tr, preds_tr, pool, cfg)
     assert r1.trace.steps == r2.trace.steps

@@ -577,6 +577,19 @@ KNOB_CASES = [
     # --quantiles is checked even where no column gets quantile bins
     ("train", "--quantiles", 1, 2, "usage error", "categorical"),
     ("train", "--quantiles", 1, 2, "usage error", "manifest"),
+    # NaN passes every `<` range check, so finiteness is checked on its own
+    ("train", "--alpha", "nan", 2, "usage error", "numeric"),
+    ("train", "--alpha", "inf", 2, "usage error", "numeric"),
+    ("train", "--c0", "nan", 2, "usage error", "numeric"),
+    ("cv", "--c0", "inf", 2, "usage error", "numeric"),
+    ("tune", "--candidates", "nan,0.01", 2, "usage error", "numeric"),
+    # negative seeds are refused by flag name before any data loads
+    ("train", "--seed", -1, 2, "usage error", "numeric"),
+    ("cv", "--seed", -1, 2, "usage error", "numeric"),
+    ("tune", "--seed", -1, 2, "usage error", "numeric"),
+    ("predict", "--seed", -1, 2, "usage error", "numeric"),
+    ("synth", "--seed", -1, 2, "usage error", "numeric"),
+    ("train", "--oracle-seed", -1, 2, "usage error", "numeric"),
 ]
 
 
@@ -598,19 +611,21 @@ def test_out_of_range_knob_exit_code(tmp_path, capsys, command, knob, value, cod
         _, manifest = binarize(load_table(data_path, "y"))
         manifest.save(tmp_path / "manifest.json")
         extra = ("--manifest", tmp_path / "manifest.json")
-    got = run(
-        command,
-        "--data", data_path,
-        "--label-column", "y",
-        "--oracle-accuracy", 0.8,
-        "--iters", 20,
-        knob, value,
-        *extra,
-        "--out", tmp_path / "out",
-    )
+    common = ("--data", data_path, "--label-column", "y", "--oracle-accuracy", 0.8)
+    if command == "synth":
+        common = ()
+    elif command == "predict":
+        assert run("train", *common, "--iters", 20, "--out", tmp_path / "model") == 0
+        capsys.readouterr()
+        extra = ("--model", tmp_path / "model" / "model.json", "--transparency", 0)
+    else:
+        extra = ("--iters", 20, *extra)
+    got = run(command, *common, *extra, knob, value, "--out", tmp_path / "out")
     err = capsys.readouterr().err.splitlines()
     assert got == code
     assert len(err) == 1 and err[0].startswith(f"{kind}: "), err
+    if knob.endswith("seed"):
+        assert knob in err[0]
 
 
 # sha256 of every artifact of a fixed synth -> train -> cv -> predict run.

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crl import BinaryDataset, DataError, mine_rules
-from crl.mining import subsample_for_mining
+from crl import BinaryDataset, DataError, Rule, mine_rules
+from crl.mining import CandidatePool, subsample_for_mining
 
 from oracles import brute_force_pool
 
@@ -94,6 +94,12 @@ class TestMineRules:
             if len(r.conditions) == 2:
                 assert (r.conditions[0], r.output) in singles
                 assert (r.conditions[1], r.output) in singles
+
+    def test_pool_rejects_equal_rules(self):
+        # conditions are canonicalized, so these two rules are equal
+        rules = (Rule((1, 0), 1), Rule((0, 1), 1))
+        with pytest.raises(ValueError, match="distinct"):
+            CandidatePool(rules=rules, supports=(1.0, 1.0), gamma=0.05, max_cardinality=2)
 
 
 class TestSubsample:

@@ -52,6 +52,25 @@ def pool_from_rules(rules):
     )
 
 
+def as_state(pool, rule_list):
+    """The search's index form of a rule list: the pool index of each rule."""
+    index = {r: i for i, r in enumerate(pool.rules)}
+    return tuple(index[r] for r in rule_list)
+
+
+def as_list(pool, state):
+    """The rule list a state of pool indices stands for."""
+    return RuleList(tuple(pool.rules[i] for i in state))
+
+
+def first_difference(old, new):
+    """First position where two states differ; the shorter length if one extends the other."""
+    for i, (a, b) in enumerate(zip(old, new)):
+        if a != b:
+            return i
+    return min(len(old), len(new))
+
+
 class TestTemperature:
     def test_first_iteration_is_c0(self):
         assert temperature(1, 0.001) == 0.001
@@ -84,14 +103,15 @@ class TestAccept:
 class TestInitList:
     def test_whole_pool_when_sizes_match(self):
         rules = [Rule((i,), 1) for i in range(3)]
-        rl = init_list(pool_from_rules(rules), 3, np.random.default_rng(0))
+        pool = pool_from_rules(rules)
+        rl = as_list(pool, init_list(pool, 3, np.random.default_rng(0)))
         assert sorted(r.conditions for r in rl) == [(0,), (1,), (2,)]
 
     def test_deterministic(self):
         rules = [Rule((i,), i % 2) for i in range(10)]
         pool = pool_from_rules(rules)
-        a = init_list(pool, 3, np.random.default_rng(9))
-        b = init_list(pool, 3, np.random.default_rng(9))
+        a = as_list(pool, init_list(pool, 3, np.random.default_rng(9)))
+        b = as_list(pool, init_list(pool, 3, np.random.default_rng(9)))
         assert a.rules == b.rules
 
     def test_pool_too_small(self):
@@ -105,7 +125,7 @@ class TestInitList:
         counts = np.zeros(100)
         trials = 10_000
         for _ in range(trials):
-            first = init_list(pool, 3, rng)[0]
+            first = pool.rules[init_list(pool, 3, rng)[0]]
             counts[first.conditions[0]] += 1
         freq = counts / trials
         assert (np.abs(freq - 0.01) <= 0.003).all()
@@ -134,9 +154,9 @@ class TestPropose:
         pool = pool_from_rules(rules)
         current = RuleList((rules[0], rules[1]))
         rng = _ScriptedRng(uniforms=[0.1], integers=[4, 1])
-        new, op = propose(current, pool, rng)
-        assert op == "add"
-        assert new.rules == (rules[0], rules[4], rules[1])
+        new, op, k = propose(as_state(pool, current), pool, rng)
+        assert op == "add" and k == 1
+        assert as_list(pool, new).rules == (rules[0], rules[4], rules[1])
 
     def test_swap_infeasible_on_single_rule_list(self):
         rules = [Rule((i,), 1) for i in range(6)]
@@ -144,8 +164,8 @@ class TestPropose:
         current = RuleList((rules[0],))
         # scripted: swap requested, re-draw lands on remove
         rng = _ScriptedRng(uniforms=[0.6, 0.3], integers=[0])
-        new, op = propose(current, pool, rng)
-        assert op == "remove"
+        new, op, k = propose(as_state(pool, current), pool, rng)
+        assert op == "remove" and k == 0
         assert len(new) == 0
 
     def test_identity_after_exhausted_attempts(self):
@@ -154,9 +174,10 @@ class TestPropose:
         current = RuleList((rules[0],))
         # every attempt asks for add, which always duplicates the only rule
         rng = _ScriptedRng(uniforms=[0.1] * 16, integers=[0, 0] * 16)
-        new, op = propose(current, pool, rng)
-        assert op == "identity"
-        assert new is current
+        state = as_state(pool, current)
+        new, op, k = propose(state, pool, rng)
+        assert op == "identity" and k == 1
+        assert new is state
 
     def test_remove_then_add_restores_list(self):
         rules = [Rule((i,), 1) for i in range(3)]
@@ -172,8 +193,9 @@ class TestPropose:
         pool = pool_from_rules(rules)
         current = RuleList((rules[0], rules[3], rules[5]))
         rng = np.random.default_rng(seed)
-        new, op = propose(current, pool, rng)
-        keys = [(r.conditions, r.output) for r in new]
+        state = as_state(pool, current)
+        new, op, _k = propose(state, pool, rng)
+        keys = [(r.conditions, r.output) for r in as_list(pool, new)]
         assert len(keys) == len(set(keys))
         if op == "add":
             assert len(new) == 4
@@ -182,8 +204,31 @@ class TestPropose:
         elif op in ("swap", "replace"):
             assert len(new) == 3
         else:
-            assert op == "identity" and new is current
+            assert op == "identity" and new is state
         assert current.rules == (rules[0], rules[3], rules[5])  # input untouched
+
+    @given(
+        state=st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.integers(0, n - 1), unique=True, max_size=8)
+            )
+        ),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_k_is_first_changed_position(self, state, seed):
+        n_pool, indices = state
+        pool = pool_from_rules([Rule((i,), 1) for i in range(n_pool)])
+        old = tuple(indices)
+        new, op, k = propose(old, pool, np.random.default_rng(seed))
+        assert len(set(new)) == len(new)
+        assert all(0 <= i < n_pool for i in new)
+        if op == "identity":
+            assert new is old and k == len(old)
+        elif op == "replace" and new == old:
+            assert 0 <= k < len(old)  # a rule replaced by itself changes nothing
+        else:
+            assert k == first_difference(old, new)
 
 
 class TestRunSearch:
@@ -191,9 +236,9 @@ class TestRunSearch:
         data, preds, pool = small_problem()
         cfg = SearchConfig(alpha=0.001, n_iters=2000, seed=5)
         result = run_search(data, preds, pool, cfg)
-        best = result.trace.best_objectives()
+        best = [s.best_objective for s in result.trace.steps]
         assert all(b0 <= b1 for b0, b1 in zip(best, best[1:]))
-        init = init_list(pool, cfg.init_size, np.random.default_rng(cfg.seed))
+        init = as_list(pool, init_list(pool, cfg.init_size, np.random.default_rng(cfg.seed)))
         init_obj = objective(init, data, preds, cfg.alpha).objective
         assert best[-1] >= init_obj
         assert result.objective.objective == best[-1]
@@ -212,9 +257,13 @@ class TestRunSearch:
         scorer = _Scorer(data, preds, pool, alpha=0.001, scoring="companion")
         rng = np.random.default_rng(0)
         current = init_list(pool, 3, rng)
+        scorer.score(current, 0)
+        scorer.commit()
         for _ in range(200):
-            current, _op = propose(current, pool, rng)
-            assert scorer.score(current) == objective(data=data, preds=preds, rule_list=current, alpha=0.001).objective
+            current, _op, k = propose(current, pool, rng)
+            expected = objective(as_list(pool, current), data, preds, alpha=0.001).objective
+            assert scorer.score(current, k) == expected
+            scorer.commit()
 
     def test_guard_caps_accepted_length(self):
         data, preds, pool = small_problem(seed=2)
@@ -256,9 +305,13 @@ class TestRunSearch:
         scorer = _Scorer(data, preds, pool, alpha=alpha, scoring="rules_only")
         rng = np.random.default_rng(4)
         current = init_list(pool, 3, rng)
+        scorer.score(current, 0)
+        scorer.commit()
         for _ in range(200):
-            current, _op = propose(current, pool, rng)
-            assert scorer.score(current) == rules_only_oracle(data, current, alpha)
+            current, _op, k = propose(current, pool, rng)
+            expected = rules_only_oracle(data, as_list(pool, current), alpha)
+            assert scorer.score(current, k) == expected
+            scorer.commit()
 
     @given(
         seed=st.integers(0, 2**31),
@@ -270,33 +323,34 @@ class TestRunSearch:
         data, preds, pool = small_problem(seed=seed % 7, n_rows=60)
         alpha = 0.001
         scorer = _Scorer(data, preds, pool, alpha=alpha, scoring=scoring)
-        masks = dict(zip(pool.rules, cover_masks(pool.rules, data)))
+        masks = cover_masks(pool.rules, data)
 
-        def full_sweep(rule_list):
-            return sweep([masks[r] for r in rule_list], scorer.base_correct, data.n_rows)
+        def full_sweep(state):
+            return sweep([masks[i] for i in state], scorer.base_correct, data.n_rows)
 
         rng = np.random.default_rng(seed)
         current = init_list(pool, 3, rng)
-        scorer.score(current)
+        scorer.score(current, 0)
         scorer.commit()
         for _ in range(60):
             if rng.random() < 0.1:
-                proposal = current  # an identity proposal
+                proposal, k = current, len(current)  # an identity proposal
             else:
-                proposal, _op = propose(current, pool, rng)
+                proposal, _op, k = propose(current, pool, rng)
             committed = scorer.committed
-            got = scorer.score(proposal)
+            got = scorer.score(proposal, k)
+            rule_list = as_list(pool, proposal)
             if scoring == "companion":
-                expected = objective(proposal, data, preds, alpha).objective
+                expected = objective(rule_list, data, preds, alpha).objective
             else:
-                expected = rules_only_oracle(data, proposal, alpha)
+                expected = rules_only_oracle(data, rule_list, alpha)
             assert got == expected
             if len(proposal) <= guard and rng.random() < 0.5:
                 scorer.commit()
                 current = proposal
             else:  # rejected, by the guard or the coin
                 assert scorer.committed is committed
-            assert scorer.committed[0] == current.rules
+            assert scorer.committed[0] == current
             assert scorer.committed[1] == full_sweep(current)
 
     def test_empty_pool_rejected(self):
@@ -333,7 +387,31 @@ def test_search_trace_digest(name, knobs):
     assert h.hexdigest() == TRACE_DIGESTS[name]
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"alpha": math.nan},
+        {"alpha": math.inf},
+        {"alpha": 0.001, "c0": math.nan},
+        {"alpha": 0.001, "c0": math.inf},
+        {"alpha": 0.001, "seed": -1},
+    ],
+    ids=["alpha-nan", "alpha-inf", "c0-nan", "c0-inf", "seed-negative"],
+)
+def test_search_config_rejects_non_finite_and_negative_seed(knobs):
+    with pytest.raises(ValueError):
+        SearchConfig(**knobs)
+
+
 class TestTuneAlpha:
+    def test_every_candidate_checked_before_first_search(self, monkeypatch):
+        data, preds, pool = small_problem(seed=6)
+        searched = []
+        monkeypatch.setattr("crl.search.run_search", lambda *a: searched.append(a))
+        with pytest.raises(ValueError, match="alpha"):
+            tune_alpha(data, preds, pool, candidates=(0.001, math.nan))
+        assert searched == []
+
     def test_single_admissible_candidate_chosen(self):
         data, preds, pool = small_problem(seed=6)
         base = SearchConfig(alpha=0.0, n_iters=400, seed=2)
