@@ -63,40 +63,118 @@ def _knob_errors(knobs: str, error: type[CrlError] = UsageError):
         raise error(f"{knobs}: {exc}") from exc
 
 
-# Training and preprocessing knobs resolvable from a JSON config file; an
-# explicit command-line flag always wins over the file, the file over these.
-CONFIG_DEFAULTS = {
-    "alpha": 0.001,
-    "c0": 0.001,
-    "iters": 50_000,
-    "seed": 0,
-    "init_size": 3,
-    "max_rules": None,
-    "gamma": 0.05,
-    "max_card": 2,
-    "mine_fraction": 1.0,
-    "quantiles": 7,
-    "folds": 5,
-}
+@dataclass(frozen=True)
+class Knob:
+    """A flag with a default, declared once for every subcommand that takes it.
+
+    The parser leaves the flag ``None`` when it is not given; resolution then
+    fills in the ``--config`` value (``config`` rows only) or ``default``, and
+    checks ``minimum``. Every other range check stays in the library.
+    """
+
+    flag: str
+    type: type
+    default: object
+    help: str
+    commands: tuple[str, ...]
+    minimum: int | None = None
+    config: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
-def _apply_config(args) -> None:
-    cfg = {}
-    path = getattr(args, "config", None)
-    if path:
-        try:
-            obj = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise DataError(f"{path}: config must be a JSON object")
-        unknown = sorted(set(obj) - set(CONFIG_DEFAULTS))
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        cfg = obj
-    for key, hard_default in CONFIG_DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, cfg.get(key, hard_default))
+_DATA = ("train", "evaluate", "predict", "mine", "tune", "cv")
+_PREDS = ("train", "evaluate", "predict", "tune", "cv")
+_MINING = ("train", "mine", "tune", "cv")
+_SEARCH = ("train", "tune", "cv")
+
+KNOBS = (
+    Knob("--delimiter", str, ",", "field delimiter of the input files", _DATA),
+    Knob("--quantiles", int, 7, "bins per numeric column", _DATA, minimum=2, config=True),
+    Knob("--oracle-seed", int, 0, "seed of the --oracle-accuracy black-box", _PREDS, minimum=0),
+    Knob("--gamma", float, 0.05, "min class support", _MINING, config=True),
+    Knob("--max-card", int, 2, "max conditions per rule", _MINING, config=True),
+    Knob(
+        "--mine-fraction",
+        float,
+        1.0,
+        "count supports on a row subsample of this fraction "
+        "(the search still scores rules on every row)",
+        _MINING,
+        config=True,
+    ),
+    Knob("--alpha", float, 0.001, "rule-count penalty", _SEARCH, config=True),
+    Knob("--c0", float, 0.001, "initial temperature", _SEARCH, config=True),
+    Knob("--iters", int, 50_000, "search iterations", _SEARCH, config=True),
+    Knob("--seed", int, 0, "seed of mining, search and folds", _SEARCH, minimum=0, config=True),
+    Knob("--init-size", int, 3, "rules in the initial list", _SEARCH, config=True),
+    Knob("--max-rules", int, None, "hard cap on accepted list length", _SEARCH, config=True),
+    Knob("--i-max", int, 20, "rule-count admissibility cap", ("tune",), minimum=1),
+    Knob("--folds", int, 5, "cross-validation folds", ("cv",), minimum=2, config=True),
+    Knob("--seed", int, 0, "seed for --transparency draws", ("predict",), minimum=0),
+    Knob("--rows", int, 2000, "rows to generate", ("synth",), minimum=1),
+    Knob("--seed", int, 0, "random seed", ("mine", "synth"), minimum=0),
+    Knob(
+        "--oracle-accuracy", float, 0.85, "black-box accuracy off the planted region", ("synth",)
+    ),
+    Knob(
+        "--covered-oracle-accuracy",
+        float,
+        0.75,
+        "black-box accuracy on the planted region",
+        ("synth",),
+    ),
+)
+CONFIG_KNOBS = {k.dest: k for k in KNOBS if k.config}
+
+
+def _read_config(path) -> dict:
+    """A ``--config`` JSON object whose every value has its knob's type."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(obj) - set(CONFIG_KNOBS))
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in obj.items():
+        knob = CONFIG_KNOBS[key]
+        if value is None and knob.default is None:
+            continue
+        # bool is an int subclass, but JSON true/false are not numbers
+        number = (int, float) if knob.type is float else int
+        if not isinstance(value, bool) and isinstance(value, number):
+            try:
+                obj[key] = knob.type(value)  # the type the flag would parse to
+                continue
+            except OverflowError:  # an integer beyond the float range
+                pass
+        kind = "a number" if knob.type is float else "an integer"
+        if knob.default is None:
+            kind += " or null"
+        raise UsageError(f"config key {key!r} must be {kind}, not {json.dumps(value)}")
+    return obj
+
+
+def _resolve_knobs(args) -> None:
+    """Give every unset knob its ``--config`` value or default, then check it.
+
+    Runs before any data loads. An explicit flag always wins over the file,
+    the file over the default.
+    """
+    config = _read_config(args.config) if getattr(args, "config", None) else {}
+    for knob in args.knobs:
+        if getattr(args, knob.dest) is None:
+            value = config.get(knob.dest, knob.default) if knob.config else knob.default
+            setattr(args, knob.dest, value)
+        if knob.minimum is not None and getattr(args, knob.dest) < knob.minimum:
+            raise UsageError(f"{knob.flag} must be >= {knob.minimum}")
+    if len(getattr(args, "delimiter", ",")) != 1:
+        raise UsageError("--delimiter must be exactly one character")
 
 
 @dataclass(eq=False)
@@ -133,94 +211,7 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# Shared flag groups
-# ---------------------------------------------------------------------------
-
-
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", required=True, help="delimited text file with a header row")
-    p.add_argument("--label-column", required=True, help="name of the label column")
-    p.add_argument(
-        "--positive-value",
-        default=None,
-        help="label value mapped to class 1 (default: lexicographically larger)",
-    )
-    p.add_argument("--delimiter", default=",")
-    p.add_argument(
-        "--quantiles", type=int, default=None, help="bins per numeric column (default 7)"
-    )
-    p.add_argument(
-        "--manifest",
-        default=None,
-        help="binarization manifest JSON; reuse training-time categories and edges",
-    )
-
-
-def _add_preds_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--preds", default=None, help="black-box predictions, one 0/1 value per line"
-    )
-    p.add_argument(
-        "--pred-column", default=None, help="read predictions from this CSV column"
-    )
-    p.add_argument(
-        "--oracle-accuracy",
-        type=float,
-        default=None,
-        help="synthesize a black-box with this per-row accuracy instead of --preds",
-    )
-    p.add_argument("--oracle-seed", type=int, default=0)
-
-
-def _add_mining_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, default=None, help="min class support (default 0.05)")
-    p.add_argument(
-        "--max-card", type=int, default=None, help="max conditions per rule (default 2)"
-    )
-    p.add_argument(
-        "--mine-fraction",
-        type=float,
-        default=None,
-        help="count supports on a row subsample of this fraction "
-        "(the search still scores rules on every row)",
-    )
-
-
-def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--alpha", type=float, default=None, help="rule-count penalty (default 0.001)"
-    )
-    p.add_argument(
-        "--c0", type=float, default=None, help="initial temperature (default 0.001)"
-    )
-    p.add_argument(
-        "--iters", type=int, default=None, help="search iterations (default 50000)"
-    )
-    p.add_argument("--seed", type=int, default=None, help="default 0")
-    p.add_argument("--init-size", type=int, default=None, help="default 3")
-    p.add_argument(
-        "--max-rules", type=int, default=None, help="hard cap on accepted list length"
-    )
-    p.add_argument(
-        "--config",
-        default=None,
-        help="JSON file supplying any of the training/preprocessing knobs; "
-        "explicit flags take precedence",
-    )
-
-
-def _check_seeds(args) -> None:
-    """Reject negative seeds before any data loads; numpy refuses them later."""
-    for flag in ("seed", "oracle_seed"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
-
-
 def _load_dataset(args) -> tuple[BinaryDataset, BinarizationManifest]:
-    if args.quantiles < 2:
-        raise UsageError("--quantiles must be >= 2")
     manifest = BinarizationManifest.load(args.manifest) if args.manifest else None
     positive_value = args.positive_value
     if manifest is not None:
@@ -369,8 +360,6 @@ def cmd_mine(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    if args.i_max < 1:
-        raise UsageError("--i-max must be >= 1")
     data, _ = _load_dataset(args)
     preds = _load_preds(args, data)
     pool = _mine(args, data, args.seed)
@@ -419,8 +408,6 @@ def cmd_cv(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     data, manifest = _load_dataset(args)
     preds = _load_preds(args, data)
-    if args.folds < 2:
-        raise UsageError("--folds must be >= 2")
     with _knob_errors("--folds", DataError):
         folds = split_folds(data, k=args.folds, seed=args.seed)
     fold_seeds = [
@@ -491,12 +478,13 @@ def cmd_cv(args) -> int:
 def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    bench = planted_benchmark(
-        n_rows=args.rows,
-        seed=args.seed,
-        oracle_accuracy=args.oracle_accuracy,
-        covered_oracle_accuracy=args.covered_oracle_accuracy,
-    )
+    with _knob_errors("--oracle-accuracy/--covered-oracle-accuracy"):
+        bench = planted_benchmark(
+            n_rows=args.rows,
+            seed=args.seed,
+            oracle_accuracy=args.oracle_accuracy,
+            covered_oracle_accuracy=args.covered_oracle_accuracy,
+        )
     with (out / "data.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(bench.data.feature_names) + ["label"])
@@ -542,6 +530,42 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _subcommand(sub, name: str, handler, help: str, **kwargs) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` with the path flags of its groups and its knobs."""
+    p = sub.add_parser(name, help=help, **kwargs)
+    if name in _DATA:
+        p.add_argument("--data", required=True, help="delimited text file with a header row")
+        p.add_argument("--label-column", required=True, help="name of the label column")
+        p.add_argument(
+            "--positive-value",
+            help="label value mapped to class 1 (default: lexicographically larger)",
+        )
+        p.add_argument(
+            "--manifest",
+            help="binarization manifest JSON; reuse training-time categories and edges",
+        )
+    if name in _PREDS:
+        p.add_argument("--preds", help="black-box predictions, one 0/1 value per line")
+        p.add_argument("--pred-column", help="read predictions from this CSV column")
+        p.add_argument(
+            "--oracle-accuracy",
+            type=float,
+            help="synthesize a black-box with this per-row accuracy instead of --preds",
+        )
+    if name in _SEARCH:
+        p.add_argument(
+            "--config",
+            help="JSON file supplying any of the training/preprocessing knobs; "
+            "explicit flags take precedence",
+        )
+    knobs = tuple(k for k in KNOBS if name in k.commands)
+    for k in knobs:
+        shown = k.help if k.default is None else f"{k.help} (default {k.default!r})"
+        p.add_argument(k.flag, type=k.type, help=shown)
+    p.set_defaults(handler=handler, knobs=knobs)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crl",
@@ -549,84 +573,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="mine a pool and fit a companion rule list")
-    _add_data_flags(p)
-    _add_preds_flags(p)
-    _add_mining_flags(p)
-    _add_search_flags(p)
+    p = _subcommand(sub, "train", cmd_train, "mine a pool and fit a companion rule list")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(handler=cmd_train)
 
     # `pair` scores an externally trained rule list, converted to the model
     # schema, as a naive companion under the same estimators.
-    p = sub.add_parser(
-        "evaluate", aliases=["pair"], help="score a stored or imported model on a dataset"
+    p = _subcommand(
+        sub,
+        "evaluate",
+        cmd_evaluate,
+        "score a stored or imported model on a dataset",
+        aliases=["pair"],
     )
-    _add_data_flags(p)
-    _add_preds_flags(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--curve-out", default=None)
-    p.set_defaults(handler=cmd_evaluate)
+    p.add_argument("--curve-out")
 
-    p = sub.add_parser("predict", help="per-row predictions with provenance")
-    _add_data_flags(p)
-    _add_preds_flags(p)
+    p = _subcommand(sub, "predict", cmd_predict, "per-row predictions with provenance")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0, help="seed for --transparency draws")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--level", type=int, default=None)
-    mode.add_argument("--transparency", type=float, default=None)
+    mode.add_argument("--level", type=int)
+    mode.add_argument("--transparency", type=float)
     mode.add_argument("--all-blackbox", action="store_true")
     mode.add_argument("--all-rules", action="store_true")
-    p.set_defaults(handler=cmd_predict)
 
-    p = sub.add_parser("mine", help="export the candidate rule pool as JSON")
-    _add_data_flags(p)
-    _add_mining_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p = _subcommand(sub, "mine", cmd_mine, "export the candidate rule pool as JSON")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_mine)
 
-    p = sub.add_parser("tune", help="sweep the length penalty alpha")
-    _add_data_flags(p)
-    _add_preds_flags(p)
-    _add_mining_flags(p)
-    _add_search_flags(p)
-    p.add_argument(
-        "--candidates", default=None, help="comma-separated alpha values to try"
-    )
-    p.add_argument("--i-max", type=int, default=20, help="rule-count admissibility cap")
+    p = _subcommand(sub, "tune", cmd_tune, "sweep the length penalty alpha")
+    p.add_argument("--candidates", help="comma-separated alpha values to try")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--model-out", default=None, help="save the chosen model here")
-    p.set_defaults(handler=cmd_tune)
+    p.add_argument("--model-out", help="save the chosen model here")
 
-    p = sub.add_parser("cv", help="k-fold cross-validated training and evaluation")
-    _add_data_flags(p)
-    _add_preds_flags(p)
-    _add_mining_flags(p)
-    _add_search_flags(p)
-    p.add_argument("--folds", type=int, default=None, help="default 5")
+    p = _subcommand(sub, "cv", cmd_cv, "k-fold cross-validated training and evaluation")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(handler=cmd_cv)
 
-    p = sub.add_parser("synth", help="emit the planted-rule benchmark")
-    p.add_argument("--rows", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--oracle-accuracy",
-        type=float,
-        default=0.85,
-        help="black-box accuracy off the planted region",
-    )
-    p.add_argument(
-        "--covered-oracle-accuracy",
-        type=float,
-        default=0.75,
-        help="black-box accuracy on the planted region",
-    )
+    p = _subcommand(sub, "synth", cmd_synth, "emit the planted-rule benchmark")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(handler=cmd_synth)
 
     return parser
 
@@ -635,8 +618,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
-        _check_seeds(args)
+        _resolve_knobs(args)
         return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

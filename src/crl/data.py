@@ -23,13 +23,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .bits import pack_bool, unpack_bool
 from .errors import DataError
 
 MISSING_CATEGORY = "<missing>"
 
 _KIND_NUMERIC = "numeric"
 _KIND_CATEGORICAL = "categorical"
+
+
+def pack_bool(column: np.ndarray) -> int:
+    """Pack a boolean row vector into an int bitset (bit i = row i)."""
+    packed = np.packbits(np.asarray(column, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def unpack_bool(bits: int, n_rows: int) -> np.ndarray:
+    """Inverse of :func:`pack_bool` for the first ``n_rows`` bits."""
+    n_bytes = max(1, (n_rows + 7) // 8)
+    raw = np.frombuffer(bits.to_bytes(n_bytes, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:n_rows].astype(bool)
 
 
 @dataclass(frozen=True)
@@ -69,7 +81,8 @@ class BinaryDataset:
     """An immutable N x d' binary feature matrix with labels.
 
     Features are stored column-major as int bitsets (bit i = row i), which is
-    what makes cover computation and all downstream counting cheap.
+    what makes cover computation and all downstream counting cheap; counts
+    come from ``int.bit_count`` and so stay exact integers.
     """
 
     feature_bits: tuple[int, ...]
@@ -176,7 +189,7 @@ def load_table(
     lexicographically larger one is positive), or already be 0/1.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
@@ -471,12 +484,12 @@ def load_predictions(
     path = Path(path)
     values: list[str] = []
     if column is None:
-        for line in path.read_text().splitlines():
+        for line in path.read_text(encoding="utf-8-sig").splitlines():
             line = line.strip()
             if line:
                 values.append(line)
     else:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh, delimiter=delimiter)
             if reader.fieldnames is None or column not in reader.fieldnames:
                 raise DataError(f"{path}: missing prediction column {column!r}")

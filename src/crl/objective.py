@@ -255,7 +255,8 @@ def level_for_t(t_values, t: float) -> tuple[int, float]:
     transparency values (rules with empty exclusive cover) are skipped by
     always taking the last index among ties.
     """
-    if t < 0.0 or t > t_values[-1]:
+    # written so that NaN, which fails every comparison, is refused too
+    if not 0.0 <= t <= t_values[-1]:
         raise DataError(
             f"transparency {t} exceeds list coverage {t_values[-1]} "
             "(no rule level reaches it)"

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import unpack_bool
-from .data import BinaryDataset
+from .data import BinaryDataset, unpack_bool
 
 # A condition is an index into the dataset's binary feature columns; the
 # condition holds on a row when that bit is set. Negations are expressed

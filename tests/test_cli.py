@@ -1,5 +1,8 @@
+import argparse
 import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import re
 
@@ -11,12 +14,17 @@ from crl import (
     CompanionEvaluator,
     apply_manifest,
     binarize,
+    SearchConfig,
     curve,
     load_model,
     load_predictions,
     load_table,
+    mine_rules,
+    planted_benchmark,
     resolve_rules,
+    split_folds,
 )
+from crl import cli
 from crl.cli import main
 from crl.model_io import ModelDocument, load_curve_csv, save_model
 from crl.rules import exclusive_covers
@@ -590,6 +598,18 @@ KNOB_CASES = [
     ("predict", "--seed", -1, 2, "usage error", "numeric"),
     ("synth", "--seed", -1, 2, "usage error", "numeric"),
     ("train", "--oracle-seed", -1, 2, "usage error", "numeric"),
+    # minimums are checked before the data file is even opened
+    ("cv", "--folds", 1, 2, "usage error", "missing"),
+    ("tune", "--i-max", 0, 2, "usage error", "missing"),
+    ("train", "--quantiles", 1, 2, "usage error", "missing"),
+    ("synth", "--rows", -3, 2, "usage error", "numeric"),
+    ("synth", "--rows", 0, 2, "usage error", "numeric"),
+    ("synth", "--oracle-accuracy", "nan", 2, "usage error", "numeric"),
+    ("synth", "--oracle-accuracy", 2, 2, "usage error", "numeric"),
+    ("synth", "--covered-oracle-accuracy", "nan", 2, "usage error", "numeric"),
+    ("train", "--delimiter", "", 2, "usage error", "numeric"),
+    ("train", "--delimiter", "ab", 2, "usage error", "missing"),
+    ("predict", "--transparency", "nan", 3, "data error", "numeric"),
 ]
 
 
@@ -611,6 +631,8 @@ def test_out_of_range_knob_exit_code(tmp_path, capsys, command, knob, value, cod
         _, manifest = binarize(load_table(data_path, "y"))
         manifest.save(tmp_path / "manifest.json")
         extra = ("--manifest", tmp_path / "manifest.json")
+    elif table == "missing":
+        data_path = tmp_path / "absent.csv"
     common = ("--data", data_path, "--label-column", "y", "--oracle-accuracy", 0.8)
     if command == "synth":
         common = ()
@@ -624,7 +646,7 @@ def test_out_of_range_knob_exit_code(tmp_path, capsys, command, knob, value, cod
     err = capsys.readouterr().err.splitlines()
     assert got == code
     assert len(err) == 1 and err[0].startswith(f"{kind}: "), err
-    if knob.endswith("seed"):
+    if knob.endswith("seed") or knob in ("--rows", "--delimiter"):
         assert knob in err[0]
 
 
@@ -687,3 +709,203 @@ def test_golden_artifact_digests(tmp_path, monkeypatch):
         for name in GOLDEN_DIGESTS
     }
     assert got == GOLDEN_DIGESTS
+
+
+# The flag surface of every subcommand: each option string and the value it
+# resolves to when only the required flags are given and no --config is read.
+DATA_FLAGS = {
+    "--data": "d.csv",
+    "--label-column": "y",
+    "--positive-value": None,
+    "--delimiter": ",",
+    "--quantiles": 7,
+    "--manifest": None,
+}
+PREDS_FLAGS = {"--preds": None, "--pred-column": None, "--oracle-accuracy": None, "--oracle-seed": 0}
+MINING_FLAGS = {"--gamma": 0.05, "--max-card": 2, "--mine-fraction": 1.0}
+SEARCH_FLAGS = {
+    "--alpha": 0.001,
+    "--c0": 0.001,
+    "--iters": 50000,
+    "--seed": 0,
+    "--init-size": 3,
+    "--max-rules": None,
+    "--config": None,
+}
+EVALUATE_FLAGS = {**DATA_FLAGS, **PREDS_FLAGS, "--model": "m.json", "--curve-out": None}
+FLAG_SURFACE = {
+    "train": {**DATA_FLAGS, **PREDS_FLAGS, **MINING_FLAGS, **SEARCH_FLAGS, "--out": "o"},
+    "evaluate": EVALUATE_FLAGS,
+    "pair": EVALUATE_FLAGS,
+    "predict": {
+        **DATA_FLAGS,
+        **PREDS_FLAGS,
+        "--model": "m.json",
+        "--out": "o",
+        "--seed": 0,
+        "--level": 0,
+        "--transparency": None,
+        "--all-blackbox": False,
+        "--all-rules": False,
+    },
+    "mine": {**DATA_FLAGS, **MINING_FLAGS, "--seed": 0, "--out": "o"},
+    "tune": {
+        **DATA_FLAGS,
+        **PREDS_FLAGS,
+        **MINING_FLAGS,
+        **SEARCH_FLAGS,
+        "--candidates": None,
+        "--i-max": 20,
+        "--out": "o",
+        "--model-out": None,
+    },
+    "cv": {**DATA_FLAGS, **PREDS_FLAGS, **MINING_FLAGS, **SEARCH_FLAGS, "--folds": 5, "--out": "o"},
+    "synth": {
+        "--rows": 2000,
+        "--seed": 0,
+        "--oracle-accuracy": 0.85,
+        "--covered-oracle-accuracy": 0.75,
+        "--out": "o",
+    },
+}
+CONFIG_KEYS = {
+    "alpha": 0.01,
+    "c0": 0.002,
+    "iters": 10,
+    "seed": 3,
+    "init_size": 2,
+    "max_rules": 5,
+    "gamma": 0.1,
+    "max_card": 1,
+    "mine_fraction": 0.5,
+    "quantiles": 4,
+    "folds": 3,
+}
+
+
+def resolved_args(monkeypatch, command, *extra):
+    """The namespace ``main`` hands to the subcommand's handler."""
+    surface = FLAG_SURFACE[command]
+    argv = [command]
+    for flag in ("--data", "--label-column", "--model", "--out"):
+        if flag in surface:
+            argv += [flag, surface[flag]]
+    if command == "predict":
+        argv += ["--level", "0"]
+    seen = []
+    handler = "cmd_evaluate" if command == "pair" else f"cmd_{command}"
+    monkeypatch.setattr(cli, handler, lambda args: seen.append(args) or 0)
+    assert main([*argv, *map(str, extra)]) == 0
+    return seen[0]
+
+
+def typed(values):
+    return {key: (type(v), v) for key, v in values.items()}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_SURFACE))
+def test_flag_surface_and_resolved_defaults(monkeypatch, command):
+    args = resolved_args(monkeypatch, command)
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    got = {
+        flag: getattr(args, action.dest)
+        for action in subparsers.choices[command]._actions
+        for flag in action.option_strings
+        if action.dest != "help"
+    }
+    assert typed(got) == typed(FLAG_SURFACE[command])
+
+
+def test_every_config_key_is_applied(monkeypatch, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONFIG_KEYS))
+    args = resolved_args(monkeypatch, "cv", "--config", cfg)
+    assert typed({key: getattr(args, key) for key in CONFIG_KEYS}) == typed(CONFIG_KEYS)
+
+
+def test_cli_defaults_equal_library_defaults():
+    search = {f.name: f.default for f in dataclasses.fields(SearchConfig)}
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    train, synth = FLAG_SURFACE["train"], FLAG_SURFACE["synth"]
+    pairs = [
+        (train["--c0"], search["c0"]),
+        (train["--iters"], search["n_iters"]),
+        (train["--seed"], search["seed"]),
+        (train["--init-size"], search["init_size"]),
+        (train["--max-rules"], search["max_rules_guard"]),
+        (train["--gamma"], default(mine_rules, "gamma")),
+        (train["--max-card"], default(mine_rules, "max_cardinality")),
+        (train["--quantiles"], default(binarize, "quantiles")),
+        (FLAG_SURFACE["cv"]["--folds"], default(split_folds, "k")),
+        (synth["--rows"], default(planted_benchmark, "n_rows")),
+        (synth["--oracle-accuracy"], default(planted_benchmark, "oracle_accuracy")),
+        (
+            synth["--covered-oracle-accuracy"],
+            default(planted_benchmark, "covered_oracle_accuracy"),
+        ),
+    ]
+    for cli_default, library_default in pairs:
+        assert (type(cli_default), cli_default) == (type(library_default), library_default)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"seed": "1"},
+        {"alpha": "0.01"},
+        {"gamma": "0.1"},
+        {"max_rules": "x"},
+        {"alpha": None},
+        {"iters": 2.5},
+        {"quantiles": 7.0},
+        {"iters": True},
+        {"max_card": 1.5},
+        {"mine_fraction": False},
+        {"alpha": 10**400},
+    ],
+    ids=lambda v: json.dumps(v)[:32],
+)
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, values):
+    data_path = tmp_path / "d.csv"
+    write_random_csv(data_path, 200, seed=0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"iters": 20, **values}))
+    code = run(
+        "train", "--data", data_path, "--label-column", "y", "--oracle-accuracy", 0.8,
+        "--config", cfg, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    (key,) = values
+    assert repr(key) in one_error_line(capsys, "usage error")
+
+
+def test_config_integer_for_float_knob_resolves_as_the_flag_would(monkeypatch, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0, "mine_fraction": 1, "max_rules": None}))
+    args = resolved_args(monkeypatch, "train", "--config", cfg)
+    got = {"alpha": args.alpha, "mine_fraction": args.mine_fraction, "max_rules": args.max_rules}
+    assert typed(got) == typed({"alpha": 0.0, "mine_fraction": 1.0, "max_rules": None})
+
+
+def test_utf8_bom_is_not_part_of_the_first_column(bench_dir, tmp_path):
+    # a BOM copy of the table and predictions trains the same model bytes
+    plain = (bench_dir / "data.csv").read_bytes(), (bench_dir / "preds.txt").read_bytes()
+    outs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        data_path, preds_path = tmp_path / f"d{len(prefix)}.csv", tmp_path / f"p{len(prefix)}.txt"
+        data_path.write_bytes(prefix + plain[0])
+        preds_path.write_bytes(prefix + plain[1])
+        out = tmp_path / f"run{len(prefix)}"
+        code = run(
+            "train", "--data", data_path, "--label-column", "label", "--preds", preds_path,
+            "--gamma", 0.1, "--iters", 200, "--out", out,
+        )
+        assert code == 0
+        outs.append(out)
+    for name in ("manifest.json", "model.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

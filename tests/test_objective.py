@@ -109,6 +109,12 @@ class TestLevelForT:
         with pytest.raises(DataError, match="exceeds list coverage"):
             level_for_t(c.transparency, 0.7)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_raises(self, t):
+        c = TradeoffCurve.from_points(FIG_POINTS)
+        with pytest.raises(DataError, match="exceeds list coverage"):
+            level_for_t(c.transparency, t)
+
     def test_duplicate_levels_skipped(self):
         c = TradeoffCurve.from_points(((0.0, 0.9), (0.4, 0.85), (0.4, 0.85), (0.8, 0.8)))
         m, q = level_for_t(c.transparency, 0.4)
