@@ -30,6 +30,7 @@ from .data import (
     binarize,
     load_predictions,
     load_table,
+    read_json,
     split_folds,
     synth_oracle,
     train_indices,
@@ -45,7 +46,7 @@ from .model_io import (
     save_pool,
     save_trace_csv,
 )
-from .objective import autac_hat, blackbox_accuracy, curve
+from .objective import autac_hat, curve
 from .search import ALPHA_CANDIDATES, SearchConfig, run_search, tune_alpha
 from .synth import planted_benchmark
 
@@ -132,10 +133,7 @@ CONFIG_KNOBS = {k.dest: k for k in KNOBS if k.config}
 
 def _read_config(path) -> dict:
     """A ``--config`` JSON object whose every value has its knob's type."""
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise DataError(f"{path}: config must be a JSON object")
     unknown = sorted(set(obj) - set(CONFIG_KNOBS))
@@ -288,7 +286,7 @@ def cmd_train(args) -> int:
         result.curve,
         training={
             "n_rows": data.n_rows,
-            "blackbox_accuracy": blackbox_accuracy(data, preds),
+            "blackbox_accuracy": result.curve.points[0][1],
             "autac": result.objective.autac,
             "alpha": result.objective.alpha,
             "objective": result.objective.objective,

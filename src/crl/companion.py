@@ -19,8 +19,14 @@ import numpy as np
 
 from .data import BinaryDataset, PredictionVector
 from .errors import DataError
-from .objective import TradeoffCurve, autac_hat, curve, level_for_t
-from .rules import RuleList, first_match, first_match_indices
+from .objective import (
+    TradeoffCurve,
+    autac_hat,
+    first_match_indices,
+    level_for_t,
+    list_sweep,
+)
+from .rules import RuleList, first_match
 
 
 def _check_level(m: int, n_levels: int) -> None:
@@ -31,10 +37,10 @@ def _check_level(m: int, n_levels: int) -> None:
 class CompanionEvaluator:
     """Dataset-aligned evaluation: curve and every prediction mode.
 
-    The first-match index of every row is computed once at construction; each
-    prediction mode is then a few vector comparisons against it (level m adopts
-    rows with ``0 <= index < m``, the stochastic band is ``index == m``), which
-    keeps Monte Carlo studies of the stochastic mode cheap.
+    One prefix sweep at construction gives the curve and each row's first-match
+    index; each prediction mode is then a few vector comparisons against that
+    index (level m adopts rows with ``0 <= index < m``, the stochastic band is
+    ``index == m``), which keeps Monte Carlo studies of the stochastic mode cheap.
     """
 
     def __init__(
@@ -43,8 +49,9 @@ class CompanionEvaluator:
         self.rule_list = rule_list
         self.data = data
         self.preds = preds
-        self.curve: TradeoffCurve = curve(rule_list, data, preds)
-        self._first_idx = first_match_indices(rule_list, data)
+        counts = list_sweep(rule_list, data, preds)
+        self.curve = TradeoffCurve.from_sweep(counts, data.n_rows)
+        self._first_idx = first_match_indices(counts, data.n_rows)
         outputs = np.array([r.output for r in rule_list] + [0], dtype=np.uint8)
         self._rule_preds = outputs[self._first_idx]  # arbitrary where uncovered
         self._bb = preds.preds

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -171,6 +172,25 @@ class PredictionVector:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _decoding(path):
+    """Report text in ``path`` that is not valid UTF-8 as a DataError naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8: {exc}") from None
+
+
+def read_json(path):
+    """The value of a UTF-8 JSON file; bad bytes or bad JSON are a DataError."""
+    with _decoding(path):
+        text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def load_table(
     path,
     label: str,
@@ -189,7 +209,7 @@ def load_table(
     lexicographically larger one is positive), or already be 0/1.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with _decoding(path), path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
@@ -404,11 +424,7 @@ class BinarizationManifest:
 
     @classmethod
     def load(cls, path) -> "BinarizationManifest":
-        try:
-            obj = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON: {exc}") from exc
-        return cls.from_obj(obj)
+        return cls.from_obj(read_json(path))
 
     def feature_names(self) -> list[str]:
         return [name for c in self.columns for name in c.feature_names()]
@@ -484,12 +500,14 @@ def load_predictions(
     path = Path(path)
     values: list[str] = []
     if column is None:
-        for line in path.read_text(encoding="utf-8-sig").splitlines():
+        with _decoding(path):
+            text = path.read_text(encoding="utf-8-sig")
+        for line in text.splitlines():
             line = line.strip()
             if line:
                 values.append(line)
     else:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
+        with _decoding(path), path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh, delimiter=delimiter)
             if reader.fieldnames is None or column not in reader.fieldnames:
                 raise DataError(f"{path}: missing prediction column {column!r}")

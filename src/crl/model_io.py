@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import BinaryDataset
+from .data import BinaryDataset, read_json
 from .errors import DataError
 from .mining import CandidatePool
 from .objective import TradeoffCurve
@@ -145,11 +145,7 @@ def model_from_obj(obj) -> ModelDocument:
 
 
 def load_model(path) -> ModelDocument:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    return model_from_obj(obj)
+    return model_from_obj(read_json(path))
 
 
 def resolve_rules(doc: ModelDocument, data: BinaryDataset) -> RuleList:
@@ -205,25 +201,11 @@ def save_curve_csv(path, curve: TradeoffCurve) -> None:
         writer = csv.writer(fh)
         writer.writerow(CURVE_FIELDS)
         for m, (t, a) in enumerate(curve.points):
-            if m == 0:
-                exc, racc = 0, None
-            else:
-                exc = curve.exclusive_counts[m] if curve.exclusive_counts else ""
-                racc = curve.rule_part_accuracy(m) if curve.exclusive_counts else None
+            exc = curve.exclusive_counts[m]
+            racc = None if m == 0 else curve.rule_part_accuracy(m)
             writer.writerow(
                 [m, repr(t), repr(a), exc, "" if racc is None else repr(racc)]
             )
-
-
-def load_curve_csv(path) -> TradeoffCurve:
-    points = []
-    excl = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            points.append((float(rec["transparency"]), float(rec["accuracy"])))
-            excl.append(int(rec["exclusive_support"]) if rec["exclusive_support"] else 0)
-    return TradeoffCurve(points=tuple(points), exclusive_counts=tuple(excl))
 
 
 def save_trace_csv(path, trace: SearchTrace) -> None:

@@ -13,17 +13,23 @@ predictions b:
   quality measure, and the training objective subtracts a length penalty
   alpha * M.
 
+One prefix sweep over the rules' bitset covers yields all of these, and also
+each row's first-match rule: the rows first covered at level m.
+
 Everything is counted with integer popcounts and only divided at the end, so
 estimates are exact and invariant under row permutations.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .data import BinaryDataset, PredictionVector
+import numpy as np
+
+from .data import BinaryDataset, PredictionVector, unpack_bool
 from .errors import DataError
 from .rules import RuleList, raw_cover
 
@@ -33,17 +39,15 @@ class TradeoffCurve:
     """The transparency-accuracy curve of a rule list, one point per level.
 
     ``points[m]`` is (transparency, accuracy) after adopting the first m rules;
-    the integer count fields are present when the curve was computed from data
-    (not when built from bare coordinates) and make exact cross-checks
-    possible.
+    the integer counts behind them make exact cross-checks possible.
     """
 
     points: tuple[tuple[float, float], ...]
-    n_rows: int | None = None
-    covered_counts: tuple[int, ...] | None = None  # cumulative |S_m|
-    rule_correct_counts: tuple[int, ...] | None = None  # cumulative, rules part
-    exclusive_counts: tuple[int, ...] | None = None  # per level, [0] == 0
-    exclusive_correct_counts: tuple[int, ...] | None = None  # per level, [0] == 0
+    n_rows: int
+    covered_counts: tuple[int, ...]  # cumulative |S_m|
+    rule_correct_counts: tuple[int, ...]  # cumulative, rules part
+    exclusive_counts: tuple[int, ...]  # per level, [0] == 0
+    exclusive_correct_counts: tuple[int, ...]  # per level, [0] == 0
 
     @property
     def n_levels(self) -> int:
@@ -64,8 +68,6 @@ class TradeoffCurve:
 
     def rule_part_accuracy(self, m: int) -> float | None:
         """Accuracy of rule m on its exclusive cover; None when that cover is empty."""
-        if self.exclusive_counts is None or self.exclusive_correct_counts is None:
-            return None
         if m < 1 or m > self.n_levels:
             raise IndexError("level out of range")
         exc = self.exclusive_counts[m]
@@ -74,8 +76,22 @@ class TradeoffCurve:
         return self.exclusive_correct_counts[m] / exc
 
     @classmethod
-    def from_points(cls, points) -> "TradeoffCurve":
-        return cls(points=tuple((float(t), float(a)) for t, a in points))
+    def from_sweep(cls, counts: SweepCounts, n_rows: int) -> "TradeoffCurve":
+        """The curve read off one :func:`sweep` over ``n_rows`` rows."""
+        covered, rule_correct = tuple(counts.covered), tuple(counts.rule_correct)
+        levels = zip(covered, rule_correct, counts.base_rest)
+        return cls(
+            points=tuple((c / n_rows, (rc + rest) / n_rows) for c, rc, rest in levels),
+            n_rows=n_rows,
+            covered_counts=covered,
+            rule_correct_counts=rule_correct,
+            exclusive_counts=_differences(covered),
+            exclusive_correct_counts=_differences(rule_correct),
+        )
+
+
+def _differences(cumulative) -> tuple[int, ...]:
+    return (0,) + tuple(b - a for a, b in zip(cumulative, cumulative[1:]))
 
 
 @dataclass(frozen=True)
@@ -95,11 +111,6 @@ def _check_alignment(data: BinaryDataset, preds: PredictionVector) -> None:
             f"prediction vector of length {len(preds)} does not align with "
             f"{data.n_rows} dataset rows"
         )
-
-
-def blackbox_accuracy(data: BinaryDataset, preds: PredictionVector) -> float:
-    _check_alignment(data, preds)
-    return preds.correct_mask(data.labels).bit_count() / data.n_rows
 
 
 class SweepCounts(NamedTuple):
@@ -175,33 +186,34 @@ def sweep(
     return counts
 
 
-def _points_from_counts(counts: SweepCounts, n_rows: int):
-    return tuple(
-        (c / n_rows, (rc + rest) / n_rows)
-        for c, rc, rest in zip(counts.covered, counts.rule_correct, counts.base_rest)
+def list_sweep(
+    rule_list: RuleList, data: BinaryDataset, preds: PredictionVector
+) -> SweepCounts:
+    """The :func:`sweep` of one evaluated list, rows outside it scored by the black-box."""
+    _check_alignment(data, preds)
+    return sweep(
+        cover_masks(rule_list, data), preds.correct_mask(data.labels), data.n_rows
     )
-
-
-def _differences(cumulative) -> tuple[int, ...]:
-    return (0,) + tuple(b - a for a, b in zip(cumulative, cumulative[1:]))
 
 
 def curve(
     rule_list: RuleList, data: BinaryDataset, preds: PredictionVector
 ) -> TradeoffCurve:
     """All M+1 curve points, read off a single :func:`sweep`."""
-    _check_alignment(data, preds)
-    counts = sweep(
-        cover_masks(rule_list, data), preds.correct_mask(data.labels), data.n_rows
-    )
-    return TradeoffCurve(
-        points=_points_from_counts(counts, data.n_rows),
-        n_rows=data.n_rows,
-        covered_counts=tuple(counts.covered),
-        rule_correct_counts=tuple(counts.rule_correct),
-        exclusive_counts=_differences(counts.covered),
-        exclusive_correct_counts=_differences(counts.rule_correct),
-    )
+    return TradeoffCurve.from_sweep(list_sweep(rule_list, data, preds), data.n_rows)
+
+
+def first_match_indices(counts: SweepCounts, n_rows: int) -> np.ndarray:
+    """Per-row 0-based index of the first matching rule, -1 when uncovered.
+
+    Read off a :func:`sweep`'s covered masks: rule m's exclusive cover is
+    ``S_m ^ S_{m-1}``, and its rows get index m - 1.
+    """
+    idx = np.full(n_rows, -1, dtype=np.int32)
+    masks = counts.covered_mask
+    for k, (before, after) in enumerate(zip(masks, masks[1:])):
+        idx[unpack_bool(after ^ before, n_rows)] = k
+    return idx
 
 
 def autac_hat(curve_or_points) -> float:
@@ -228,10 +240,16 @@ def objective(
     alpha: float,
 ) -> ObjectiveValue:
     """The training objective: curve area minus alpha per rule."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    check_alpha(alpha)
     autac = autac_hat(curve(rule_list, data, preds))
     return make_objective(autac, alpha, len(rule_list))
+
+
+def check_alpha(alpha: float) -> None:
+    """Refuse a length penalty that is not a finite number >= 0."""
+    # NaN fails every comparison, so finiteness is checked on its own.
+    if not math.isfinite(alpha) or alpha < 0:
+        raise ValueError("alpha must be a finite number >= 0")
 
 
 def make_objective(autac: float, alpha: float, n_rules: int) -> ObjectiveValue:

@@ -1,10 +1,10 @@
-"""Rules, ordered rule lists, and cover computation.
+"""Rules, ordered rule lists, raw covers and single-row first match.
 
 A rule pairs an antecedent (a conjunction of binary-feature conditions, each
 "feature j is set") with an output class. An ordered rule list predicts by
-first match. The exclusive cover of rule m is the set of rows it catches after
-rules 1..m-1 have taken theirs; exclusive covers are pairwise disjoint and
-union to the list's total coverage.
+first match. A rule's raw cover is the bitset of rows satisfying its
+antecedent; the dataset-wide first match, and each rule's exclusive cover,
+are read off the prefix sweep in :mod:`crl.objective`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BinaryDataset, unpack_bool
+from .data import BinaryDataset
 
 # A condition is an index into the dataset's binary feature columns; the
 # condition holds on a row when that bit is set. Negations are expressed
@@ -81,21 +81,6 @@ def raw_cover(rule: Rule, data: BinaryDataset) -> int:
     return mask
 
 
-def exclusive_covers(rule_list: RuleList, data: BinaryDataset) -> list[int]:
-    """Per-rule bitsets of rows assigned to each rule by first match.
-
-    Vector m is the raw cover of rule m minus everything covered earlier, so
-    the vectors are pairwise disjoint and union to the OR of all raw covers.
-    """
-    covered = 0
-    out = []
-    for r in rule_list:
-        rc = raw_cover(r, data)
-        out.append(rc & ~covered)
-        covered |= rc
-    return out
-
-
 def first_match(rule_list: RuleList, instance) -> int:
     """0-based index of the first rule whose conditions all hold, -1 when none."""
     bits = np.asarray(instance, dtype=bool)
@@ -103,15 +88,3 @@ def first_match(rule_list: RuleList, instance) -> int:
         if all(bits[c] for c in r.conditions):
             return k
     return -1
-
-
-def first_match_indices(rule_list: RuleList, data: BinaryDataset) -> np.ndarray:
-    """Per-row 0-based index of the first matching rule, -1 when uncovered.
-
-    The dataset-wide form of :func:`first_match`, built from the exclusive
-    covers.
-    """
-    idx = np.full(data.n_rows, -1, dtype=np.int32)
-    for k, exc in enumerate(exclusive_covers(rule_list, data)):
-        idx[unpack_bool(exc, data.n_rows)] = k
-    return idx

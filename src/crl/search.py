@@ -37,6 +37,7 @@ from .objective import (
     ObjectiveValue,
     TradeoffCurve,
     autac_hat,
+    check_alpha,
     cover_masks,
     curve,
     make_objective,
@@ -71,9 +72,8 @@ class SearchConfig:
     scoring: str = SCORING_COMPANION
 
     def __post_init__(self) -> None:
+        check_alpha(self.alpha)
         # NaN fails every comparison, so finiteness is checked on its own.
-        if not math.isfinite(self.alpha) or self.alpha < 0:
-            raise ValueError("alpha must be a finite number >= 0")
         if not math.isfinite(self.c0) or self.c0 <= 0:
             raise ValueError("c0 must be a finite positive number")
         if self.seed < 0:

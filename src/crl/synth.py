@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BinaryDataset, PredictionVector, synth_oracle
-from .rules import Rule, RuleList, first_match_indices
+from .objective import cover_masks, first_match_indices, sweep
+from .rules import Rule, RuleList
 
 FEATURE_PROBS = (0.6, 0.6, 0.375, 0.3, 0.5, 0.7, 0.4, 0.55, 0.45, 0.5)
 ELSEWHERE_POSITIVE_RATE = 0.75
@@ -56,7 +57,7 @@ def planted_benchmark(
     label_rng = np.random.default_rng(label_seed)
     labels = (label_rng.random(n_rows) < ELSEWHERE_POSITIVE_RATE).astype(np.uint8)
     shell = BinaryDataset.from_bool_matrix(matrix, labels, names)
-    match = first_match_indices(PLANTED, shell)
+    match = first_match_indices(sweep(cover_masks(PLANTED, shell), 0, n_rows), n_rows)
     outputs = np.array([r.output for r in PLANTED] + [0], dtype=np.uint8)
     labels = np.where(match >= 0, outputs[match], labels).astype(np.uint8)
     data = BinaryDataset.from_bool_matrix(matrix, labels, names)

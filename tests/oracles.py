@@ -7,6 +7,7 @@ meaningful.
 
 from __future__ import annotations
 
+import csv
 from itertools import combinations
 
 import numpy as np
@@ -65,6 +66,14 @@ def simulate_autac(points) -> float:
     for (t0, a0), (t1, a1) in zip(points, points[1:]):
         s += (a1 + a0) * (t1 - t0)
     return 0.5 * s
+
+
+def read_curve_csv(path):
+    """A ``curve.csv`` file's (transparency, accuracy) points and exclusive supports."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    points = tuple((float(r["transparency"]), float(r["accuracy"])) for r in rows)
+    return points, tuple(int(r["exclusive_support"]) for r in rows)
 
 
 def brute_force_pool(matrix, labels, gamma: float, max_cardinality: int):

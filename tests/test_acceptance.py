@@ -25,7 +25,6 @@ from crl import (
     train_indices,
 )
 from crl.cli import main
-from crl.objective import TradeoffCurve
 from crl.search import accept, temperature
 
 from conftest import make_random_dataset, make_random_preds
@@ -56,7 +55,7 @@ def bench_split():
 
 def test_criterion_1_trapezoid_exactness():
     points = ((0.0, 0.92), (0.4, 0.90), (0.7, 0.84), (1.0, 0.75))
-    area = autac_hat(TradeoffCurve.from_points(points))
+    area = autac_hat(points)
     assert abs(area - 0.8635) < 1e-12
     verdict(1, "trapezoid exactness")
 

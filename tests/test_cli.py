@@ -26,8 +26,9 @@ from crl import (
 )
 from crl import cli
 from crl.cli import main
-from crl.model_io import ModelDocument, load_curve_csv, save_model
-from crl.rules import exclusive_covers
+from crl.model_io import ModelDocument, save_model
+
+from oracles import read_curve_csv, simulate_first_match
 
 
 def run(*argv):
@@ -94,8 +95,8 @@ class TestTrain:
         preds = load_predictions(bench_dir / "preds.txt", data.n_rows)
         rules = resolve_rules(load_model(trained_dir / "model.json"), data)
         expected = curve(rules, data, preds)
-        stored = load_curve_csv(trained_dir / "curve.csv")
-        assert stored.points == expected.points
+        stored, _ = read_curve_csv(trained_dir / "curve.csv")
+        assert stored == expected.points
 
     def test_perfect_oracle_endpoint(self, bench_dir, tmp_path):
         out = tmp_path / "perfect"
@@ -109,8 +110,8 @@ class TestTrain:
             "--out", out,
         )
         assert code == 0
-        stored = load_curve_csv(out / "curve.csv")
-        assert stored.points[0] == (0.0, 1.0)
+        stored, _ = read_curve_csv(out / "curve.csv")
+        assert stored[0] == (0.0, 1.0)
 
     def test_missing_predictions_is_usage_error(self, bench_dir, tmp_path):
         code = run(
@@ -202,7 +203,7 @@ class TestTrain:
         data = apply_manifest(table, manifest)
         preds = load_predictions(preds_path, 4)
         rules = resolve_rules(load_model(out / "model.json"), data)
-        assert load_curve_csv(out / "curve.csv").points == curve(rules, data, preds).points
+        assert read_curve_csv(out / "curve.csv")[0] == curve(rules, data, preds).points
 
 
 class TestEvaluate:
@@ -311,8 +312,8 @@ class TestPredict:
         assert set(prov) == {"blackbox"}
 
     def test_transparency_boundary_equals_level(self, bench_dir, trained_dir, tmp_path):
-        stored = load_curve_csv(trained_dir / "curve.csv")
-        t1 = stored.points[1][0]
+        stored, _ = read_curve_csv(trained_dir / "curve.csv")
+        t1 = stored[1][0]
         out_level = tmp_path / "level.csv"
         out_stoch = tmp_path / "stoch.csv"
         common = self.common(bench_dir, trained_dir)
@@ -332,8 +333,9 @@ class TestPredict:
         manifest = BinarizationManifest.load(trained_dir / "manifest.json")
         data = apply_manifest(table, manifest)
         rules = resolve_rules(load_model(trained_dir / "model.json"), data)
-        for k, exc in enumerate(exclusive_covers(rules, data), start=1):
-            assert prov.count(str(k)) == exc.bit_count()
+        match = simulate_first_match([(r.conditions, r.output) for r in rules], data.matrix)
+        for k in range(len(rules)):
+            assert prov.count(str(k + 1)) == int((match == k).sum())
 
     def test_all_blackbox_mode(self, bench_dir, trained_dir, tmp_path):
         out = tmp_path / "bb.csv"
@@ -440,9 +442,9 @@ class TestCv:
         # report arithmetic is recomputable from the per-fold curve files
         autacs = []
         for i in range(5):
-            stored = load_curve_csv(out / f"fold_{i}" / "curve_test.csv")
+            stored, _ = read_curve_csv(out / f"fold_{i}" / "curve_test.csv")
             s = 0.0
-            for (t0, a0), (t1, a1) in zip(stored.points, stored.points[1:]):
+            for (t0, a0), (t1, a1) in zip(stored, stored[1:]):
                 s += (a1 + a0) * (t1 - t0)
             autacs.append(0.5 * s)
         assert report["autac_mean"] == float(np.mean(autacs))
@@ -695,7 +697,7 @@ def test_golden_artifact_digests(tmp_path, monkeypatch):
     knobs = ("--gamma", 0.1, "--iters", 300, "--mine-fraction", 0.5, "--seed", 2)
     assert run("train", *common, *knobs, "--out", "train") == 0
     assert run("cv", *common, *knobs, "--folds", 3, "--out", "cv") == 0
-    t = load_curve_csv("train/curve.csv").points[1][0] / 2
+    t = read_curve_csv("train/curve.csv")[0][1][0] / 2
     assert run(
         "predict", *common,
         "--model", "train/model.json",
@@ -909,3 +911,32 @@ def test_utf8_bom_is_not_part_of_the_first_column(bench_dir, tmp_path):
         outs.append(out)
     for name in ("manifest.json", "model.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--data", "--preds", "--model", "--manifest", "--config"])
+def test_input_file_that_is_not_utf8_is_data_error(bench_dir, trained_dir, tmp_path, capsys, flag):
+    # one latin-1 byte (\xe9) after the first byte of an otherwise valid file
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    files = {
+        "--data": bench_dir / "data.csv",
+        "--preds": bench_dir / "preds.txt",
+        "--model": trained_dir / "model.json",
+        "--manifest": trained_dir / "manifest.json",
+        "--config": config,
+    }
+    raw = files[flag].read_bytes()
+    bad = tmp_path / f"bad{files[flag].suffix}"
+    bad.write_bytes(raw[:1] + b"\xe9" + raw[1:])
+    files[flag] = bad
+    if flag == "--config":
+        command = ("train", "--config", bad, "--iters", 10, "--out", tmp_path / "out")
+    else:
+        model_files = ("--model", files["--model"], "--manifest", files["--manifest"])
+        command = ("predict", *model_files, "--level", 0, "--out", tmp_path / "p.csv")
+    code = run(
+        *command, "--data", files["--data"], "--label-column", "label", "--preds", files["--preds"]
+    )
+    assert code == 3
+    line = one_error_line(capsys, "data error")
+    assert f"{bad}: not valid UTF-8" in line

@@ -12,7 +12,6 @@ from crl import (
     RuleList,
     predict_companion_instance,
 )
-from crl.rules import exclusive_covers
 
 from conftest import make_random_dataset, make_random_preds
 from oracles import random_instance, simulate_first_match
@@ -59,10 +58,11 @@ class TestLevelPredictions:
 
     def test_provenance_counts_match_exclusive_covers(self):
         ev = fixed_model()
-        excl = exclusive_covers(ev.rule_list, ev.data)
+        specs = [(r.conditions, r.output) for r in ev.rule_list]
+        match = simulate_first_match(specs, ev.data.matrix)
         _, prov = ev.level_predictions(ev.n_levels)
-        for k, exc in enumerate(excl):
-            assert int((prov == k).sum()) == exc.bit_count()
+        for k in range(ev.n_levels):
+            assert int((prov == k).sum()) == int((match == k).sum())
 
     def test_residual_fraction(self):
         ev = fixed_model()

@@ -13,12 +13,13 @@ from crl import (
     curve,
     objective,
 )
-from crl.objective import TradeoffCurve, blackbox_accuracy, level_for_t
+from crl.objective import level_for_t
 
 from conftest import make_random_dataset, make_random_preds
 from oracles import random_instance, simulate_autac, simulate_curve
 
 FIG_POINTS = ((0.0, 0.92), (0.4, 0.90), (0.7, 0.84), (1.0, 0.75))
+FIG_T = tuple(t for t, _ in FIG_POINTS)
 
 
 class TestEstimatorsOnWorkedExample:
@@ -54,6 +55,13 @@ class TestEstimatorsOnWorkedExample:
         val = objective(rl, data, preds, alpha=0.0)
         assert val.objective == val.autac == 0.28125
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf"), -0.5])
+    def test_alpha_not_finite_and_non_negative_is_refused(self, d4, alpha):
+        # the same check and message as SearchConfig
+        data, preds, rl = d4
+        with pytest.raises(ValueError, match=r"^alpha must be a finite number >= 0$"):
+            objective(rl, data, preds, alpha)
+
 
 class TestCurveEdges:
     def test_empty_list_single_point(self, d4):
@@ -64,11 +72,12 @@ class TestCurveEdges:
 
     def test_left_endpoint_is_blackbox_accuracy(self, d4):
         data, preds, rl = d4
-        assert curve(rl, data, preds).points[0][1] == blackbox_accuracy(data, preds)
+        specs = [(r.conditions, r.output) for r in rl]
+        *_, points = simulate_curve(specs, data.matrix, data.labels, preds.preds)
+        assert curve(rl, data, preds).points[0][1] == points[0][1]
 
     def test_figure_curve_area(self):
-        c = TradeoffCurve.from_points(FIG_POINTS)
-        assert abs(autac_hat(c) - 0.8635) < 1e-12
+        assert abs(autac_hat(FIG_POINTS) - 0.8635) < 1e-12
 
     def test_alignment_mismatch(self, d4):
         data, _, rl = d4
@@ -91,41 +100,35 @@ class TestZeroCoverPenalty:
 
 class TestLevelForT:
     def test_interpolation_between_levels(self):
-        c = TradeoffCurve.from_points(FIG_POINTS)
-        m, q = level_for_t(c.transparency, 0.55)
+        m, q = level_for_t(FIG_T, 0.55)
         assert m == 1
         assert q == pytest.approx(0.5, abs=1e-12)
 
     def test_boundary_has_zero_fraction(self):
-        c = TradeoffCurve.from_points(FIG_POINTS)
-        assert level_for_t(c.transparency, 0.7) == (2, 0.0)
+        assert level_for_t(FIG_T, 0.7) == (2, 0.0)
 
     def test_zero_transparency(self):
-        c = TradeoffCurve.from_points(FIG_POINTS)
-        assert level_for_t(c.transparency, 0.0) == (0, 0.0)
+        assert level_for_t(FIG_T, 0.0) == (0, 0.0)
 
     def test_beyond_coverage_raises(self):
-        c = TradeoffCurve.from_points(((0.0, 0.9), (0.6, 0.8)))
         with pytest.raises(DataError, match="exceeds list coverage"):
-            level_for_t(c.transparency, 0.7)
+            level_for_t((0.0, 0.6), 0.7)
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_raises(self, t):
-        c = TradeoffCurve.from_points(FIG_POINTS)
         with pytest.raises(DataError, match="exceeds list coverage"):
-            level_for_t(c.transparency, t)
+            level_for_t(FIG_T, t)
 
     def test_duplicate_levels_skipped(self):
-        c = TradeoffCurve.from_points(((0.0, 0.9), (0.4, 0.85), (0.4, 0.85), (0.8, 0.8)))
-        m, q = level_for_t(c.transparency, 0.4)
+        t_values = (0.0, 0.4, 0.4, 0.8)
+        m, q = level_for_t(t_values, 0.4)
         assert m == 2 and q == 0.0
-        m, q = level_for_t(c.transparency, 0.6)
+        m, q = level_for_t(t_values, 0.6)
         assert m == 2
         assert q == pytest.approx(0.5, abs=1e-12)
 
     def test_full_coverage_endpoint(self):
-        c = TradeoffCurve.from_points(FIG_POINTS)
-        assert level_for_t(c.transparency, 1.0) == (3, 0.0)
+        assert level_for_t(FIG_T, 1.0) == (3, 0.0)
 
 
 class TestInvariants:

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crl import BinaryDataset, Rule, RuleList
-from crl.rules import exclusive_covers, first_match, first_match_indices, raw_cover
+from crl.data import pack_bool
+from crl.objective import cover_masks, first_match_indices, sweep
+from crl.rules import first_match, raw_cover
 
 from conftest import make_random_dataset
 from oracles import simulate_first_match
@@ -12,6 +14,12 @@ from oracles import simulate_first_match
 
 def to_indices(bits):
     return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def match_of(rule_list, data):
+    """Per-row first-match index, read off the list's prefix sweep."""
+    counts = sweep(cover_masks(rule_list, data), 0, data.n_rows)
+    return first_match_indices(counts, data.n_rows)
 
 
 def dataset_from_columns(columns, n_rows):
@@ -51,51 +59,54 @@ class TestRawCover:
 
 
 class TestExclusiveCovers:
+    # rule k's exclusive cover is the set of rows whose first-match index is k
     def test_hand_example(self):
         data = dataset_from_columns([{0, 1}, {1, 2}], 4)
         rl = RuleList((Rule((0,), 1), Rule((1,), 1)))
-        covers = exclusive_covers(rl, data)
-        assert to_indices(covers[0]) == [0, 1]
-        assert to_indices(covers[1]) == [2]
+        assert match_of(rl, data).tolist() == [0, 0, 1, -1]
 
     def test_first_rule_keeps_raw_cover(self):
         data = dataset_from_columns([{0, 3}, {1}], 4)
         rl = RuleList((Rule((0,), 1), Rule((1,), 0)))
-        assert exclusive_covers(rl, data)[0] == raw_cover(rl[0], data)
+        assert pack_bool(match_of(rl, data) == 0) == raw_cover(rl[0], data)
 
     def test_shadowed_rule_empty(self):
         data = dataset_from_columns([{0, 1}], 4)
         rl = RuleList((Rule((0,), 1), Rule((0,), 0)))
-        assert exclusive_covers(rl, data)[1] == 0
+        assert match_of(rl, data).tolist() == [0, 0, -1, -1]
 
-    @given(seed=st.integers(0, 2**31))
-    @settings(max_examples=50, deadline=None)
-    def test_disjoint_union_and_first_match_agreement(self, seed):
+    @given(
+        seed=st.integers(0, 2**31),
+        n_rules=st.integers(0, 4),
+        shadow=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_disjoint_union_and_first_match_agreement(self, seed, n_rules, shadow):
         data = make_random_dataset(seed, n_rows=40, n_features=6)
         rng = np.random.default_rng(seed)
         specs = []
         seen = set()
-        while len(specs) < 4:
+        while len(specs) < n_rules:
             conds = tuple(sorted(rng.choice(6, size=int(rng.integers(1, 3)), replace=False).tolist()))
             z = int(rng.integers(0, 2))
             if (conds, z) not in seen:
                 seen.add((conds, z))
                 specs.append((conds, z))
+        # the first rule's antecedent with the other output catches no row
+        shadowed = (specs[0][0], 1 - specs[0][1]) if specs else None
+        shadow = shadow and shadowed is not None and shadowed not in seen
+        if shadow:
+            specs.append(shadowed)
         rl = RuleList(tuple(Rule(c, z) for c, z in specs))
-        covers = exclusive_covers(rl, data)
-        union = 0
-        for a in covers:
-            for b in covers:
-                if a is not b:
-                    assert a & b == 0
-            union |= a
+        idx = match_of(rl, data)
+        assert idx.dtype == np.int32
+        assert idx.tolist() == simulate_first_match(specs, data.matrix).tolist()
         raw_union = 0
         for r in rl:
             raw_union |= raw_cover(r, data)
-        assert union == raw_union
-        # agreement with the per-row simulator
-        sim = simulate_first_match(specs, data.matrix)
-        assert first_match_indices(rl, data).tolist() == sim.tolist()
+        assert pack_bool(idx >= 0) == raw_union
+        if shadow:
+            assert not (idx == len(rl) - 1).any()
 
 
 def first_match_output(rule_list, instance):
@@ -122,7 +133,7 @@ class TestPredictRuleList:
     def test_rowwise_agreement_with_exclusive_assignment(self, seed):
         data = make_random_dataset(seed, n_rows=25, n_features=5)
         rl = RuleList((Rule((0, 1), 1), Rule((2,), 0), Rule((3,), 1)))
-        idx = first_match_indices(rl, data)
+        idx = match_of(rl, data)
         for i in range(data.n_rows):
             expected = None if idx[i] == -1 else rl[int(idx[i])].output
             assert first_match_output(rl, data.matrix[i]) == expected
