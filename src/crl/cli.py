@@ -34,6 +34,7 @@ from .data import (
     split_folds,
     synth_oracle,
     train_indices,
+    write_json,
 )
 from .errors import CrlError, DataError, SearchError
 from .mining import mine_rules, subsample_for_mining
@@ -255,10 +256,8 @@ def _search_config(args, seed: int) -> SearchConfig:
 
 def _mine(args, data: BinaryDataset, seed: int):
     with _knob_errors("mining options"):
-        mining_data = subsample_for_mining(data, args.mine_fraction, seed=seed)
-        return mine_rules(
-            data, gamma=args.gamma, max_cardinality=args.max_card, mining_data=mining_data
-        )
+        mining = subsample_for_mining(data, args.mine_fraction, seed=seed)
+        return mine_rules(mining, gamma=args.gamma, max_cardinality=args.max_card)
 
 
 def _fit(args, data: BinaryDataset, preds: PredictionVector, seed: int):
@@ -385,7 +384,7 @@ def cmd_tune(args) -> int:
             for c in report.candidates
         ],
     }
-    Path(args.out).write_text(json.dumps(obj, indent=2) + "\n")
+    write_json(args.out, obj)
     for c in report.candidates:
         flag = "ok " if c.admissible else "cap"
         print(
@@ -467,7 +466,7 @@ def cmd_cv(args) -> int:
             np.mean([f["test_blackbox_accuracy"] for f in fold_rows])
         ),
     )
-    (out / "report.json").write_text(json.dumps(report.to_obj(), indent=2) + "\n")
+    write_json(out / "report.json", report.to_obj())
     (out / "report.txt").write_text(report.text_table() + "\n")
     print(report.text_table())
     return 0

@@ -10,6 +10,11 @@ can be transformed with the edges learned on training data.
 Black-box classifiers never enter this package as models; they are consumed as
 row-aligned 0/1 prediction vectors (:class:`PredictionVector`), either read
 from a file or synthesized by :func:`synth_oracle` for experiments.
+
+Each file format has one reader and one writer here: every delimited text
+file (a table, or a prediction file read by column) goes through
+:func:`_read_rows`, and every JSON file through :func:`read_json` and
+:func:`write_json`, which refuses NaN and infinite floats.
 """
 
 from __future__ import annotations
@@ -45,23 +50,16 @@ def unpack_bool(bits: int, n_rows: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[:n_rows].astype(bool)
 
 
-@dataclass(frozen=True)
-class RawColumn:
-    """One named feature column, values kept as raw strings.
-
-    The column's kind (numeric or categorical) is decided when a manifest is
-    fitted to it, see :meth:`ManifestColumn.fit`.
-    """
-
-    name: str
-    values: tuple[str, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class RawTable:
-    """A parsed table: feature columns plus an already-binarized label vector."""
+    """A parsed table: feature columns plus an already-binarized label vector.
 
-    columns: tuple[RawColumn, ...]
+    ``columns`` maps each feature column's name to its raw string cells, in
+    file order. A column's kind (numeric or categorical) is decided when a
+    manifest is fitted to it, see :meth:`ManifestColumn.fit`.
+    """
+
+    columns: dict[str, tuple[str, ...]]
     label_column: str
     labels: np.ndarray  # uint8 in {0, 1}
     positive_value: str
@@ -70,11 +68,11 @@ class RawTable:
     def n_rows(self) -> int:
         return len(self.labels)
 
-    def column(self, name: str) -> RawColumn:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise DataError(f"no column named {name!r}")
+    def column(self, name: str) -> tuple[str, ...]:
+        try:
+            return self.columns[name]
+        except KeyError:
+            raise DataError(f"no column named {name!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +147,6 @@ class PredictionVector:
     """Row-aligned 0/1 predictions of a black-box classifier."""
 
     preds: np.ndarray  # uint8 in {0, 1}
-    source_tag: str = ""
 
     def __post_init__(self) -> None:
         if not np.isin(self.preds, (0, 1)).all():
@@ -164,7 +161,7 @@ class PredictionVector:
 
     def subset(self, rows) -> "PredictionVector":
         idx = np.asarray(rows, dtype=int)
-        return PredictionVector(self.preds[idx], self.source_tag)
+        return PredictionVector(self.preds[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +188,17 @@ def read_json(path):
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def load_table(
-    path,
-    label: str,
-    *,
-    delimiter: str = ",",
-    positive_value: str | None = None,
-) -> RawTable:
-    """Parse a delimited text file with a header row into a :class:`RawTable`.
+def write_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON; a NaN or infinite float is a ValueError."""
+    Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
-    Feature cells stay strings; empty cells are missing values.
 
-    The label column is binarized: with ``positive_value`` given, rows equal to
-    it map to 1 and everything else to 0 (a column of two or more distinct
-    values none of which is ``positive_value`` is a :class:`DataError`);
-    without it the column must have exactly two distinct values (the
-    lexicographically larger one is positive), or already be 0/1.
+def _read_rows(path: Path, delimiter: str) -> tuple[list[str], list[list[str]]]:
+    """The stripped header and cell rows of a UTF-8 delimited text file.
+
+    Blank lines are skipped. An empty file, a repeated column name and a row
+    whose field count differs from the header's are each a :class:`DataError`.
     """
-    path = Path(path)
     with _decoding(path), path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
@@ -229,16 +219,39 @@ def load_table(
                     f"({len(row)} fields, expected {len(header)})"
                 )
             rows.append([cell.strip() for cell in row])
+    return header, rows
+
+
+def load_table(
+    path,
+    label: str,
+    *,
+    delimiter: str = ",",
+    positive_value: str | None = None,
+) -> RawTable:
+    """Parse a delimited text file with a header row into a :class:`RawTable`.
+
+    Feature cells stay strings; empty cells are missing values. The file is
+    read by :func:`_read_rows`, so header names and cells are trimmed.
+
+    The label column is binarized: with ``positive_value`` given, rows equal to
+    it map to 1 and everything else to 0 (a column of two or more distinct
+    values none of which is ``positive_value`` is a :class:`DataError`);
+    without it the column must have exactly two distinct values (the
+    lexicographically larger one is positive), or already be 0/1.
+    """
+    path = Path(path)
+    header, rows = _read_rows(path, delimiter)
     if label not in header:
         raise DataError(f"{path}: missing label column {label!r}")
     if not rows:
         raise DataError(f"{path}: no data rows")
 
     by_name = {name: tuple(r[j] for r in rows) for j, name in enumerate(header)}
-    labels, positive = _map_labels(by_name[label], label, positive_value)
+    labels, positive = _map_labels(by_name.pop(label), label, positive_value)
 
     return RawTable(
-        columns=tuple(RawColumn(name, by_name[name]) for name in header if name != label),
+        columns=by_name,
         label_column=label,
         labels=labels,
         positive_value=positive,
@@ -344,28 +357,28 @@ class ManifestColumn:
         return [f"{self.name}={cat}" for cat in self.categories]
 
     @classmethod
-    def fit(cls, col: RawColumn, quantiles: int) -> tuple["ManifestColumn", np.ndarray]:
-        """The kind, categories (and numeric edges) seen in ``col``, in feature order.
+    def fit(cls, name: str, values, quantiles: int) -> tuple["ManifestColumn", np.ndarray]:
+        """The kind, categories (and numeric edges) seen in ``values``, in feature order.
 
         A column is numeric when it has a non-blank cell and every non-blank
         cell parses as a float, categorical otherwise. Numeric columns list
         ``bin{k}`` by ascending k with ``<missing>`` last; categorical columns
         list their values sorted by code point, with blank cells as
         ``<missing>`` sorted in. Returns the fitted column and the
-        :meth:`indices` of ``col``'s cells, labelled from the same parse.
+        :meth:`indices` of the cells, labelled from the same parse.
         """
         try:
-            present, floats = _numeric_cells(col.name, col.values)
+            present, floats = _numeric_cells(name, values)
         except ValueError:
             floats = None
         if floats is None or not floats.size:
-            cats = sorted({v or MISSING_CATEGORY for v in col.values})
-            fitted = cls(col.name, _KIND_CATEGORICAL, tuple(cats), None)
-            return fitted, fitted.indices(col.values)
+            cats = sorted({v or MISSING_CATEGORY for v in values})
+            fitted = cls(name, _KIND_CATEGORICAL, tuple(cats), None)
+            return fitted, fitted.indices(values)
         edges = tuple(quantile_edges(floats, quantiles))
         codes = np.unique(np.searchsorted(edges, floats, side="left"))
         cats = [f"bin{k}" for k in codes] + [MISSING_CATEGORY] * (not present.all())
-        fitted = cls(col.name, _KIND_NUMERIC, tuple(cats), edges)
+        fitted = cls(name, _KIND_NUMERIC, tuple(cats), edges)
         return fitted, fitted._bin_indices(present, floats)
 
 
@@ -397,7 +410,7 @@ class BinarizationManifest:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_obj(), indent=2) + "\n")
+        write_json(path, self.to_obj())
 
     @classmethod
     def from_obj(cls, obj: dict) -> "BinarizationManifest":
@@ -441,7 +454,9 @@ def binarize(
     sets exactly one bit per source column. The encoding is fitted as a
     manifest, and rows are labelled as :func:`apply_manifest` labels them.
     """
-    fitted = [ManifestColumn.fit(col, quantiles) for col in table.columns]
+    fitted = [
+        ManifestColumn.fit(name, values, quantiles) for name, values in table.columns.items()
+    ]
     manifest = BinarizationManifest(
         columns=tuple(mcol for mcol, _ in fitted),
         label_column=table.label_column,
@@ -459,7 +474,7 @@ def apply_manifest(table: RawTable, manifest: BinarizationManifest) -> BinaryDat
     a category unseen at fit time set no bit in that column group (exact
     one-hot coverage is only guaranteed on the data the manifest was fitted on).
     """
-    column_indices = [mcol.indices(table.column(mcol.name).values) for mcol in manifest.columns]
+    column_indices = [mcol.indices(table.column(mcol.name)) for mcol in manifest.columns]
     return _one_hot(table, manifest, column_indices)
 
 
@@ -495,7 +510,8 @@ def load_predictions(
     """Read a black-box prediction vector from a file.
 
     Default format is one 0/1 value per line; with ``column`` the file is
-    parsed as delimited text with a header and that column is used.
+    read as a table by :func:`_read_rows`, under the same checks as
+    :func:`load_table`, and that column is used.
     """
     path = Path(path)
     values: list[str] = []
@@ -507,12 +523,11 @@ def load_predictions(
             if line:
                 values.append(line)
     else:
-        with _decoding(path), path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh, delimiter=delimiter)
-            if reader.fieldnames is None or column not in reader.fieldnames:
-                raise DataError(f"{path}: missing prediction column {column!r}")
-            for rec in reader:
-                values.append(rec[column].strip())
+        header, rows = _read_rows(path, delimiter)
+        if column not in header:
+            raise DataError(f"{path}: missing prediction column {column!r}")
+        j = header.index(column)
+        values = [row[j] for row in rows]
     preds = np.empty(len(values), dtype=np.uint8)
     for i, v in enumerate(values):
         if v not in ("0", "1"):
@@ -522,7 +537,7 @@ def load_predictions(
         raise DataError(
             f"{path}: length mismatch: {len(preds)} predictions for {n} dataset rows"
         )
-    return PredictionVector(preds=preds, source_tag=str(path))
+    return PredictionVector(preds)
 
 
 def synth_oracle(labels: np.ndarray, accuracy: float, seed: int) -> PredictionVector:
@@ -537,9 +552,7 @@ def synth_oracle(labels: np.ndarray, accuracy: float, seed: int) -> PredictionVe
     rng = np.random.default_rng(seed)
     keep = rng.random(len(labels)) < accuracy
     preds = np.where(keep, labels, 1 - labels).astype(np.uint8)
-    return PredictionVector(
-        preds=preds, source_tag=f"synth-oracle(accuracy={accuracy}, seed={seed})"
-    )
+    return PredictionVector(preds)
 
 
 # ---------------------------------------------------------------------------

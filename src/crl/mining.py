@@ -74,34 +74,28 @@ def _mine_class(cols_in_class: list[int], class_size: int, gamma: float, max_car
 
 
 def mine_rules(
-    data: BinaryDataset,
-    gamma: float = 0.05,
-    max_cardinality: int = 2,
-    *,
-    mining_data: BinaryDataset | None = None,
+    data: BinaryDataset, gamma: float = 0.05, max_cardinality: int = 2
 ) -> CandidatePool:
-    """Mine the candidate pool from a binary dataset.
+    """Mine the candidate pool from a binary dataset, counting supports on its rows.
 
-    Supports are counted on ``mining_data`` when given (a row subsample, see
-    :func:`subsample_for_mining`), else on ``data`` itself. Both label classes
-    must be present; an empty result raises with a hint to lower gamma.
+    To bound mining cost, pass a row subsample (see
+    :func:`subsample_for_mining`): it keeps the dataset's columns, so the pool's
+    condition indices hold on the full dataset. Both label classes must be
+    present; an empty result raises with a hint to lower gamma.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
     if max_cardinality < 1:
         raise ValueError("max_cardinality must be >= 1")
-    mining = data if mining_data is None else mining_data
-    if mining.n_features != data.n_features:
-        raise DataError("mining subsample does not match the dataset's columns")
-    pos_mask = mining.label_mask
-    neg_mask = ~pos_mask & mining.full_mask
+    pos_mask = data.label_mask
+    neg_mask = ~pos_mask & data.full_mask
     if pos_mask.bit_count() == 0 or neg_mask.bit_count() == 0:
         raise DataError("mining needs both label classes present")
 
     entries: list[tuple[tuple[int, ...], int, float]] = []
     for output, class_mask in ((1, pos_mask), (0, neg_mask)):
         class_size = class_mask.bit_count()
-        cols = [b & class_mask for b in mining.feature_bits]
+        cols = [b & class_mask for b in data.feature_bits]
         for items, count in _mine_class(cols, class_size, gamma, max_cardinality):
             entries.append((items, output, count / class_size))
     if not entries:
@@ -122,9 +116,9 @@ def subsample_for_mining(
 ) -> BinaryDataset:
     """Seeded uniform row subsample used only to bound mining cost.
 
-    Fraction 1.0 returns the dataset itself. Pass the result as
-    ``mining_data`` to :func:`mine_rules`: only supports are counted on the
-    subsample, and the search scores the mined rules on the full dataset.
+    Fraction 1.0 returns the dataset itself. Pass the result to
+    :func:`mine_rules`: only supports are counted on the subsample, and the
+    search scores the mined rules on the full dataset.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")

@@ -9,11 +9,10 @@ byte for byte.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import BinaryDataset, read_json
+from .data import BinaryDataset, read_json, write_json
 from .errors import DataError
 from .mining import CandidatePool
 from .objective import TradeoffCurve
@@ -106,7 +105,7 @@ def model_from_training(
 
 
 def save_model(path, doc: ModelDocument) -> None:
-    Path(path).write_text(json.dumps(doc.to_obj(), indent=2) + "\n")
+    write_json(path, doc.to_obj())
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -187,7 +186,7 @@ def save_pool(path, pool: CandidatePool, feature_names) -> None:
             for r, s in zip(pool.rules, pool.supports)
         ],
     }
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    write_json(path, obj)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ class TradeoffCurve:
     """
 
     points: tuple[tuple[float, float], ...]
-    n_rows: int
     covered_counts: tuple[int, ...]  # cumulative |S_m|
     rule_correct_counts: tuple[int, ...]  # cumulative, rules part
     exclusive_counts: tuple[int, ...]  # per level, [0] == 0
@@ -82,7 +81,6 @@ class TradeoffCurve:
         levels = zip(covered, rule_correct, counts.base_rest)
         return cls(
             points=tuple((c / n_rows, (rc + rest) / n_rows) for c, rc, rest in levels),
-            n_rows=n_rows,
             covered_counts=covered,
             rule_correct_counts=rule_correct,
             exclusive_counts=_differences(covered),

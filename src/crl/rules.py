@@ -36,10 +36,6 @@ class Rule:
         if self.output not in (0, 1):
             raise ValueError("rule output must be 0 or 1")
 
-    def describe(self, feature_names) -> str:
-        conds = " AND ".join(feature_names[c] for c in self.conditions)
-        return f"IF {conds} THEN {self.output}"
-
 
 @dataclass(frozen=True)
 class RuleList:

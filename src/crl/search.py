@@ -50,6 +50,9 @@ ALPHA_CANDIDATES = (0.01, 0.005, 0.001, 0.0008, 0.0005, 0.0002, 0.0001)
 SCORING_COMPANION = "companion"
 SCORING_RULES_ONLY = "rules_only"
 
+# Operation draws :func:`propose` makes before it returns the identity.
+PROPOSE_ATTEMPTS = 16
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -141,7 +144,6 @@ def propose(
     state: tuple[int, ...],
     pool: CandidatePool,
     rng: np.random.Generator,
-    max_attempts: int = 16,
 ) -> tuple[tuple[int, ...], str, int]:
     """Draw one edit of a list of pool indices; returns (new state, operation, k).
 
@@ -150,14 +152,14 @@ def propose(
     additionally draws the incoming pool rule); swap draws two distinct
     positions. Proposals that are impossible on the state, including one
     that would hold a pool index twice, re-draw the operation, and after
-    ``max_attempts`` failures the unchanged state is returned with operation
+    ``PROPOSE_ATTEMPTS`` failures the unchanged state is returned with operation
     "identity". ``k`` is the first position the edit touches (``len(state)``
     for identity): the two states share their first ``k`` indices, which is
     what :meth:`_Scorer.score` resumes from.
     """
     m = len(state)
     n_pool = len(pool)
-    for _ in range(max_attempts):
+    for _ in range(PROPOSE_ATTEMPTS):
         delta = rng.random()
         if delta < 0.25:
             j = int(rng.integers(n_pool))

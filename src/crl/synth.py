@@ -65,11 +65,5 @@ def planted_benchmark(
     covered = match >= 0
     on_rules = synth_oracle(labels, covered_oracle_accuracy, covered_seed).preds
     elsewhere = synth_oracle(labels, oracle_accuracy, elsewhere_seed).preds
-    preds = PredictionVector(
-        preds=np.where(covered, on_rules, elsewhere).astype(np.uint8),
-        source_tag=(
-            f"planted-oracle(covered={covered_oracle_accuracy}, "
-            f"elsewhere={oracle_accuracy}, seed={seed})"
-        ),
-    )
+    preds = PredictionVector(np.where(covered, on_rules, elsewhere).astype(np.uint8))
     return PlantedBenchmark(data=data, preds=preds, planted=PLANTED)

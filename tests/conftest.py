@@ -19,7 +19,7 @@ def d4():
     labels = np.array([1, 0, 1, 0], dtype=np.uint8)
     bb = np.array([1, 0, 0, 1], dtype=np.uint8)
     data = BinaryDataset.from_bool_matrix(matrix, labels, ("f0", "f1", "f2"))
-    preds = PredictionVector(bb, "d4")
+    preds = PredictionVector(bb)
     rule_list = RuleList((Rule((0,), 1), Rule((1,), 1)))
     return data, preds, rule_list
 
@@ -36,4 +36,4 @@ def make_random_preds(seed, data, accuracy=0.7):
     rng = np.random.default_rng(seed)
     keep = rng.random(data.n_rows) < accuracy
     preds = np.where(keep, data.labels, 1 - data.labels).astype(np.uint8)
-    return PredictionVector(preds, f"random({seed})")
+    return PredictionVector(preds)

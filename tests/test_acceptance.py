@@ -70,7 +70,7 @@ def test_criterion_2_estimator_oracle_equivalence():
         )
         names = tuple(f"f{j}" for j in range(matrix.shape[1]))
         data = BinaryDataset.from_bool_matrix(matrix, labels, names)
-        preds = PredictionVector(bb, "mc")
+        preds = PredictionVector(bb)
         rl = RuleList(tuple(Rule(c, z) for c, z in specs))
         got = curve(rl, data, preds)
         covered, corrects, bb_rest, points = simulate_curve(specs, matrix, labels, bb)

@@ -913,6 +913,19 @@ def test_utf8_bom_is_not_part_of_the_first_column(bench_dir, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_short_row_in_prediction_column_file_is_data_error(tmp_path, capsys):
+    data_path, preds_path = tmp_path / "t.csv", tmp_path / "p.csv"
+    data_path.write_text("a,y\n1,0\n2,1\n3,0\n4,1\n")
+    preds_path.write_text("id,p\n1,1\n2\n3,1\n4,0\n")
+    code = run(
+        "train", "--data", data_path, "--label-column", "y", "--preds", preds_path,
+        "--pred-column", "p", "--iters", 10, "--out", tmp_path / "out",
+    )
+    assert code == 3
+    line = one_error_line(capsys, "data error")
+    assert line.endswith("ragged row at line 3 (1 fields, expected 2)"), line
+
+
 @pytest.mark.parametrize("flag", ["--data", "--preds", "--model", "--manifest", "--config"])
 def test_input_file_that_is_not_utf8_is_data_error(bench_dir, trained_dir, tmp_path, capsys, flag):
     # one latin-1 byte (\xe9) after the first byte of an otherwise valid file

@@ -83,7 +83,7 @@ class TestLevelPredictions:
         names = tuple(f"f{j}" for j in range(matrix.shape[1]))
         data = BinaryDataset.from_bool_matrix(matrix, labels, names)
         rl = RuleList(tuple(Rule(c, z) for c, z in specs))
-        ev = CompanionEvaluator(rl, data, PredictionVector(bb, "oracle"))
+        ev = CompanionEvaluator(rl, data, PredictionVector(bb))
         match = simulate_first_match(specs, matrix)
         for m in range(len(specs) + 1):
             out, prov = ev.level_predictions(m)

@@ -19,7 +19,7 @@ from crl import (
     load_table,
     split_folds,
 )
-from crl.data import ManifestColumn, RawColumn, quantile_edges, synth_oracle
+from crl.data import ManifestColumn, quantile_edges, synth_oracle, write_json
 from oracles import reference_binarize
 
 
@@ -34,7 +34,7 @@ class TestLoadTable:
         p = write(tmp_path, "t.csv", "f0,f1,f2,y\n1,a,3.5,0\n2,b,4.5,1\n3,a,5.5,1\n4,b,6.5,0\n")
         table = load_table(p, "y")
         assert table.n_rows == 4
-        assert [c.name for c in table.columns] == ["f0", "f1", "f2"]
+        assert list(table.columns) == ["f0", "f1", "f2"]
         _, manifest = binarize(table)
         kinds = {c.name: c.kind for c in manifest.columns}
         assert kinds == {"f0": "numeric", "f1": "categorical", "f2": "numeric"}
@@ -86,9 +86,9 @@ class TestLoadTable:
 
 def bin_indices(values, q):
     """Each value's bin index under a numeric manifest column fitted on the values."""
-    col = RawColumn("v", tuple(map(repr, values)))
-    mcol, fitted = ManifestColumn.fit(col, q)
-    idx = mcol.indices(col.values)
+    cells = tuple(map(repr, values))
+    mcol, fitted = ManifestColumn.fit("v", cells, q)
+    idx = mcol.indices(cells)
     assert (fitted == idx).all()
     return idx
 
@@ -249,9 +249,7 @@ class TestBinarizationPath:
         table = load_columns(columns, [str(i % 2) for i in range(n)])
         data, manifest = binarize(table, quantiles=quantiles)
 
-        matrix, names = reference_binarize(
-            [(c.name, c.values) for c in table.columns], quantiles
-        )
+        matrix, names = reference_binarize(list(table.columns.items()), quantiles)
         assert data.feature_names == tuple(names)
         assert (data.matrix == matrix).all()
 
@@ -323,6 +321,38 @@ class TestLoadPredictions:
         p = write(tmp_path, "p.csv", "id,pred\n0,1\n")
         with pytest.raises(DataError, match="missing prediction column"):
             load_predictions(p, 1, column="nope")
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("id,p\n1,1\n2\n3,1\n", r"ragged row at line 3 \(1 fields, expected 2\)"),
+            ("id,p\n1,1\n2,0,9\n3,1\n", r"ragged row at line 3 \(3 fields, expected 2\)"),
+            ("p,p\n1,1\n0,0\n1,1\n", "duplicate column name 'p'"),
+            ("id, p \n1,1\n2,0\n3,1\n", [1, 0, 1]),
+            ("", "empty file"),
+        ],
+        ids=["short-row", "long-row", "duplicate-header", "padded-header", "empty-file"],
+    )
+    def test_column_file_follows_the_table_rules(self, tmp_path, text, expected):
+        p = write(tmp_path, "p.csv", text)
+        if isinstance(expected, list):
+            assert load_predictions(p, 3, column="p").preds.tolist() == expected
+        else:
+            with pytest.raises(DataError, match=expected):
+                load_predictions(p, 3, column="p")
+
+
+class TestWriteJson:
+    def test_same_bytes_as_indented_dumps(self, tmp_path):
+        obj = {"b": [1, 2.5, None, True], "a": {"s": "x\u00e9"}, "f": 0.1 + 0.2}
+        write_json(tmp_path / "o.json", obj)
+        expected = (json.dumps(obj, indent=2) + "\n").encode()
+        assert (tmp_path / "o.json").read_bytes() == expected
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_refuses_non_finite_floats(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "o.json", {"autac": value})
 
 
 class TestSynthOracle:

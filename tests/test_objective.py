@@ -81,7 +81,7 @@ class TestCurveEdges:
 
     def test_alignment_mismatch(self, d4):
         data, _, rl = d4
-        short = PredictionVector(np.array([1, 0], dtype=np.uint8), "short")
+        short = PredictionVector(np.array([1, 0], dtype=np.uint8))
         with pytest.raises(DataError, match="align"):
             curve(rl, data, short)
 
@@ -157,7 +157,7 @@ class TestInvariants:
         data2 = BinaryDataset.from_bool_matrix(
             data.matrix[perm], data.labels[perm], data.feature_names
         )
-        preds2 = PredictionVector(preds.preds[perm], "perm")
+        preds2 = PredictionVector(preds.preds[perm])
         c2 = curve(rl, data2, preds2)
         assert c1.points == c2.points
         assert autac_hat(c1) == autac_hat(c2)
@@ -182,7 +182,7 @@ class TestInvariants:
         matrix, labels, bb, specs = random_instance(rng)
         names = tuple(f"f{j}" for j in range(matrix.shape[1]))
         data = BinaryDataset.from_bool_matrix(matrix, labels, names)
-        preds = PredictionVector(bb, "oracle")
+        preds = PredictionVector(bb)
         rl = RuleList(tuple(Rule(c, z) for c, z in specs))
         c = curve(rl, data, preds)
         covered, corrects, bb_rest, points = simulate_curve(specs, matrix, labels, bb)
