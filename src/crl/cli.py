@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 search error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from contextlib import contextmanager
@@ -28,6 +27,7 @@ from .data import (
     PredictionVector,
     apply_manifest,
     binarize,
+    child_seeds,
     load_predictions,
     load_table,
     read_json,
@@ -35,6 +35,7 @@ from .data import (
     synth_oracle,
     train_indices,
     write_json,
+    write_rows,
 )
 from .errors import CrlError, DataError, SearchError
 from .mining import mine_rules, subsample_for_mining
@@ -176,40 +177,6 @@ def _resolve_knobs(args) -> None:
         raise UsageError("--delimiter must be exactly one character")
 
 
-@dataclass(eq=False)
-class ExperimentReport:
-    """Cross-validated results: per-fold curves/areas plus their mean and std."""
-
-    config: dict
-    folds: list[dict]
-    autac_mean: float
-    autac_std: float
-    blackbox_accuracy_mean: float
-
-    def to_obj(self) -> dict:
-        return {
-            "config": self.config,
-            "folds": self.folds,
-            "autac_mean": self.autac_mean,
-            "autac_std": self.autac_std,
-            "blackbox_accuracy_mean": self.blackbox_accuracy_mean,
-        }
-
-    def text_table(self) -> str:
-        lines = ["fold  rules  train_autac  test_autac"]
-        for f in self.folds:
-            lines.append(
-                f"{f['fold']:>4}  {f['n_rules']:>5}  {f['train_autac']:>11.4f}  "
-                f"{f['test_autac']:>10.4f}"
-            )
-        lines.append("")
-        lines.append(
-            f"test AUTAC (mean over {len(self.folds)} folds, sample std in "
-            f"parentheses): {self.autac_mean:.3f} ({self.autac_std:.3f})"
-        )
-        return "\n".join(lines)
-
-
 def _load_dataset(args) -> tuple[BinaryDataset, BinarizationManifest]:
     manifest = BinarizationManifest.load(args.manifest) if args.manifest else None
     positive_value = args.positive_value
@@ -339,11 +306,11 @@ def cmd_predict(args) -> int:
             f"residual coverage: {evaluator.residual_fraction():.4f} of rows fall "
             "through to the black-box"
         )
-    with Path(args.out).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "prediction", "provenance"])
-        for i, (p, k) in enumerate(zip(preds, prov)):
-            writer.writerow([i, int(p), "blackbox" if k < 0 else str(int(k) + 1)])
+    rows = (
+        (i, int(p), "blackbox" if k < 0 else int(k) + 1)
+        for i, (p, k) in enumerate(zip(preds, prov))
+    )
+    write_rows(args.out, ("row", "prediction", "provenance"), rows)
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
 
@@ -407,10 +374,7 @@ def cmd_cv(args) -> int:
     preds = _load_preds(args, data)
     with _knob_errors("--folds", DataError):
         folds = split_folds(data, k=args.folds, seed=args.seed)
-    fold_seeds = [
-        int(s.generate_state(1)[0])
-        for s in np.random.SeedSequence(args.seed).spawn(len(folds))
-    ]
+    fold_seeds = child_seeds(args.seed, len(folds))
     manifest.save(out / "manifest.json")
 
     fold_rows: list[dict] = []
@@ -447,8 +411,8 @@ def cmd_cv(args) -> int:
         )
 
     test_autacs = np.array([f["test_autac"] for f in fold_rows])
-    report = ExperimentReport(
-        config={
+    report = {
+        "config": {
             "data": str(args.data),
             "folds": args.folds,
             "seed": args.seed,
@@ -459,17 +423,34 @@ def cmd_cv(args) -> int:
             "max_card": args.max_card,
             "quantiles": args.quantiles,
         },
-        folds=fold_rows,
-        autac_mean=float(np.mean(test_autacs)),
-        autac_std=float(np.std(test_autacs, ddof=1)),
-        blackbox_accuracy_mean=float(
+        "folds": fold_rows,
+        "autac_mean": float(np.mean(test_autacs)),
+        "autac_std": float(np.std(test_autacs, ddof=1)),
+        "blackbox_accuracy_mean": float(
             np.mean([f["test_blackbox_accuracy"] for f in fold_rows])
         ),
-    )
-    write_json(out / "report.json", report.to_obj())
-    (out / "report.txt").write_text(report.text_table() + "\n")
-    print(report.text_table())
+    }
+    write_json(out / "report.json", report)
+    table = _cv_table(report)
+    (out / "report.txt").write_text(table + "\n")
+    print(table)
     return 0
+
+
+def _cv_table(report: dict) -> str:
+    """The per-fold table and test AUTAC summary of a ``cv`` report."""
+    lines = ["fold  rules  train_autac  test_autac"]
+    for f in report["folds"]:
+        lines.append(
+            f"{f['fold']:>4}  {f['n_rules']:>5}  {f['train_autac']:>11.4f}  "
+            f"{f['test_autac']:>10.4f}"
+        )
+    lines.append("")
+    lines.append(
+        f"test AUTAC (mean over {len(report['folds'])} folds, sample std in "
+        f"parentheses): {report['autac_mean']:.3f} ({report['autac_std']:.3f})"
+    )
+    return "\n".join(lines)
 
 
 def cmd_synth(args) -> int:
@@ -482,12 +463,9 @@ def cmd_synth(args) -> int:
             oracle_accuracy=args.oracle_accuracy,
             covered_oracle_accuracy=args.covered_oracle_accuracy,
         )
-    with (out / "data.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(bench.data.feature_names) + ["label"])
-        matrix = bench.data.matrix.astype(int)
-        for i in range(bench.data.n_rows):
-            writer.writerow(list(matrix[i]) + [int(bench.data.labels[i])])
+    matrix = np.column_stack([bench.data.matrix, bench.data.labels])  # uint8
+    rows = (row.tolist() for row in matrix)
+    write_rows(out / "data.csv", (*bench.data.feature_names, "label"), rows)
     (out / "preds.txt").write_text(
         "\n".join(str(int(p)) for p in bench.preds.preds) + "\n"
     )
@@ -623,10 +601,7 @@ def main(argv=None) -> int:
     except SearchError as exc:
         print(f"search error: {exc}", file=sys.stderr)
         return 4
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

@@ -12,15 +12,18 @@ row-aligned 0/1 prediction vectors (:class:`PredictionVector`), either read
 from a file or synthesized by :func:`synth_oracle` for experiments.
 
 Each file format has one reader and one writer here: every delimited text
-file (a table, or a prediction file read by column) goes through
-:func:`_read_rows`, and every JSON file through :func:`read_json` and
-:func:`write_json`, which refuses NaN and infinite floats.
+file (a table, or a prediction file read by column) is read by
+:func:`_read_rows`, every CSV artifact is written by :func:`write_rows`, and
+every JSON file goes through :func:`read_json` and :func:`write_json`, which
+refuse NaN and infinite numbers. Child seeds of one seed come from
+:func:`child_seeds`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -178,19 +181,39 @@ def _decoding(path):
         raise DataError(f"{path}: not valid UTF-8: {exc}") from None
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def read_json(path):
-    """The value of a UTF-8 JSON file; bad bytes or bad JSON are a DataError."""
+    """The value of a UTF-8 JSON file.
+
+    Bad bytes, bad JSON and the non-standard ``NaN``/``Infinity`` tokens are
+    each a DataError naming the file.
+    """
     with _decoding(path):
         text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_constant=_refuse_constant)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def write_json(path, obj) -> None:
     """Write ``obj`` as indented JSON; a NaN or infinite float is a ValueError."""
     Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
+
+
+def write_rows(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` as CSV, the mirror of :func:`_read_rows`.
+
+    Comma-delimited, ``\\r\\n`` line ends, fields quoted only where needed.
+    ``rows`` may be a generator; it is written as it is consumed.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _read_rows(path: Path, delimiter: str) -> tuple[list[str], list[list[str]]]:
@@ -382,6 +405,23 @@ class ManifestColumn:
         return fitted, fitted._bin_indices(present, floats)
 
 
+def _manifest_column(c: dict) -> ManifestColumn:
+    """A stored manifest column; numeric edges must be as :func:`quantile_edges` writes them."""
+    name, kind = c["name"], c["kind"]
+    edges = tuple(c["edges"]) if c["edges"] is not None else None
+    if kind not in (_KIND_NUMERIC, _KIND_CATEGORICAL):
+        raise DataError(f"manifest column {name!r}: unknown kind {kind!r}")
+    if kind == _KIND_NUMERIC and (
+        edges is None
+        or not all(map(math.isfinite, edges))
+        or any(b <= a for a, b in zip(edges, edges[1:]))
+    ):
+        raise DataError(
+            f"manifest column {name!r}: numeric edges must be finite and strictly ascending"
+        )
+    return ManifestColumn(name, kind, tuple(c["categories"]), edges)
+
+
 @dataclass(frozen=True)
 class BinarizationManifest:
     """Everything needed to repeat a binarization on new data."""
@@ -417,15 +457,7 @@ class BinarizationManifest:
         try:
             if obj["format"] != "crl-manifest":
                 raise DataError(f"not a binarization manifest: {obj.get('format')!r}")
-            columns = tuple(
-                ManifestColumn(
-                    name=c["name"],
-                    kind=c["kind"],
-                    categories=tuple(c["categories"]),
-                    edges=tuple(c["edges"]) if c["edges"] is not None else None,
-                )
-                for c in obj["columns"]
-            )
+            columns = tuple(_manifest_column(c) for c in obj["columns"])
             return cls(
                 columns=columns,
                 label_column=obj["label_column"],
@@ -556,8 +588,13 @@ def synth_oracle(labels: np.ndarray, accuracy: float, seed: int) -> PredictionVe
 
 
 # ---------------------------------------------------------------------------
-# Fold splitting
+# Seeds and fold splitting
 # ---------------------------------------------------------------------------
+
+
+def child_seeds(seed: int, n: int) -> list[int]:
+    """``n`` independent seeds derived from ``seed``, one per fold, candidate or stream."""
+    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
 def split_folds(data: BinaryDataset, k: int = 5, seed: int = 0) -> list[np.ndarray]:

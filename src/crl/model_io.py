@@ -8,11 +8,9 @@ byte for byte.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
-from .data import BinaryDataset, read_json, write_json
+from .data import BinaryDataset, read_json, write_json, write_rows
 from .errors import DataError
 from .mining import CandidatePool
 from .objective import TradeoffCurve
@@ -32,13 +30,16 @@ CURVE_FIELDS = (
     "rule_part_accuracy",
 )
 TRACE_FIELDS = ("iteration", "op", "proposed_objective", "accepted", "best_objective")
+# Training-time statistics of rule m: its exclusive support and accuracy on the
+# rows it answers, then curve point m (cumulative transparency and accuracy).
+STATS_FIELDS = ("exclusive_support", "rule_accuracy", "transparency", "accuracy")
 
 
 @dataclass(frozen=True)
 class ModelRule:
     conditions: tuple[str, ...]  # feature names, e.g. "age=bin3"
     output: int
-    stats: dict | None  # exclusive_support, rule_accuracy, transparency, accuracy
+    stats: dict | None  # keyed by STATS_FIELDS
 
 
 @dataclass(frozen=True)
@@ -49,19 +50,14 @@ class ModelDocument:
     training: dict | None
 
     def to_obj(self) -> dict:
-        rules = []
-        for r in self.rules:
-            stats = None
-            if r.stats is not None:
-                stats = {
-                    "exclusive_support": r.stats["exclusive_support"],
-                    "rule_accuracy": r.stats["rule_accuracy"],
-                    "transparency": r.stats["transparency"],
-                    "accuracy": r.stats["accuracy"],
-                }
-            rules.append(
-                {"conditions": list(r.conditions), "output": r.output, "stats": stats}
-            )
+        rules = [
+            {
+                "conditions": list(r.conditions),
+                "output": r.output,
+                "stats": None if r.stats is None else {k: r.stats[k] for k in STATS_FIELDS},
+            }
+            for r in self.rules
+        ]
         return {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
@@ -88,17 +84,12 @@ def model_from_training(
     """Bind a trained list to feature names and its training-time curve."""
     rules = []
     for m, rule in enumerate(rule_list, start=1):
-        stats = {
-            "exclusive_support": curve.exclusive_counts[m],
-            "rule_accuracy": curve.rule_part_accuracy(m),
-            "transparency": curve.points[m][0],
-            "accuracy": curve.points[m][1],
-        }
+        stats = (curve.exclusive_counts[m], curve.rule_part_accuracy(m), *curve.points[m])
         rules.append(
             ModelRule(
                 conditions=tuple(feature_names[c] for c in rule.conditions),
                 output=rule.output,
-                stats=stats,
+                stats=dict(zip(STATS_FIELDS, stats)),
             )
         )
     return ModelDocument(rules=tuple(rules), training=training)
@@ -132,9 +123,7 @@ def model_from_obj(obj) -> ModelDocument:
         stats = r["stats"]
         if stats is not None:
             _require(
-                isinstance(stats, dict)
-                and set(stats)
-                == {"exclusive_support", "rule_accuracy", "transparency", "accuracy"},
+                isinstance(stats, dict) and set(stats) == set(STATS_FIELDS),
                 "unexpected stats keys",
             )
         rules.append(ModelRule(conditions=tuple(conds), output=r["output"], stats=stats))
@@ -196,28 +185,16 @@ def save_pool(path, pool: CandidatePool, feature_names) -> None:
 
 def save_curve_csv(path, curve: TradeoffCurve) -> None:
     """Write the curve as CSV, one row per level, full float precision."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_FIELDS)
-        for m, (t, a) in enumerate(curve.points):
-            exc = curve.exclusive_counts[m]
-            racc = None if m == 0 else curve.rule_part_accuracy(m)
-            writer.writerow(
-                [m, repr(t), repr(a), exc, "" if racc is None else repr(racc)]
-            )
+    rows = [
+        (m, repr(t), repr(a), exc, repr(curve.rule_part_accuracy(m)) if m else "")
+        for m, ((t, a), exc) in enumerate(zip(curve.points, curve.exclusive_counts))
+    ]
+    write_rows(path, CURVE_FIELDS, rows)
 
 
 def save_trace_csv(path, trace: SearchTrace) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_FIELDS)
-        for step in trace.steps:
-            writer.writerow(
-                [
-                    step.iteration,
-                    step.op,
-                    repr(step.proposed_objective),
-                    int(step.accepted),
-                    repr(step.best_objective),
-                ]
-            )
+    rows = (
+        (s.iteration, s.op, repr(s.proposed_objective), int(s.accepted), repr(s.best_objective))
+        for s in trace.steps
+    )
+    write_rows(path, TRACE_FIELDS, rows)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import BinaryDataset, PredictionVector
+from .data import BinaryDataset, PredictionVector, child_seeds
 from .errors import SearchError
 from .mining import CandidatePool
 from .objective import (
@@ -341,11 +341,10 @@ def tune_alpha(
     if not candidates:
         raise ValueError("need at least one alpha candidate")
     base = base_config if base_config is not None else SearchConfig(alpha=0.0)
-    children = np.random.SeedSequence(base.seed).spawn(len(candidates))
     # Every candidate is validated before the first search runs.
     configs = [
-        replace(base, alpha=alpha, seed=int(child.generate_state(1)[0]))
-        for alpha, child in zip(candidates, children)
+        replace(base, alpha=alpha, seed=seed)
+        for alpha, seed in zip(candidates, child_seeds(base.seed, len(candidates)))
     ]
     records: list[AlphaCandidate] = []
     chosen: SearchResult | None = None

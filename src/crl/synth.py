@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BinaryDataset, PredictionVector, synth_oracle
+from .data import BinaryDataset, PredictionVector, child_seeds, synth_oracle
 from .objective import cover_masks, first_match_indices, sweep
 from .rules import Rule, RuleList
 
@@ -47,8 +47,7 @@ def planted_benchmark(
     seeded oracles: per-row accuracy ``covered_oracle_accuracy`` on rows the
     planted list covers and ``oracle_accuracy`` elsewhere.
     """
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(4)]
-    feature_seed, label_seed, covered_seed, elsewhere_seed = seeds
+    feature_seed, label_seed, covered_seed, elsewhere_seed = child_seeds(seed, 4)
 
     rng = np.random.default_rng(feature_seed)
     matrix = rng.random((n_rows, len(FEATURE_PROBS))) < np.array(FEATURE_PROBS)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import re
 
 import numpy as np
@@ -924,6 +925,44 @@ def test_short_row_in_prediction_column_file_is_data_error(tmp_path, capsys):
     assert code == 3
     line = one_error_line(capsys, "data error")
     assert line.endswith("ragged row at line 3 (1 fields, expected 2)"), line
+
+
+def first_column(obj):
+    return obj["columns"][0]
+
+
+# Each edit of a trained 60-row run (column a numeric, b categorical) used to
+# be read silently: evaluate and train exited 0.
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("manifest.json", lambda m: first_column(m)["edges"].reverse(), "strictly ascending"),
+        ("manifest.json", lambda m: first_column(m)["edges"].__setitem__(0, math.nan), "NaN"),
+        ("manifest.json", lambda m: first_column(m).update(kind="text"), "unknown kind 'text'"),
+        ("model.json", lambda m: m["rules"][0]["stats"].update(accuracy=math.nan), "NaN"),
+        ("config.json", lambda c: c.update(alpha=math.nan), "NaN"),
+    ],
+    ids=["descending-edges", "nan-edge", "unknown-kind", "nan-stat", "nan-config"],
+)
+def test_corrupted_json_input_is_data_error(tmp_path, capsys, name, edit, message):
+    data_path = tmp_path / "d.csv"
+    data_path.write_text("a,b,y\n" + "".join(f"{i},{'pqr'[i % 3]},{i % 2}\n" for i in range(60)))
+    common = ("--data", data_path, "--label-column", "y", "--oracle-accuracy", 0.8)
+    config, out = tmp_path / "config.json", tmp_path / "run"
+    config.write_text('{"iters": 20, "gamma": 0.1}')
+    assert run("train", *common, "--config", config, "--out", out) == 0
+    path = config if name == "config.json" else out / name
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    if name == "config.json":
+        code = run("train", *common, "--config", config, "--out", tmp_path / "again")
+    else:
+        reuse = ("--model", out / "model.json", "--manifest", out / "manifest.json")
+        code = run("evaluate", *common, *reuse)
+    assert code == 3
+    assert message in one_error_line(capsys, "data error")
 
 
 @pytest.mark.parametrize("flag", ["--data", "--preds", "--model", "--manifest", "--config"])

@@ -19,7 +19,15 @@ from crl import (
     load_table,
     split_folds,
 )
-from crl.data import ManifestColumn, quantile_edges, synth_oracle, write_json
+from crl.data import (
+    ManifestColumn,
+    _read_rows,
+    quantile_edges,
+    read_json,
+    synth_oracle,
+    write_json,
+    write_rows,
+)
 from oracles import reference_binarize
 
 
@@ -204,6 +212,23 @@ class TestManifest:
         data, manifest = binarize(load_table(p, "y"))
         assert tuple(manifest.feature_names()) == data.feature_names
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"edges": [1.5, 1.5]}, "strictly ascending"),
+            ({"edges": [float("nan"), 2.5]}, "finite"),
+            ({"edges": [1.5, float("inf")]}, "finite"),
+            ({"edges": None}, "finite"),
+        ],
+    )
+    def test_from_obj_refuses_edges_quantile_edges_never_writes(self, tmp_path, change, message):
+        p = write(tmp_path, "t.csv", "v,y\n1,0\n2,1\n3,0\n4,1\n5,0\n")
+        obj = binarize(load_table(p, "y"), quantiles=3)[1].to_obj()
+        assert obj["columns"][0]["edges"] == [2.333333333333333, 3.6666666666666665]
+        obj["columns"][0].update(change)
+        with pytest.raises(DataError, match=f"'v'.*{message}"):
+            BinarizationManifest.from_obj(obj)
+
 
 # Categorical values whose code points sort just before, at and after
 # "<missing>", plus numeric-looking strings that a stray "x" keeps categorical.
@@ -353,6 +378,41 @@ class TestWriteJson:
     def test_refuses_non_finite_floats(self, tmp_path, value):
         with pytest.raises(ValueError):
             write_json(tmp_path / "o.json", {"autac": value})
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_read_json_refuses_non_standard_constants(tmp_path, token):
+    p = write(tmp_path, "o.json", f'{{"alpha": [1, {token}]}}')
+    with pytest.raises(DataError, match=f"o.json: not valid JSON: {token} "):
+        read_json(p)
+
+
+@st.composite
+def csv_tables(draw):
+    # text the reader gives back unchanged: no NUL, no surrounding blanks, and
+    # no leading BOM (utf-8-sig drops one) on the first header name
+    char = st.one_of(
+        st.sampled_from(',"\r\n '),
+        st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+    )
+    cell = st.text(char, max_size=6).map(str.strip)
+    header = draw(
+        st.lists(cell, min_size=1, max_size=4, unique=True).filter(
+            lambda names: not names[0].startswith("\ufeff")
+        )
+    )
+    row = st.lists(cell, min_size=len(header), max_size=len(header))
+    return header, draw(st.lists(row, max_size=5))
+
+
+@given(table=csv_tables())
+@settings(max_examples=200, deadline=None)
+def test_read_rows_inverts_write_rows(table):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.csv"
+        write_rows(path, header, iter(rows))
+        assert _read_rows(path, ",") == (header, rows)
 
 
 class TestSynthOracle:

@@ -1,7 +1,9 @@
 import ast
 import importlib.util
+import itertools
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import crl
+from crl import RuleList, autac_hat, curve, mine_rules, planted_benchmark
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,3 +78,17 @@ def test_experiment_script_runs(script, args):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_planted_benchmark_script_optimum_is_the_package_autac_maximum(seed):
+    # the script enumerates with its own popcount loop; it must agree with curve()
+    script = runpy.run_path(str(ROOT / "scripts" / "run_planted_benchmark.py"))
+    bench = planted_benchmark(300, seed)
+    pool = mine_rules(bench.data, gamma=0.3)
+    lists = itertools.chain.from_iterable(
+        itertools.permutations(pool.rules, k) for k in (1, 2)
+    )
+    expected = max(autac_hat(curve(RuleList(rules), bench.data, bench.preds)) for rules in lists)
+    got = script["exhaustive_best"](pool, bench.data, bench.preds, max_len=2)
+    assert got == expected
