@@ -5,14 +5,12 @@ exhaustive optimum over all short lists from the same pool.
 Generates the synthetic benchmark, splits it 80/20, mines the pool on the
 training part, runs the annealed search, and scores the result on the held-out
 part next to (a) the planted ground-truth list and (b) the best ordered list
-of up to three pool rules found by brute-force enumeration.
+of up to ``--max-len`` pool rules found by brute-force enumeration. The search
+is capped at ``--max-len`` rules too, so the two compete over the same lists.
 """
 
 import argparse
-import itertools
 import time
-
-import numpy as np
 
 from crl import (
     SearchConfig,
@@ -24,41 +22,32 @@ from crl import (
     split_folds,
     train_indices,
 )
-from crl.rules import raw_cover
+from crl.objective import cover_masks, sweep
 
 
 def exhaustive_best(pool, data, preds, max_len=3):
-    """Brute-force AUTAC maximum over ordered lists of length <= max_len."""
+    """Brute-force AUTAC maximum over ordered lists of length <= max_len.
+
+    A depth-first walk over list prefixes: each node resumes its parent's
+    per-level :func:`sweep` state and sweeps one more rule.
+    """
     n = data.n_rows
-    label_mask = data.label_mask
-    neg = ~label_mask & data.full_mask
+    masks = cover_masks(pool.rules, data)
     bb = preds.correct_mask(data.labels)
-    raws = [raw_cover(r, data) for r in pool.rules]
-    hits = [
-        raws[j] & (label_mask if r.output == 1 else neg)
-        for j, r in enumerate(pool.rules)
-    ]
-    a0 = bb.bit_count() / n
     best = 0.0
 
-    def extend(prefix_ids, covered, cov_cnt, rc_cnt, t_prev, a_prev, area2):
+    def extend(prefix_ids, levels):
         nonlocal best
-        for j in range(len(raws)):
+        depth = len(prefix_ids)
+        for j, mask in enumerate(masks):
             if j in prefix_ids:
                 continue
-            free = ~covered
-            cov = cov_cnt + (raws[j] & free).bit_count()
-            rc = rc_cnt + (hits[j] & free).bit_count()
-            merged = covered | raws[j]
-            t = cov / n
-            a = (rc + (bb & ~merged).bit_count()) / n
-            s = area2 + (a + a_prev) * (t - t_prev)
-            if 0.5 * s > best:
-                best = 0.5 * s
-            if len(prefix_ids) + 1 < max_len:
-                extend(prefix_ids | {j}, merged, cov, rc, t, a, s)
+            child = sweep((mask,), bb, n, levels, depth)
+            best = max(best, 0.5 * child[-1][4])
+            if depth + 1 < max_len:
+                extend(prefix_ids | {j}, child)
 
-    extend(frozenset(), 0, 0, 0, 0.0, a0, 0.0)
+    extend(frozenset(), sweep((), bb, n))
     return best
 
 
@@ -82,7 +71,14 @@ def main():
     print(f"pool: {len(pool)} rules mined on {data_tr.n_rows} training rows")
 
     t0 = time.time()
-    cfg = SearchConfig(alpha=args.alpha, n_iters=args.iters, seed=args.search_seed)
+    # the trained list is capped at --max-len rules, the optimum's length bound
+    cfg = SearchConfig(
+        alpha=args.alpha,
+        n_iters=args.iters,
+        seed=args.search_seed,
+        init_size=min(3, args.max_len),
+        max_rules_guard=args.max_len,
+    )
     result = run_search(data_tr, preds_tr, pool, cfg)
     print(f"search: {time.time() - t0:.1f}s, best list has {len(result.best_list)} rules")
     print(result.best_list.describe(bench.data.feature_names))

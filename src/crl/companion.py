@@ -49,9 +49,9 @@ class CompanionEvaluator:
         self.rule_list = rule_list
         self.data = data
         self.preds = preds
-        counts = list_sweep(rule_list, data, preds)
-        self.curve = TradeoffCurve.from_sweep(counts, data.n_rows)
-        self._first_idx = first_match_indices(counts, data.n_rows)
+        levels = list_sweep(rule_list, data, preds)
+        self.curve = TradeoffCurve.from_sweep(levels, data.n_rows)
+        self._first_idx = first_match_indices(levels, data.n_rows)
         outputs = np.array([r.output for r in rule_list] + [0], dtype=np.uint8)
         self._rule_preds = outputs[self._first_idx]  # arbitrary where uncovered
         self._bb = preds.preds

@@ -469,7 +469,12 @@ class BinarizationManifest:
 
     @classmethod
     def load(cls, path) -> "BinarizationManifest":
-        return cls.from_obj(read_json(path))
+        """The manifest in a JSON file; a DataError names the file."""
+        obj = read_json(path)
+        try:
+            return cls.from_obj(obj)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
     def feature_names(self) -> list[str]:
         return [name for c in self.columns for name in c.feature_names()]

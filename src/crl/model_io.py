@@ -8,6 +8,7 @@ byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .data import BinaryDataset, read_json, write_json, write_rows
@@ -99,6 +100,11 @@ def save_model(path, doc: ModelDocument) -> None:
     write_json(path, doc.to_obj())
 
 
+def _is_finite_number(v) -> bool:
+    # bool is an int subclass, but true/false is no statistic
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise DataError(f"model schema violation: {msg}")
@@ -111,6 +117,7 @@ def model_from_obj(obj) -> ModelDocument:
     _require(obj["version"] == MODEL_VERSION, f"unknown version {obj.get('version')!r}")
     _require(isinstance(obj["rules"], list), "rules must be a list")
     rules = []
+    last_t = 0.0
     for r in obj["rules"]:
         _require(isinstance(r, dict), "each rule must be an object")
         _require(set(r) == {"conditions", "output", "stats"}, "unexpected rule keys")
@@ -126,6 +133,25 @@ def model_from_obj(obj) -> ModelDocument:
                 isinstance(stats, dict) and set(stats) == set(STATS_FIELDS),
                 "unexpected stats keys",
             )
+            _require(
+                all(
+                    _is_finite_number(v) or (k == "rule_accuracy" and v is None)
+                    for k, v in stats.items()
+                ),
+                "rule stats must be finite numbers (rule_accuracy may be null)",
+            )
+            _require(
+                isinstance(stats["exclusive_support"], int)
+                and stats["exclusive_support"] >= 0
+                and all(
+                    v is None or 0 <= v <= 1
+                    for k, v in stats.items()
+                    if k != "exclusive_support"
+                ),
+                "exclusive_support must be an integer >= 0, the other stats within [0, 1]",
+            )
+            _require(last_t <= stats["transparency"], "rule transparencies must ascend")
+            last_t = stats["transparency"]
         rules.append(ModelRule(conditions=tuple(conds), output=r["output"], stats=stats))
     training = obj["training"]
     _require(training is None or isinstance(training, dict), "training must be an object")
@@ -133,7 +159,12 @@ def model_from_obj(obj) -> ModelDocument:
 
 
 def load_model(path) -> ModelDocument:
-    return model_from_obj(read_json(path))
+    """The model in a JSON file; a DataError names the file."""
+    obj = read_json(path)
+    try:
+        return model_from_obj(obj)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def resolve_rules(doc: ModelDocument, data: BinaryDataset) -> RuleList:

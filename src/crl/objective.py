@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,12 +74,11 @@ class TradeoffCurve:
         return self.exclusive_correct_counts[m] / exc
 
     @classmethod
-    def from_sweep(cls, counts: SweepCounts, n_rows: int) -> "TradeoffCurve":
+    def from_sweep(cls, levels: SweepLevels, n_rows: int) -> "TradeoffCurve":
         """The curve read off one :func:`sweep` over ``n_rows`` rows."""
-        covered, rule_correct = tuple(counts.covered), tuple(counts.rule_correct)
-        levels = zip(covered, rule_correct, counts.base_rest)
+        _, covered, rule_correct, _, _ = zip(*levels)
         return cls(
-            points=tuple((c / n_rows, (rc + rest) / n_rows) for c, rc, rest in levels),
+            points=tuple((c / n_rows, (rc + rest) / n_rows) for _, c, rc, rest, _ in levels),
             covered_counts=covered,
             rule_correct_counts=rule_correct,
             exclusive_counts=_differences(covered),
@@ -111,14 +109,10 @@ def _check_alignment(data: BinaryDataset, preds: PredictionVector) -> None:
         )
 
 
-class SweepCounts(NamedTuple):
-    """Per-level state of one prefix sweep, each list indexed by level m = 0..M."""
-
-    covered_mask: list[int]  # S_m as a row bitset
-    covered: list[int]  # cumulative |S_m|
-    rule_correct: list[int]  # cumulative, rules part
-    base_rest: list[int]  # base-correct rows outside S_m
-    area: list[float]  # trapezoid sum over points 0..m, twice the area
+# Per-level state of one prefix sweep, indexed by level m = 0..M. Level m is
+# (S_m as a row bitset, |S_m|, rule-correct rows in S_m, base-correct rows
+# outside S_m, twice the trapezoid area over points 0..m).
+SweepLevels = list[tuple[int, int, int, int, float]]
 
 
 def cover_masks(rules, data: BinaryDataset) -> list[tuple[int, int, int, int]]:
@@ -137,15 +131,15 @@ def sweep(
     masks,
     base_correct: int,
     n_rows: int,
-    start: SweepCounts | None = None,
+    start: SweepLevels | None = None,
     level: int = 0,
-) -> SweepCounts:
+) -> SweepLevels:
     """The prefix sweep: walk a list's :func:`cover_masks` entries level by level.
 
     Rows outside the first m covers are scored by ``base_correct`` (the
     black-box's correct rows for the curve, the majority class's for the
     rules-only baseline). Every other estimate in the package reads these
-    counts.
+    levels, one tuple per level (see ``SweepLevels``).
 
     Without ``start`` the walk begins at the empty list (level 0). With
     ``start``, the sweep of a list that shares its first ``level`` rules, it
@@ -155,17 +149,14 @@ def sweep(
     :func:`autac_hat`, so a resumed sweep is bit-identical to a full one.
     """
     if start is None:
-        counts = SweepCounts([0], [0], [0], [base_correct.bit_count()], [0.0])
+        levels = [(0, 0, 0, base_correct.bit_count(), 0.0)]
     else:
-        counts = SweepCounts(*(col[: level + 1] for col in start))
-    covered_masks, covered_counts, rule_corrects, base_rests, areas = counts
-    covered = covered_masks[-1]
-    cover_cnt = covered_counts[-1]
-    rule_correct = rule_corrects[-1]
-    area = areas[-1]
-    base_total = base_rests[0]
+        levels = start[: level + 1]
+    covered, cover_cnt, rule_correct, rest, area = levels[-1]
+    base_total = levels[0][3]
     t0 = cover_cnt / n_rows
-    a0 = (rule_correct + base_rests[-1]) / n_rows
+    a0 = (rule_correct + rest) / n_rows
+    append = levels.append
     # |x \ S| is taken as |x| - |x & S|: ANDing with ~S costs more in CPython.
     for raw, hits, raw_n, hits_n in masks:
         cover_cnt += raw_n - (raw & covered).bit_count()
@@ -176,17 +167,13 @@ def sweep(
         a1 = (rule_correct + rest) / n_rows
         area += (a1 + a0) * (t1 - t0)
         t0, a0 = t1, a1
-        covered_masks.append(covered)
-        covered_counts.append(cover_cnt)
-        rule_corrects.append(rule_correct)
-        base_rests.append(rest)
-        areas.append(area)
-    return counts
+        append((covered, cover_cnt, rule_correct, rest, area))
+    return levels
 
 
 def list_sweep(
     rule_list: RuleList, data: BinaryDataset, preds: PredictionVector
-) -> SweepCounts:
+) -> SweepLevels:
     """The :func:`sweep` of one evaluated list, rows outside it scored by the black-box."""
     _check_alignment(data, preds)
     return sweep(
@@ -201,14 +188,14 @@ def curve(
     return TradeoffCurve.from_sweep(list_sweep(rule_list, data, preds), data.n_rows)
 
 
-def first_match_indices(counts: SweepCounts, n_rows: int) -> np.ndarray:
+def first_match_indices(levels: SweepLevels, n_rows: int) -> np.ndarray:
     """Per-row 0-based index of the first matching rule, -1 when uncovered.
 
     Read off a :func:`sweep`'s covered masks: rule m's exclusive cover is
     ``S_m ^ S_{m-1}``, and its rows get index m - 1.
     """
     idx = np.full(n_rows, -1, dtype=np.int32)
-    masks = counts.covered_mask
+    masks = [level[0] for level in levels]
     for k, (before, after) in enumerate(zip(masks, masks[1:])):
         idx[unpack_bool(after ^ before, n_rows)] = k
     return idx

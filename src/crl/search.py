@@ -19,7 +19,10 @@ rules are distinct, so membership is an integer test and no :class:`RuleList`
 is built until the best list is returned. Each proposal also reports the first
 position its edit touches (the insertion slot, the removed or replaced
 position, the smaller swapped position, or the list length for identity), and
-the scorer re-sweeps the objective only from that level of the current list.
+the scorer re-sweeps the objective only from that level of the current list,
+resuming its per-level sweep tuples. The objective of each list scored against
+the current list is memoized until the next accepted move, so a proposal the
+chain has already made from the same list is not swept again.
 """
 
 from __future__ import annotations
@@ -191,7 +194,7 @@ def propose(
 
 
 class _Scorer:
-    """Objective evaluation for the hot loop: a proposal re-sweeps from its first changed rule.
+    """Objective evaluation for the hot loop: each proposal is swept at most once.
 
     Raw covers, per-rule correct-row masks and their popcounts are
     precomputed for the whole pool against the training data, in a list
@@ -203,6 +206,13 @@ class _Scorer:
     objective functions, so results are bit-identical to them. Rules-only
     scoring answers uncovered rows with the training majority class instead
     of the black-box and reads only the sweep's last level.
+
+    While the committed list stays put, the chain proposes the same few
+    neighbours again and again, so the objective of every state scored
+    against it is memoized; :meth:`commit` clears the memo. A hit sweeps
+    nothing, and :meth:`commit` sweeps a hit's levels only if it is the list
+    being committed. The memo holds floats only, one per distinct neighbour
+    of the committed list, so it costs far less memory than their levels.
     """
 
     def __init__(
@@ -226,28 +236,39 @@ class _Scorer:
             self.base_correct = preds.correct_mask(data.labels)
         self.masks = cover_masks(pool.rules, data)
         self.committed = ((), sweep((), self.base_correct, self.n))
+        # (state, its sweep levels), or (state, k) when the score was a memo hit
         self._scored = self.committed
+        self._memo: dict[tuple[int, ...], float] = {}
 
     def score(self, state: tuple[int, ...], k: int) -> float:
         """Objective of ``state``, whose first ``k`` indices are the committed state's."""
-        masks = self.masks
-        counts = sweep(
-            [masks[i] for i in state[k:]],
-            self.base_correct,
-            self.n,
-            self.committed[1],
-            k,
-        )
-        self._scored = (state, counts)
+        obj = self._memo.get(state)
+        if obj is not None:
+            self._scored = (state, k)
+            return obj
+        levels = self._sweep(state, k)
+        self._scored = (state, levels)
+        _, _, rule_correct, rest, area = levels[-1]
         if self.rules_only:
-            area = (counts.rule_correct[-1] + counts.base_rest[-1]) / self.n
+            area = (rule_correct + rest) / self.n
         else:
-            area = 0.5 * counts.area[-1]
-        return area - self.alpha * len(state)
+            area = 0.5 * area
+        obj = self._memo[state] = area - self.alpha * len(state)
+        return obj
 
     def commit(self) -> None:
         """Make the last scored list the one later proposals are swept against."""
-        self.committed = self._scored
+        state, levels = self._scored
+        if isinstance(levels, int):
+            levels = self._sweep(state, levels)
+        self.committed = self._scored = (state, levels)
+        self._memo.clear()
+
+    def _sweep(self, state: tuple[int, ...], k: int):
+        masks = self.masks
+        return sweep(
+            [masks[i] for i in state[k:]], self.base_correct, self.n, self.committed[1], k
+        )
 
 
 def run_search(

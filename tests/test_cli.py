@@ -965,6 +965,49 @@ def test_corrupted_json_input_is_data_error(tmp_path, capsys, name, edit, messag
     assert message in one_error_line(capsys, "data error")
 
 
+# A schema error in one of two JSON inputs must say which file it is in.
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("manifest.json", lambda m: first_column(m).update(kind="text"), "unknown kind 'text'"),
+        ("model.json", lambda m: m["rules"][0]["stats"].pop("accuracy"), "unexpected stats keys"),
+    ],
+    ids=["manifest", "model"],
+)
+def test_schema_error_names_the_file(bench_dir, trained_dir, tmp_path, capsys, name, edit, message):
+    files = {"model.json": trained_dir / "model.json", "manifest.json": trained_dir / "manifest.json"}
+    obj = json.loads(files[name].read_text())
+    edit(obj)
+    files[name] = bad = tmp_path / name
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code = run(
+        "evaluate", "--data", bench_dir / "data.csv", "--label-column", "label",
+        "--preds", bench_dir / "preds.txt",
+        "--model", files["model.json"], "--manifest", files["manifest.json"],
+    )
+    assert code == 3
+    line = one_error_line(capsys, "data error")
+    assert line.startswith(f"data error: {bad}: ") and line.endswith(message), line
+
+
+def test_non_numeric_rule_stat_is_data_error(bench_dir, trained_dir, tmp_path, capsys):
+    # a transparency of "x" used to load, and predict --transparency exited 0
+    obj = json.loads((trained_dir / "model.json").read_text())
+    obj["rules"][0]["stats"]["transparency"] = "x"
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code = run(
+        "predict", "--data", bench_dir / "data.csv", "--label-column", "label",
+        "--preds", bench_dir / "preds.txt",
+        "--model", bad, "--manifest", trained_dir / "manifest.json",
+        "--transparency", 0.1, "--out", tmp_path / "p.csv",
+    )
+    assert code == 3
+    assert f"{bad}: model schema violation" in one_error_line(capsys, "data error")
+
+
 @pytest.mark.parametrize("flag", ["--data", "--preds", "--model", "--manifest", "--config"])
 def test_input_file_that_is_not_utf8_is_data_error(bench_dir, trained_dir, tmp_path, capsys, flag):
     # one latin-1 byte (\xe9) after the first byte of an otherwise valid file

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +77,48 @@ class TestModelRoundTrip:
             p.write_text(json.dumps(broken))
             with pytest.raises(DataError, match="schema|format|version"):
                 load_model(p)
+
+    @pytest.mark.parametrize(
+        "stat, value",
+        [
+            ("transparency", "x"),
+            ("transparency", 1.5),
+            ("transparency", -0.25),
+            ("accuracy", True),
+            ("exclusive_support", None),
+            ("rule_accuracy", math.inf),
+            ("rule_accuracy", -1),
+            ("accuracy", 7),
+            ("exclusive_support", 2.5),
+            ("exclusive_support", -2),
+        ],
+    )
+    def test_stat_values_checked(self, d4, stat, value):
+        obj = trained_doc(d4)[0].to_obj()
+        obj["rules"][0]["stats"][stat] = value
+        with pytest.raises(DataError, match="model schema violation"):
+            model_from_obj(obj)
+
+    def test_descending_transparencies_rejected(self, d4):
+        obj = trained_doc(d4)[0].to_obj()
+        first, second = (r["stats"] for r in obj["rules"])
+        first["transparency"], second["transparency"] = 0.75, 0.5
+        with pytest.raises(DataError, match="ascend"):
+            model_from_obj(obj)
+
+    def test_null_rule_accuracy_loads(self, d4):
+        # a rule whose exclusive cover is empty has no rule-part accuracy
+        obj = trained_doc(d4)[0].to_obj()
+        obj["rules"][1]["stats"].update(exclusive_support=0, rule_accuracy=None)
+        assert model_from_obj(obj).rules[1].stats["rule_accuracy"] is None
+
+    def test_schema_error_names_the_file(self, d4, tmp_path):
+        obj = trained_doc(d4)[0].to_obj()
+        obj["rules"][0]["stats"]["transparency"] = "x"
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: model schema violation"):
+            load_model(p)
 
     def test_not_json(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -82,7 +82,7 @@ def test_experiment_script_runs(script, args):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_planted_benchmark_script_optimum_is_the_package_autac_maximum(seed):
-    # the script enumerates with its own popcount loop; it must agree with curve()
+    # the script enumerates by resuming sweep() level by level; it must agree with curve()
     script = runpy.run_path(str(ROOT / "scripts" / "run_planted_benchmark.py"))
     bench = planted_benchmark(300, seed)
     pool = mine_rules(bench.data, gamma=0.3)

@@ -353,6 +353,55 @@ class TestRunSearch:
             assert scorer.committed[0] == current
             assert scorer.committed[1] == full_sweep(current)
 
+    def test_each_state_swept_at_most_once_per_committed_list(self, monkeypatch):
+        data, preds, pool = small_problem()
+        swept = []
+
+        def recording_sweep(masks, *args):
+            levels = sweep(masks, *args)
+            swept.append(len(levels))
+            return levels
+
+        monkeypatch.setattr("crl.search.sweep", recording_sweep)
+        scorer = _Scorer(data, preds, pool, alpha=0.001, scoring="companion")
+        rng = np.random.default_rng(3)
+        current = init_list(pool, 3, rng)
+        scorer.score(current, 0)
+        scorer.commit()
+        seen = set()
+        repeats = 0
+        for n in range(1, 1500):
+            proposal, _op, k = propose(current, pool, rng)
+            before = len(swept)
+            scorer.score(proposal, k)
+            if proposal in seen:
+                repeats += 1
+                assert len(swept) == before, proposal
+            else:
+                assert len(swept) == before + 1, proposal
+                seen.add(proposal)
+            if n % 100 == 0:
+                scorer.commit()
+                current = proposal
+                seen = set()
+        assert repeats > 0
+
+    def test_memo_hit_then_commit_sweeps_the_hit(self):
+        data, preds, pool = small_problem()
+        scorer = _Scorer(data, preds, pool, alpha=0.001, scoring="companion")
+        a, b = (0, 1, 2), (0, 2, 1)
+        scorer.score(a, 0)
+        scorer.commit()
+        a_next, b_next = a + (3,), (0, 1, 3, 2)
+        obj = scorer.score(a_next, 3)
+        scorer.score(b_next, 2)
+        assert scorer.score(a_next, 3) == obj
+        scorer.commit()
+        assert scorer.committed[0] == a_next
+        masks = cover_masks(pool.rules, data)
+        full = sweep([masks[i] for i in a_next], scorer.base_correct, data.n_rows)
+        assert scorer.committed[1] == full
+
     def test_empty_pool_rejected(self):
         data, preds, _ = small_problem()
         empty = CandidatePool(rules=(), supports=(), gamma=0.5, max_cardinality=2)
