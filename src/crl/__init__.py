@@ -12,7 +12,7 @@ This namespace holds the documented API (see README.md); every other name is
 importable from its own module.
 """
 
-from .companion import CompanionEvaluator, predict_companion_instance
+from .companion import CompanionEvaluator
 from .data import (
     BinarizationManifest,
     BinaryDataset,
@@ -56,7 +56,6 @@ __all__ = [
     "model_from_training",
     "objective",
     "planted_benchmark",
-    "predict_companion_instance",
     "resolve_rules",
     "run_search",
     "save_model",

@@ -40,6 +40,7 @@ from .data import (
 from .errors import CrlError, DataError, SearchError
 from .mining import mine_rules, subsample_for_mining
 from .model_io import (
+    ModelDocument,
     load_model,
     model_from_training,
     resolve_rules,
@@ -272,12 +273,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _evaluate_model(args) -> tuple[CompanionEvaluator, BinaryDataset]:
+def _evaluate_model(args) -> tuple[CompanionEvaluator, ModelDocument]:
     data, _ = _load_dataset(args)
     preds = _load_preds(args, data)
     doc = load_model(args.model)
     rules = resolve_rules(doc, data)
-    return CompanionEvaluator(rules, data, preds), data
+    return CompanionEvaluator(rules, data, preds), doc
 
 
 def cmd_evaluate(args) -> int:
@@ -292,16 +293,21 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    evaluator, _ = _evaluate_model(args)
+    evaluator, doc = _evaluate_model(args)
     if args.level is not None:
         preds, prov = evaluator.level_predictions(args.level)
     elif args.transparency is not None:
+        # t maps through the training-time levels, so no row depends on its batch
+        try:
+            levels = doc.level_transparencies()
+        except DataError as exc:
+            raise DataError(f"{args.model}: {exc}; --level works without them") from exc
         rng = np.random.default_rng(args.seed)
-        preds, prov = evaluator.stochastic_predictions(args.transparency, rng)
+        preds, prov = evaluator.stochastic_predictions(args.transparency, rng, levels)
     elif args.all_blackbox:
-        preds, prov = evaluator.blackbox_predictions()
+        preds, prov = evaluator.level_predictions(0)
     else:
-        preds, prov = evaluator.rule_predictions()
+        preds, prov = evaluator.level_predictions(evaluator.n_levels)
         print(
             f"residual coverage: {evaluator.residual_fraction():.4f} of rows fall "
             "through to the black-box"

@@ -9,8 +9,12 @@ black-box prediction. The prediction modes are:
 * ``stochastic t``: a target transparency t between level boundaries is hit in
   expectation by letting the rows covered exactly by the next rule adopt it
   with probability q, where q is the fractional position of t between the two
-  surrounding levels (each row draws its own uniform epsilon);
-* ``all_blackbox`` / ``all_rules``: the two endpoints.
+  surrounding levels of the training-time curve (each row draws its own
+  uniform epsilon).
+
+Each row's first-match rule is read off one prefix sweep of the evaluated
+rows. That rule, the row's black-box value and, in the stochastic mode, the
+row's own draw decide its answer; the other rows never do.
 """
 
 from __future__ import annotations
@@ -26,12 +30,7 @@ from .objective import (
     level_for_t,
     list_sweep,
 )
-from .rules import RuleList, first_match
-
-
-def _check_level(m: int, n_levels: int) -> None:
-    if m < 0 or m > n_levels:
-        raise DataError(f"level {m} out of range 0..{n_levels}")
+from .rules import RuleList
 
 
 class CompanionEvaluator:
@@ -83,61 +82,31 @@ class CompanionEvaluator:
         Provenance holds the 0-based index of the answering rule, or -1 for the
         black-box.
         """
-        _check_level(m, self.n_levels)
+        if m < 0 or m > self.n_levels:
+            raise DataError(f"level {m} out of range 0..{self.n_levels}")
         return self._assemble(self._adopted(m))
 
-    def blackbox_predictions(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.level_predictions(0)
-
-    def rule_predictions(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.level_predictions(self.n_levels)
-
     def stochastic_predictions(
-        self, t: float, rng: np.random.Generator
+        self, t: float, rng: np.random.Generator, level_transparencies
     ) -> tuple[np.ndarray, np.ndarray]:
         """One draw of the stochastic companion at target transparency t.
 
-        Each row draws one uniform epsilon from ``rng`` (exactly one batch of
-        ``n_rows`` draws per call); rows covered exactly by the next rule adopt
-        it when epsilon < q. The expected fraction of rule-answered rows equals
-        t, and at a level boundary (q = 0) the draw coincides with that level's
-        deterministic predictions for every seed.
+        t is mapped to a level m and a fraction q through
+        ``level_transparencies``, the training-time transparency of levels
+        0..M (``ModelDocument.level_transparencies()`` or the training curve's
+        ``transparency``), never through this dataset's curve. Row i takes the
+        i-th of one batch of ``n_rows`` uniforms drawn from ``rng``; rows
+        whose first match is rule index m adopt it when that draw is < q. On
+        the training rows the expected fraction of rule-answered rows equals
+        t; on any rows, t equal to level m's entry (q = 0) gives level m's
+        predictions for every seed.
         """
-        m, q = level_for_t(self.curve.transparency, t)
+        if len(level_transparencies) != self.n_levels + 1:
+            raise DataError(
+                f"{len(level_transparencies)} level transparencies given for "
+                f"a list of {self.n_levels} rules (need {self.n_levels + 1})"
+            )
+        m, q = level_for_t(level_transparencies, t)
         eps = rng.random(self.data.n_rows)
         band = (self._first_idx == m) & (eps < q)
         return self._assemble(self._adopted(m) | band)
-
-
-def predict_companion_instance(
-    rule_list: RuleList,
-    instance,
-    blackbox_value: int,
-    *,
-    level: int | None = None,
-    transparency: float | None = None,
-    level_transparencies=None,
-    epsilon: float | None = None,
-) -> tuple[int, int]:
-    """Single-instance companion prediction; returns (prediction, provenance).
-
-    Provenance is the 0-based index of the answering rule or -1 for the
-    black-box. ``level`` selects the deterministic mode. ``transparency``
-    selects the stochastic mode and additionally needs the level
-    transparencies recorded at training time plus a uniform draw ``epsilon``.
-    """
-    first = first_match(rule_list, instance)
-    if transparency is None:
-        m = len(rule_list) if level is None else level
-        _check_level(m, len(rule_list))
-        adopt = 0 <= first < m
-    else:
-        if level_transparencies is None or epsilon is None:
-            raise ValueError(
-                "stochastic prediction needs level_transparencies and epsilon"
-            )
-        m, q = level_for_t(tuple(level_transparencies), transparency)
-        adopt = 0 <= first < m or (first == m and epsilon < q)
-    if adopt:
-        return rule_list[first].output, first
-    return blackbox_value, -1

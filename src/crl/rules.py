@@ -1,17 +1,16 @@
-"""Rules, ordered rule lists, raw covers and single-row first match.
+"""Rules, ordered rule lists and raw covers.
 
 A rule pairs an antecedent (a conjunction of binary-feature conditions, each
 "feature j is set") with an output class. An ordered rule list predicts by
 first match. A rule's raw cover is the bitset of rows satisfying its
-antecedent; the dataset-wide first match, and each rule's exclusive cover,
-are read off the prefix sweep in :mod:`crl.objective`.
+antecedent; each row's first match, and each rule's exclusive cover, are read
+off the prefix sweep in :mod:`crl.objective` (``first_match_indices``), the
+only first-match routine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .data import BinaryDataset
 
@@ -76,11 +75,3 @@ def raw_cover(rule: Rule, data: BinaryDataset) -> int:
         mask &= data.feature_bits[c]
     return mask
 
-
-def first_match(rule_list: RuleList, instance) -> int:
-    """0-based index of the first rule whose conditions all hold, -1 when none."""
-    bits = np.asarray(instance, dtype=bool)
-    for k, r in enumerate(rule_list):
-        if all(bits[c] for c in r.conditions):
-            return k
-    return -1

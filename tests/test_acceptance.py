@@ -104,7 +104,7 @@ def test_criterion_3_stochastic_consistency():
         trans_sum = 0.0
         acc_sum = 0.0
         for _ in range(draws):
-            out, prov = ev.stochastic_predictions(t, rng)
+            out, prov = ev.stochastic_predictions(t, rng, ts)
             trans_sum += float((prov >= 0).mean())
             acc_sum += float((out == labels).mean())
         assert abs(trans_sum / draws - t) <= 0.01

@@ -44,6 +44,14 @@ def bench_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def heldout_dir(tmp_path_factory):
+    """A second synth table, drawn with another seed, for held-out prediction."""
+    out = tmp_path_factory.mktemp("heldout")
+    assert run("synth", "--rows", 400, "--seed", 4, "--out", out) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def trained_dir(tmp_path_factory, bench_dir):
     out = tmp_path_factory.mktemp("trained")
     code = run(
@@ -290,12 +298,12 @@ class TestPair:
 
 
 class TestPredict:
-    def common(self, bench_dir, trained_dir):
+    def common(self, bench_dir, trained_dir, model=None):
         return (
             "--data", bench_dir / "data.csv",
             "--label-column", "label",
             "--preds", bench_dir / "preds.txt",
-            "--model", trained_dir / "model.json",
+            "--model", model or trained_dir / "model.json",
             "--manifest", trained_dir / "manifest.json",
         )
 
@@ -363,6 +371,57 @@ class TestPredict:
             "--out", tmp_path / "x.csv",
         )
         assert code == 3
+
+
+    def test_transparency_boundary_equals_level_on_held_out_data(
+        self, heldout_dir, trained_dir, tmp_path
+    ):
+        # t maps through the stored training-time levels, not the held-out curve
+        ts = load_model(trained_dir / "model.json").level_transparencies()
+        common = self.common(heldout_dir, trained_dir)
+        curve_out = tmp_path / "heldout_curve.csv"
+        assert run("evaluate", *common, "--curve-out", curve_out) == 0
+        assert tuple(p[0] for p in read_curve_csv(curve_out)[0]) != tuple(ts)
+        for m, t in enumerate(ts):
+            last = max(k for k, u in enumerate(ts) if u == t)  # ties take the last level
+            out_level, out_stoch = tmp_path / f"level{m}.csv", tmp_path / f"stoch{m}.csv"
+            assert run("predict", *common, "--level", last, "--out", out_level) == 0
+            assert run(
+                "predict", *common, "--transparency", t, "--seed", 9, "--out", out_stoch
+            ) == 0
+            assert out_stoch.read_bytes() == out_level.read_bytes(), m
+
+    def test_rows_answer_independently_of_their_batch(self, bench_dir, trained_dir, tmp_path):
+        k = 150
+        head = tmp_path / "head"
+        head.mkdir()
+        for name, keep in (("data.csv", k + 1), ("preds.txt", k)):
+            lines = (bench_dir / name).read_bytes().splitlines(keepends=True)
+            (head / name).write_bytes(b"".join(lines[:keep]))
+        ts = load_model(trained_dir / "model.json").level_transparencies()
+        for i, t in enumerate((a + b) / 2 for a, b in zip(ts, ts[1:])):
+            full, part = tmp_path / f"full{i}.csv", tmp_path / f"part{i}.csv"
+            for data_dir, out in ((bench_dir, full), (head, part)):
+                common = self.common(data_dir, trained_dir)
+                assert run("predict", *common, "--transparency", t, "--out", out) == 0
+            want = full.read_bytes().splitlines(keepends=True)[: k + 1]
+            assert part.read_bytes().splitlines(keepends=True) == want, t
+
+    def test_model_without_statistics_refuses_transparency(
+        self, bench_dir, trained_dir, tmp_path, capsys
+    ):
+        # an imported model (as `pair` scores) may carry "stats": null
+        obj = json.loads((trained_dir / "model.json").read_text())
+        for rule in obj["rules"]:
+            rule["stats"] = None
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(obj))
+        common = self.common(bench_dir, trained_dir, model=bare)
+        capsys.readouterr()
+        assert run("predict", *common, "--transparency", 0.1, "--out", tmp_path / "p.csv") == 3
+        line = one_error_line(capsys, "data error")
+        assert line.startswith(f"data error: {bare}: ") and "--level works" in line, line
+        assert run("predict", *common, "--level", 1, "--out", tmp_path / "p.csv") == 0
 
 
 class TestMineAndTune:

@@ -10,8 +10,8 @@ from crl import (
     PredictionVector,
     Rule,
     RuleList,
-    predict_companion_instance,
 )
+from crl.objective import level_for_t
 
 from conftest import make_random_dataset, make_random_preds
 from oracles import random_instance, simulate_first_match
@@ -66,7 +66,7 @@ class TestLevelPredictions:
 
     def test_residual_fraction(self):
         ev = fixed_model()
-        _, prov = ev.rule_predictions()
+        _, prov = ev.level_predictions(ev.n_levels)
         assert float((prov == -1).mean()) == pytest.approx(ev.residual_fraction())
 
     def test_level_out_of_range(self):
@@ -97,18 +97,27 @@ class TestLevelPredictions:
 class TestStochasticPredictions:
     def test_boundary_equals_level_for_any_seed(self):
         ev = fixed_model()
+        ts = ev.curve.transparency
         for m in range(ev.n_levels + 1):
-            t = ev.curve.points[m][0]
             lvl_out, lvl_prov = ev.level_predictions(m)
             for seed in (0, 1, 99):
-                out, prov = ev.stochastic_predictions(t, np.random.default_rng(seed))
+                out, prov = ev.stochastic_predictions(ts[m], np.random.default_rng(seed), ts)
                 assert out.tolist() == lvl_out.tolist()
                 assert prov.tolist() == lvl_prov.tolist()
 
     def test_beyond_coverage_raises(self):
         ev = fixed_model()
+        ts = ev.curve.transparency
         with pytest.raises(DataError, match="exceeds list coverage"):
-            ev.stochastic_predictions(ev.curve.coverage + 0.01, np.random.default_rng(0))
+            ev.stochastic_predictions(ev.curve.coverage + 0.01, np.random.default_rng(0), ts)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_number_of_level_transparencies_refused(self, extra):
+        ev = fixed_model()
+        ts = ev.curve.transparency
+        ts = ts[:extra] if extra < 0 else ts + (1.0,)
+        with pytest.raises(DataError, match=rf"^{len(ts)} level transparencies .* \(need 6\)$"):
+            ev.stochastic_predictions(0.0, np.random.default_rng(0), ts)
 
     def test_expected_transparency_midpoint(self):
         ev = fixed_model()
@@ -118,48 +127,62 @@ class TestStochasticPredictions:
         draws = 20_000
         total = 0.0
         for _ in range(draws):
-            _, prov = ev.stochastic_predictions(t, rng)
+            _, prov = ev.stochastic_predictions(t, rng, ts)
             total += (prov >= 0).mean()
         assert abs(total / draws - t) <= 0.01
 
     def test_matches_per_instance_reference(self):
-        # the vectorized path must agree with the branch-by-branch instance rule
+        # the vectorized path must agree with a row-by-row reference that maps t
+        # through the given levels and walks the rules on each row
         ev = fixed_model(n_rows=60)
         ts = ev.curve.transparency
         t = (ts[1] + ts[2]) / 2
         seed = 5
-        rng = np.random.default_rng(seed)
-        out, prov = ev.stochastic_predictions(t, rng)
+        out, prov = ev.stochastic_predictions(t, np.random.default_rng(seed), ts)
         eps = np.random.default_rng(seed).random(ev.data.n_rows)
+        specs = [(r.conditions, r.output) for r in ev.rule_list]
+        match = simulate_first_match(specs, ev.data.matrix)
+        m, q = level_for_t(ts, t)
         for i in range(ev.data.n_rows):
-            pred, who = predict_companion_instance(
-                ev.rule_list,
-                ev.data.matrix[i],
-                int(ev.preds.preds[i]),
-                transparency=t,
-                level_transparencies=ts,
-                epsilon=float(eps[i]),
-            )
-            assert pred == out[i]
-            assert who == prov[i]
+            k = int(match[i])
+            adopt = 0 <= k < m or (k == m and eps[i] < q)
+            assert prov[i] == (k if adopt else -1)
+            assert out[i] == (specs[k][1] if adopt else ev.preds.preds[i])
+
+    def test_levels_come_from_the_argument_not_the_batch(self):
+        # the first k rows predicted alone answer as they do in the full table:
+        # t maps through the given levels, and row i takes the i-th draw
+        ev = fixed_model()
+        ts = ev.curve.transparency
+        t = (ts[2] + ts[3]) / 2
+        full_out, full_prov = ev.stochastic_predictions(t, np.random.default_rng(3), ts)
+        rows = np.arange(ev.data.n_rows // 3)
+        head = CompanionEvaluator(ev.rule_list, ev.data.subset(rows), ev.preds.subset(rows))
+        assert head.curve.transparency != ts
+        out, prov = head.stochastic_predictions(t, np.random.default_rng(3), ts)
+        assert out.tolist() == full_out[rows].tolist()
+        assert prov.tolist() == full_prov[rows].tolist()
 
 
 class TestCompanionModel:
+    # a row's answer read off a one-row batch whose black-box says 0
+    @staticmethod
+    def one_row(d4, i, level):
+        data, _, rl = d4
+        ev = CompanionEvaluator(rl, data.subset([i]), PredictionVector(np.zeros(1, np.uint8)))
+        out, prov = ev.level_predictions(level)
+        return int(out[0]), int(prov[0])
+
     def test_instance_level_prediction_with_callback(self, d4):
-        data, preds, rl = d4
-        # uncovered row 3 goes to the callback
-        pred, who = predict_companion_instance(rl, data.matrix[3], 0, level=2)
-        assert (pred, who) == (0, -1)
-        pred, who = predict_companion_instance(rl, data.matrix[0], 0, level=2)
-        assert (pred, who) == (1, 0)
-        pred, who = predict_companion_instance(rl, data.matrix[0], 0, level=0)
-        assert (pred, who) == (0, -1)
+        # uncovered row 3 goes to the black-box
+        assert self.one_row(d4, 3, 2) == (0, -1)
+        assert self.one_row(d4, 0, 2) == (1, 0)
+        assert self.one_row(d4, 0, 0) == (0, -1)
 
     @pytest.mark.parametrize("level", [-1, 3])
     def test_instance_level_out_of_range(self, d4, level):
-        data, _, rl = d4
         with pytest.raises(DataError, match=f"level {level} out of range 0..2"):
-            predict_companion_instance(rl, data.matrix[0], 0, level=level)
+            self.one_row(d4, 0, level)
 
 
 class TestAlignment:

@@ -41,6 +41,15 @@ def test_every_exported_name_is_documented_in_readme():
     assert missing == []
 
 
+def test_every_python_block_of_the_readme_runs():
+    # the documented library example must follow the API it documents
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def test_benchmark_tracer_patches_and_restores_every_traced_name():
     # perfbench/tracing.py wraps crl names by attribute; renaming one must fail here
     path = ROOT / "perfbench" / "tracing.py"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from crl import BinaryDataset, Rule, RuleList
 from crl.data import pack_bool
 from crl.objective import cover_masks, first_match_indices, sweep
-from crl.rules import first_match, raw_cover
+from crl.rules import raw_cover
 
 from conftest import make_random_dataset
 from oracles import simulate_first_match
@@ -111,7 +111,9 @@ class TestExclusiveCovers:
 
 def first_match_output(rule_list, instance):
     """The first matching rule's output for one instance; None when no rule fires."""
-    k = first_match(rule_list, instance)
+    names = tuple(f"f{j}" for j in range(len(instance)))
+    data = BinaryDataset.from_bool_matrix([instance], np.zeros(1, np.uint8), names)
+    k = int(match_of(rule_list, data)[0])
     return None if k < 0 else rule_list[k].output
 
 
