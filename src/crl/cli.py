@@ -312,10 +312,10 @@ def cmd_predict(args) -> int:
             f"residual coverage: {evaluator.residual_fraction():.4f} of rows fall "
             "through to the black-box"
         )
-    rows = (
-        (i, int(p), "blackbox" if k < 0 else int(k) + 1)
-        for i, (p, k) in enumerate(zip(preds, prov))
-    )
+    # provenance k (-1 for the black-box) is written as names[k + 1]
+    names = ["blackbox", *range(1, evaluator.n_levels + 1)]
+    provenance = map(names.__getitem__, (prov + 1).tolist())
+    rows = zip(range(len(preds)), preds.tolist(), provenance)
     write_rows(args.out, ("row", "prediction", "provenance"), rows)
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0

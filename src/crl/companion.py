@@ -99,12 +99,17 @@ class CompanionEvaluator:
         whose first match is rule index m adopt it when that draw is < q. On
         the training rows the expected fraction of rule-answered rows equals
         t; on any rows, t equal to level m's entry (q = 0) gives level m's
-        predictions for every seed.
+        predictions for every seed. Levels whose transparencies are given
+        out of ascending order are a :class:`DataError`.
         """
         if len(level_transparencies) != self.n_levels + 1:
             raise DataError(
                 f"{len(level_transparencies)} level transparencies given for "
                 f"a list of {self.n_levels} rules (need {self.n_levels + 1})"
+            )
+        if any(b < a for a, b in zip(level_transparencies, level_transparencies[1:])):
+            raise DataError(
+                f"level transparencies must ascend, got {tuple(map(float, level_transparencies))}"
             )
         m, q = level_for_t(level_transparencies, t)
         eps = rng.random(self.data.n_rows)

@@ -13,10 +13,11 @@ from a file or synthesized by :func:`synth_oracle` for experiments.
 
 Each file format has one reader and one writer here: every delimited text
 file (a table, or a prediction file read by column) is read by
-:func:`_read_rows`, every CSV artifact is written by :func:`write_rows`, and
-every JSON file goes through :func:`read_json` and :func:`write_json`, which
-refuse NaN and infinite numbers. Child seeds of one seed come from
-:func:`child_seeds`.
+:func:`_read_rows`, which returns it as columns of stripped cells, so that
+labels, categories and numbers are mapped a column at a time; every CSV
+artifact is written by :func:`write_rows`, and every JSON file goes through
+:func:`read_json` and :func:`write_json`, which refuse NaN and infinite
+numbers. Child seeds of one seed come from :func:`child_seeds`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import eq, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -216,11 +219,13 @@ def write_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _read_rows(path: Path, delimiter: str) -> tuple[list[str], list[list[str]]]:
-    """The stripped header and cell rows of a UTF-8 delimited text file.
+def _read_rows(path: Path, delimiter: str) -> tuple[list[str], list[tuple[str, ...]]]:
+    """The stripped header and cell columns of a UTF-8 delimited text file.
 
     Blank lines are skipped. An empty file, a repeated column name and a row
     whose field count differs from the header's are each a :class:`DataError`.
+    Each column is a tuple of stripped cells in file order; a header with no
+    data rows gives one empty tuple per column.
     """
     with _decoding(path), path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -232,17 +237,20 @@ def _read_rows(path: Path, delimiter: str) -> tuple[list[str], list[list[str]]]:
         dup = next((h for i, h in enumerate(header) if h in header[:i]), None)
         if dup is not None:
             raise DataError(f"{path}: duplicate column name {dup!r}")
+        width = len(header)
         rows = []
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+            if len(row) != width:
+                if not row:
+                    continue
                 raise DataError(
                     f"{path}: ragged row at line {lineno} "
-                    f"({len(row)} fields, expected {len(header)})"
+                    f"({len(row)} fields, expected {width})"
                 )
-            rows.append([cell.strip() for cell in row])
-    return header, rows
+            rows.append(row)
+    # one C-level pass over the rows per column: zip(*rows) would hold an
+    # iterator per row and every unstripped column at once, a higher peak
+    return header, [tuple(map(str.strip, map(itemgetter(j), rows))) for j in range(width)]
 
 
 def load_table(
@@ -264,14 +272,14 @@ def load_table(
     lexicographically larger one is positive), or already be 0/1.
     """
     path = Path(path)
-    header, rows = _read_rows(path, delimiter)
+    header, columns = _read_rows(path, delimiter)
     if label not in header:
         raise DataError(f"{path}: missing label column {label!r}")
-    if not rows:
+    by_name = dict(zip(header, columns))
+    label_cells = by_name.pop(label)
+    if not label_cells:
         raise DataError(f"{path}: no data rows")
-
-    by_name = {name: tuple(r[j] for r in rows) for j, name in enumerate(header)}
-    labels, positive = _map_labels(by_name.pop(label), label, positive_value)
+    labels, positive = _map_labels(label_cells, label, positive_value)
 
     return RawTable(
         columns=by_name,
@@ -297,10 +305,9 @@ def _map_labels(values, label, positive_value):
         raise DataError(
             f"label column {label!r} never takes the positive value {positive_value!r}"
         )
-    labels = np.fromiter(
-        (1 if v == positive_value else 0 for v in values), dtype=np.uint8, count=len(values)
-    )
-    return labels, positive_value
+    # operator.eq, unlike str.__eq__, compares a non-string positive value as unequal
+    is_positive = map(eq, values, repeat(positive_value))
+    return np.fromiter(is_positive, dtype=np.uint8, count=len(values)), positive_value
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +338,11 @@ def _numeric_cells(name: str, values) -> tuple[np.ndarray, np.ndarray]:
     (``nan``, ``inf``) is a :class:`DataError`.
     """
     present = np.fromiter(map(bool, values), dtype=bool, count=len(values))
-    cells = [v for v in values if v]
-    floats = np.array([float(v) for v in cells], dtype=float)
+    n_cells = int(np.count_nonzero(present))
+    floats = np.fromiter(map(float, filter(None, values)), dtype=float, count=n_cells)
     finite = np.isfinite(floats)
     if not finite.all():
-        bad = cells[int(np.argmin(finite))]
+        bad = [v for v in values if v][int(np.argmin(finite))]
         raise DataError(f"numeric column {name!r}: non-finite value {bad!r}")
     return present, floats
 
@@ -355,12 +362,8 @@ class ManifestColumn:
         """
         if self.kind != _KIND_NUMERIC:
             pos = {c: j for j, c in enumerate(self.categories)}
-            missing = pos.get(MISSING_CATEGORY, -1)
-            return np.fromiter(
-                (pos.get(v, -1) if v else missing for v in values),
-                dtype=np.intp,
-                count=len(values),
-            )
+            pos[""] = pos.get(MISSING_CATEGORY, -1)
+            return np.fromiter(map(pos.get, values, repeat(-1)), dtype=np.intp, count=len(values))
         try:
             present, floats = _numeric_cells(self.name, values)
         except ValueError as exc:
@@ -551,25 +554,19 @@ def load_predictions(
     :func:`load_table`, and that column is used.
     """
     path = Path(path)
-    values: list[str] = []
     if column is None:
         with _decoding(path):
             text = path.read_text(encoding="utf-8-sig")
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                values.append(line)
+        values = list(filter(None, map(str.strip, text.splitlines())))
     else:
-        header, rows = _read_rows(path, delimiter)
+        header, columns = _read_rows(path, delimiter)
         if column not in header:
             raise DataError(f"{path}: missing prediction column {column!r}")
-        j = header.index(column)
-        values = [row[j] for row in rows]
-    preds = np.empty(len(values), dtype=np.uint8)
-    for i, v in enumerate(values):
-        if v not in ("0", "1"):
-            raise DataError(f"{path}: non-binary prediction {v!r} at entry {i + 1}")
-        preds[i] = int(v)
+        values = columns[header.index(column)]
+    if not set(values) <= {"0", "1"}:
+        i, bad = next((i, v) for i, v in enumerate(values) if v not in ("0", "1"))
+        raise DataError(f"{path}: non-binary prediction {bad!r} at entry {i + 1}")
+    preds = np.fromiter(map(eq, values, repeat("1")), dtype=np.uint8, count=len(values))
     if len(preds) != n:
         raise DataError(
             f"{path}: length mismatch: {len(preds)} predictions for {n} dataset rows"

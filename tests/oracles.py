@@ -188,38 +188,57 @@ def _is_numeric(values) -> bool:
     return bool(cells)
 
 
-def reference_binarize(columns, quantiles: int):
-    """One-hot matrix and feature names by per-row labelling of raw cells.
+def reference_edges(values, quantiles: int):
+    """The distinct (k/quantiles)-quantiles of a numeric column, in ascending
+    order; None for a categorical column (blank cells are ignored)."""
+    if not _is_numeric(values):
+        return None
+    floats = [float(v) for v in values if v != ""]
+    edges = []
+    for e in np.quantile(floats, [k / quantiles for k in range(1, quantiles)]):
+        if not edges or e > edges[-1]:
+            edges.append(float(e))
+    return edges
 
-    ``columns`` is a sequence of (name, values) with string cells. A column is
-    numeric when it has a non-blank cell and every non-blank cell parses as a
-    float. A numeric cell is labelled ``bin{k}``, k = the number of distinct
-    (k/quantiles)-quantiles of the column strictly below it; a blank cell is
-    ``<missing>``. Numeric labels are ordered by k with ``<missing>`` last,
-    categorical labels by plain string sort.
+
+def _reference_labels(values, edges):
+    """Each cell's label: ``bin{k}`` with k the number of edges strictly below
+    it (numeric), the cell itself (categorical), ``<missing>`` when blank."""
+    if edges is None:
+        return [v if v != "" else "<missing>" for v in values]
+    return ["<missing>" if v == "" else f"bin{sum(e < float(v) for e in edges)}" for v in values]
+
+
+def reference_apply(fit_columns, columns, quantiles: int):
+    """One-hot matrix and feature names of ``columns`` by per-row labelling,
+    under the kinds, edges and categories fitted on ``fit_columns``.
+
+    Both are sequences of (name, values) with string cells, in the same column
+    order; cells of ``columns`` are stripped first. A column is numeric when
+    it has a non-blank cell and every non-blank cell parses as a float. The
+    categories are the labels the fit cells take: numeric ones ordered by k
+    with ``<missing>`` last, categorical ones by plain string sort. A cell
+    whose label is not among them sets no bit.
     """
     names = []
     bit_columns = []
-    for name, values in columns:
-        if _is_numeric(values):
-            floats = [float(v) for v in values if v != ""]
-            edges = []
-            if floats:
-                for e in np.quantile(floats, [k / quantiles for k in range(1, quantiles)]):
-                    if not edges or e > edges[-1]:
-                        edges.append(float(e))
-            labels = [
-                "<missing>" if v == "" else f"bin{sum(e < float(v) for e in edges)}"
-                for v in values
-            ]
-            seen = set(labels)
+    for (name, fit_values), (_, values) in zip(fit_columns, columns):
+        edges = reference_edges(fit_values, quantiles)
+        seen = set(_reference_labels(fit_values, edges))
+        if edges is None:
+            order = sorted(seen)
+        else:
             order = sorted((c for c in seen if c != "<missing>"), key=lambda c: int(c[3:]))
             if "<missing>" in seen:
                 order.append("<missing>")
-        else:
-            labels = [v if v != "" else "<missing>" for v in values]
-            order = sorted(set(labels))
+        labels = _reference_labels([v.strip() for v in values], edges)
         for cat in order:
             names.append(f"{name}={cat}")
             bit_columns.append([label == cat for label in labels])
     return np.array(bit_columns, dtype=bool).T, names
+
+
+def reference_binarize(columns, quantiles: int):
+    """One-hot matrix and feature names of ``columns`` fitted on themselves;
+    see :func:`reference_apply`."""
+    return reference_apply(columns, columns, quantiles)

@@ -119,6 +119,22 @@ class TestStochasticPredictions:
         with pytest.raises(DataError, match=rf"^{len(ts)} level transparencies .* \(need 6\)$"):
             ev.stochastic_predictions(0.0, np.random.default_rng(0), ts)
 
+    def test_descending_level_transparencies_refused(self):
+        # a swapped pair of levels would send t to the wrong level
+        ev = fixed_model()
+        ts = list(ev.curve.transparency)
+        ts[2], ts[3] = ts[3], ts[2]
+        assert ts[2] > ts[3]
+        with pytest.raises(DataError, match=r"^level transparencies must ascend"):
+            ev.stochastic_predictions(ts[3], np.random.default_rng(0), tuple(ts))
+
+    def test_tied_level_transparencies_accepted(self):
+        ev = fixed_model()
+        ts = ev.curve.transparency
+        tied = (ts[0], ts[1], ts[1], *ts[3:])
+        out, _ = ev.stochastic_predictions(ts[1], np.random.default_rng(0), tied)
+        assert out.tolist() == ev.level_predictions(2)[0].tolist()
+
     def test_expected_transparency_midpoint(self):
         ev = fixed_model()
         ts = ev.curve.transparency

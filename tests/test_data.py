@@ -1,12 +1,13 @@
 import csv
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crl import (
@@ -28,7 +29,7 @@ from crl.data import (
     write_json,
     write_rows,
 )
-from oracles import reference_binarize
+from oracles import reference_apply, reference_binarize, reference_edges
 
 
 def write(tmp_path, name, text):
@@ -76,6 +77,17 @@ class TestLoadTable:
         p = write(tmp_path, "t.csv", "a,b,c\n1,2,3\n1,2,3,4\n")
         with pytest.raises(DataError, match="ragged row"):
             load_table(p, "c")
+
+    def test_ragged_row_line_counts_records_after_blank_and_multi_line_cells(self, tmp_path):
+        # line 3 is blank, the record at line 4 spans two physical lines, and
+        # the first bad record (line 5) is named rather than the later one
+        text = 'a,b,y\n1,2,0\n\n"x\ny",3,1\n4,5\n6,7,8,9\n'
+        p = write(tmp_path, "t.csv", text)
+        message = rf"^{re.escape(str(p))}: ragged row at line 5 \(2 fields, expected 3\)$"
+        with pytest.raises(DataError, match=message):
+            load_table(p, "y")
+        with pytest.raises(DataError, match=message):
+            load_predictions(p, 4, column="y")
 
     def test_missing_label_column(self, tmp_path):
         p = write(tmp_path, "t.csv", "a,b\n1,2\n")
@@ -256,14 +268,53 @@ def mixed_columns(draw):
     return [draw(st.lists(c, min_size=n, max_size=n)) for c in cell]
 
 
-def load_columns(columns, labels):
+def load_columns(columns, labels, positive_value=None):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "t.csv"
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"c{j}" for j in range(len(columns))] + ["y"])
             writer.writerows(zip(*columns, labels))
-        return load_table(path, "y")
+        return load_table(path, "y", positive_value=positive_value)
+
+
+@st.composite
+def fit_and_held_out_columns(draw):
+    """Quantiles, the columns of a fit table A, and the columns of a held-out
+    table B that A's manifest is applied to.
+
+    Each column of B holds, besides drawn cells, a blank (which A may lack),
+    under a categorical column a category A never has, and under a numeric
+    column a value in every bin of A's reference edges (some of which no A
+    row may fall in) and values beyond A's range. Every cell of B may be
+    padded with blanks that the reader strips.
+    """
+    quantiles = draw(st.integers(min_value=2, max_value=6))
+    fit = draw(mixed_columns())
+    numeric_cell = st.one_of(
+        st.just(""),
+        st.sampled_from([0, 10]).map(str),
+        st.integers(-20, 20).map(str),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False).map(repr),
+    )
+    other_cell = st.sampled_from(AROUND_MISSING + NUMERIC_LOOKING + ["unseen", "A "])
+    held_out = []
+    for values in fit:
+        edges = reference_edges(values, quantiles)
+        if edges is None:
+            forced = ["", "never-fitted"]
+            cell = other_cell
+        else:
+            middles = [(a + b) / 2 for a, b in zip(edges, edges[1:])]
+            forced = ["", *map(repr, [edges[0] - 1, *edges, *middles, edges[-1] + 1])]
+            cell = numeric_cell
+        held_out.append(draw(st.lists(cell, max_size=8)) + forced)
+    n = max(map(len, held_out))
+    padding = st.sampled_from(["", " ", "  ", "\t"])
+    return quantiles, fit, [
+        [draw(padding) + v + draw(padding) for v in col + [""] * (n - len(col))]
+        for col in held_out
+    ]
 
 
 class TestBinarizationPath:
@@ -290,8 +341,53 @@ class TestBinarizationPath:
             start = stop
         assert start == data.n_features
 
+    @given(case=fit_and_held_out_columns())
+    # edges 0, 5, 10: no fit row is in bin1 or bin3, and A has no blank
+    @example(
+        case=(
+            4,
+            [["0", "0", "10", "10"], ["a", "b", "a", "b"]],
+            [[" 3", "11 ", ""], ["c", "\ta", ""]],
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_held_out_table_matches_per_row_reference(self, case):
+        # a manifest fitted on table A labels table B cell by cell as the
+        # reference does; cells in categories A never produced set no bit
+        quantiles, fit, held_out = case
+        fit_table = load_columns(fit, [str(i % 2) for i in range(len(fit[0]))])
+        _, manifest = binarize(fit_table, quantiles=quantiles)
+        n = len(held_out[0])
+        labels = [str(i % 2) for i in range(n)]
+        table = load_columns(held_out, labels, manifest.positive_value)
+        data = apply_manifest(table, manifest)
+
+        names = list(table.columns)
+        matrix, ref_names = reference_apply(
+            list(fit_table.columns.items()), list(zip(names, held_out)), quantiles
+        )
+        assert data.feature_names == tuple(ref_names)
+        assert (data.matrix == matrix).all()
+        assert data.labels.tolist() == [int(y == manifest.positive_value) for y in labels]
+
 
 class TestInputHardening:
+    def test_first_non_numeric_cell_named(self, tmp_path):
+        _, manifest = binarize(load_table(write(tmp_path, "a.csv", "a,y\n1,0\n2,1\n"), "y"))
+        held_out = load_table(write(tmp_path, "b.csv", "a,y\n2,0\n,1\nfoo,0\nbar,1\n"), "y")
+        message = r"^numeric column 'a': could not convert string to float: 'foo'$"
+        with pytest.raises(DataError, match=message):
+            apply_manifest(held_out, manifest)
+
+    def test_first_non_finite_cell_named(self, tmp_path):
+        text = "a,y\n2,0\n,1\ninf,0\nnan,1\n"
+        message = r"^numeric column 'a': non-finite value 'inf'$"
+        with pytest.raises(DataError, match=message):
+            binarize(load_table(write(tmp_path, "a.csv", text), "y"))
+        _, manifest = binarize(load_table(write(tmp_path, "b.csv", "a,y\n1,0\n2,1\n"), "y"))
+        with pytest.raises(DataError, match=message):
+            apply_manifest(load_table(write(tmp_path, "c.csv", text), "y"), manifest)
+
     def test_non_numeric_cell_under_numeric_manifest_column(self, tmp_path):
         fit = write(tmp_path, "a.csv", "a,y\n1,0\n2,1\n3,0\n4,1\n")
         _, manifest = binarize(load_table(fit, "y"))
@@ -336,6 +432,20 @@ class TestLoadPredictions:
         p = write(tmp_path, "p.txt", "1\n2\n")
         with pytest.raises(DataError, match="non-binary prediction"):
             load_predictions(p, 2)
+
+    @pytest.mark.parametrize(
+        "name, text, column",
+        [
+            ("p.txt", "1\n\n0\n x \n2\n", None),
+            ("p.csv", "id,p\n1,1\n\n2,0\n3, x \n4,2\n", "p"),
+        ],
+        ids=["one-per-line", "column"],
+    )
+    def test_first_non_binary_prediction_named(self, tmp_path, name, text, column):
+        p = write(tmp_path, name, text)
+        message = rf"^{re.escape(str(p))}: non-binary prediction 'x' at entry 3$"
+        with pytest.raises(DataError, match=message):
+            load_predictions(p, 4, column=column)
 
     def test_csv_column(self, tmp_path):
         p = write(tmp_path, "p.csv", "id,pred\n0,1\n1,0\n")
@@ -409,10 +519,11 @@ def csv_tables(draw):
 @settings(max_examples=200, deadline=None)
 def test_read_rows_inverts_write_rows(table):
     header, rows = table
+    columns = [tuple(row[j] for row in rows) for j in range(len(header))]
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "t.csv"
         write_rows(path, header, iter(rows))
-        assert _read_rows(path, ",") == (header, rows)
+        assert _read_rows(path, ",") == (header, columns)
 
 
 class TestSynthOracle:
