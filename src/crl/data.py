@@ -409,8 +409,16 @@ class ManifestColumn:
 
 
 def _manifest_column(c: dict) -> ManifestColumn:
-    """A stored manifest column; numeric edges must be as :func:`quantile_edges` writes them."""
-    name, kind = c["name"], c["kind"]
+    """A stored manifest column; numeric edges must be as :func:`quantile_edges` writes them.
+
+    The name and every category must be strings: cells are strings, so a
+    category of any other type could never match one and would set no bit.
+    """
+    name, kind, categories = c["name"], c["kind"], c["categories"]
+    if not isinstance(name, str):
+        raise DataError(f"manifest column name {name!r} is not a string")
+    if not isinstance(categories, list) or not all(isinstance(v, str) for v in categories):
+        raise DataError(f"manifest column {name!r}: categories must be a list of strings")
     edges = tuple(c["edges"]) if c["edges"] is not None else None
     if kind not in (_KIND_NUMERIC, _KIND_CATEGORICAL):
         raise DataError(f"manifest column {name!r}: unknown kind {kind!r}")
@@ -422,7 +430,7 @@ def _manifest_column(c: dict) -> ManifestColumn:
         raise DataError(
             f"manifest column {name!r}: numeric edges must be finite and strictly ascending"
         )
-    return ManifestColumn(name, kind, tuple(c["categories"]), edges)
+    return ManifestColumn(name, kind, tuple(categories), edges)
 
 
 @dataclass(frozen=True)
@@ -461,6 +469,10 @@ class BinarizationManifest:
             if obj["format"] != "crl-manifest":
                 raise DataError(f"not a binarization manifest: {obj.get('format')!r}")
             columns = tuple(_manifest_column(c) for c in obj["columns"])
+            # a label of another type never equals a cell: every row would read 0
+            for key in ("label_column", "positive_value"):
+                if not isinstance(obj[key], str):
+                    raise DataError(f"manifest {key} {obj[key]!r} is not a string")
             return cls(
                 columns=columns,
                 label_column=obj["label_column"],

@@ -8,11 +8,18 @@ count n grows; improvements are always accepted. The best list seen so far is
 tracked separately, so the returned model never depends on where the chain
 happens to end.
 
-A single named generator drives every draw, which makes runs bit-reproducible
-for a fixed seed. Edits that are impossible on the current list (removing from
-an empty list, swapping with fewer than two rules, inserting a rule the list
-already contains) trigger a fresh operation draw, capped at 16 attempts before
-the proposal degenerates to the unchanged list.
+Every draw of a chain comes from one PCG64 ``Generator`` seeded with the
+config's seed, so runs are bit-reproducible for a fixed seed. ``init_list``
+draws through the ``Generator`` itself; from the first proposal on the loop
+draws through :class:`_RawSampler`, which pulls raw 64-bit PCG64 outputs in
+blocks and rebuilds from them, bit for bit, what the ``Generator``'s
+``random``, ``integers`` and ``choice`` would have returned. One numpy call
+costs far more than the arithmetic of a draw, and nothing reads the
+generator after the search, so reading a block ahead changes no result.
+Edits that are impossible on the current list (removing from an empty list,
+swapping with fewer than two rules, inserting a rule the list already
+contains) trigger a fresh operation draw, capped at 16 attempts before the
+proposal degenerates to the unchanged list.
 
 Inside the loop a list is a tuple of indices into the candidate pool, whose
 rules are distinct, so membership is an integer test and no :class:`RuleList`
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +63,9 @@ SCORING_RULES_ONLY = "rules_only"
 
 # Operation draws :func:`propose` makes before it returns the identity.
 PROPOSE_ATTEMPTS = 16
+
+# Raw 64-bit outputs :class:`_RawSampler` pulls from the bit generator at once.
+RAW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -193,6 +204,72 @@ def propose(
     return state, "identity", m
 
 
+class _RawSampler:
+    """The draws of a PCG64 ``Generator``, rebuilt from its raw output in blocks.
+
+    ``random``, ``integers(high)`` and ``choice(m, size=2, replace=False)``
+    return exactly what the same calls on the ``Generator`` would, in the same
+    order, without a numpy call per draw:
+
+    * ``random`` is numpy's double, ``(x >> 11) * 2**-53`` of one raw output;
+    * ``integers`` is numpy's 32-bit Lemire draw on [0, high), fed by 32-bit
+      halves the way PCG64 hands them out: the low half of a fresh output
+      first, its upper half cached for the next 32-bit draw. A range of one
+      value draws nothing;
+    * ``choice`` is numpy's Floyd sampling of two values (a draw on [0, m-1)
+      and one on [0, m), where a repeat takes m-1) followed by its shuffle of
+      the pair, one draw on [0, 2).
+
+    The sampler starts from the generator's cached upper half, if any, and
+    then owns the stream: the generator must not be drawn from afterwards.
+    Ranges of 2**32 values or more take other numpy algorithms and are
+    refused; a candidate pool that size cannot be held in memory.
+    """
+
+    __slots__ = ("_next64", "_half")
+
+    def __init__(self, rng: np.random.Generator, block: int = RAW_BLOCK) -> None:
+        bit_generator = rng.bit_generator
+        state = bit_generator.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        blocks = map(bit_generator.random_raw, repeat(block))
+        self._next64 = chain.from_iterable(map(np.ndarray.tolist, blocks)).__next__
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0**-53
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is None:
+            x = self._next64()
+            self._half = x >> 32
+            return x & 0xFFFFFFFF
+        self._half = None
+        return half
+
+    def integers(self, high: int) -> int:
+        if high == 1:
+            return 0
+        m = self._next32() * high
+        if (m & 0xFFFFFFFF) < high:
+            # Every range of 2**32 values or more reaches this branch.
+            if high > 0xFFFFFFFF:
+                raise ValueError(f"range of {high} values exceeds 32 bits")
+            threshold = (0x100000000 - high) % high
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._next32() * high
+        return m >> 32
+
+    def choice(self, m: int, size: int, replace: bool) -> tuple[int, int]:
+        if size != 2 or replace:
+            raise ValueError("only two draws without replacement are supported")
+        first = self.integers(m - 1)
+        second = self.integers(m)
+        if second == first:
+            second = m - 1
+        return (first, second) if self.integers(2) else (second, first)
+
+
 class _Scorer:
     """Objective evaluation for the hot loop: each proposal is swept at most once.
 
@@ -284,6 +361,7 @@ def run_search(
     scorer = _Scorer(data, preds, pool, config.alpha, config.scoring)
 
     current = init_list(pool, config.init_size, rng)
+    rng = _RawSampler(rng)  # owns the stream from here on
     current_obj = scorer.score(current, 0)
     scorer.commit()
     best, best_obj = current, current_obj

@@ -599,6 +599,41 @@ class TestManifestReuse:
         assert "'y'" in (line := one_error_line(capsys, "data error")) and "'no'" in line
 
 
+    def test_numeric_positive_value_in_manifest_is_data_error(
+        self, yes_no_run, tmp_path, capsys
+    ):
+        # read as the number 1, every "no" label of the held-out rows became 0
+        out, _ = yes_no_run
+        obj = json.loads((out / "manifest.json").read_text())
+        obj["positive_value"] = 1
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(obj))
+        data_path, preds_path = tmp_path / "held_out.csv", tmp_path / "held_out.txt"
+        data_path.write_text("a,y\n0,no\n3,no\n")
+        preds_path.write_text("1\n0\n")
+        capsys.readouterr()
+        code = run(
+            "evaluate", "--data", data_path, "--label-column", "y", "--preds", preds_path,
+            "--model", out / "model.json", "--manifest", bad,
+        )
+        assert code == 3
+        line = one_error_line(capsys, "data error")
+        assert line.startswith(f"data error: {bad}: ") and "positive_value 1" in line, line
+
+    def test_non_string_category_in_manifest_is_data_error(self, yes_no_run, tmp_path, capsys):
+        # a numeric category can never match a cell, so it silently set no bit
+        out, reuse = yes_no_run
+        obj = json.loads((out / "manifest.json").read_text())
+        obj["columns"][0]["categories"][0] = 0
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = run("evaluate", *reuse[:-1], bad)  # the edited manifest in place of the trained one
+        assert code == 3
+        line = one_error_line(capsys, "data error")
+        assert line.startswith(f"data error: {bad}: ") and "list of strings" in line, line
+
+
 FIT_CSV = "a,b,y\n" + "".join(f"{i},{'pq'[i % 2]},{i % 2}\n" for i in range(1, 9))
 
 

@@ -241,6 +241,24 @@ class TestManifest:
         with pytest.raises(DataError, match=f"'v'.*{message}"):
             BinarizationManifest.from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.update(label_column=7), "label_column 7 is not a string"),
+            (lambda m: m.update(positive_value=1), "positive_value 1 is not a string"),
+            (lambda m: m["columns"][0].update(name=3), "name 3 is not a string"),
+            (lambda m: m["columns"][0]["categories"].append(None), "list of strings"),
+            (lambda m: m["columns"][0].update(categories="AB"), "list of strings"),
+        ],
+        ids=["label-column", "positive-value", "column-name", "category", "categories-str"],
+    )
+    def test_from_obj_requires_strings(self, tmp_path, edit, message):
+        p = write(tmp_path, "t.csv", "c,y\nA,0\nB,1\n")
+        obj = binarize(load_table(p, "y"))[1].to_obj()
+        edit(obj)
+        with pytest.raises(DataError, match=message):
+            BinarizationManifest.from_obj(obj)
+
 
 # Categorical values whose code points sort just before, at and after
 # "<missing>", plus numeric-looking strings that a stray "x" keeps categorical.

@@ -20,7 +20,7 @@ from crl import (
 )
 from crl.mining import CandidatePool
 from crl.objective import cover_masks, sweep
-from crl.search import _Scorer, accept, init_list, propose, temperature
+from crl.search import _RawSampler, _Scorer, accept, init_list, propose, temperature
 
 from conftest import make_random_dataset, make_random_preds
 from oracles import simulate_first_match
@@ -231,6 +231,59 @@ class TestPropose:
             assert k == first_difference(old, new)
 
 
+_DRAW = st.one_of(
+    st.just(("random",)),
+    st.tuples(st.just("integers"), st.sampled_from([1, 2, 3, 144, 380, 2**31 + 5])),
+    st.tuples(st.just("choice"), st.sampled_from([2, 3, 13])),
+)
+
+
+class TestRawSampler:
+    @given(
+        seed=st.integers(0, 2**63),
+        init_size=st.integers(0, 4),
+        block=st.integers(1, 9),
+        draws=st.lists(_DRAW, max_size=120),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_draw_equals_the_generator(self, seed, init_size, block, draws):
+        pool = pool_from_rules([Rule((i,), 1) for i in range(40)])
+        twin, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert init_list(pool, init_size, twin) == init_list(pool, init_size, rng)
+        sampler = _RawSampler(rng, block)
+        for draw in draws:
+            if draw[0] == "random":
+                assert sampler.random() == twin.random()
+            elif draw[0] == "integers":
+                got = sampler.integers(draw[1])
+                assert type(got) is int and got == twin.integers(draw[1])
+            else:
+                got = sampler.choice(draw[1], size=2, replace=False)
+                assert got == tuple(int(x) for x in twin.choice(draw[1], size=2, replace=False))
+
+    def test_init_list_leaves_both_half_states(self):
+        pool = pool_from_rules([Rule((i,), 1) for i in range(40)])
+        cached = set()
+        for k in range(5):
+            rng = np.random.default_rng(k)
+            init_list(pool, k, rng)
+            cached.add(rng.bit_generator.state["has_uint32"])
+        assert cached == {0, 1}
+
+    @pytest.mark.parametrize("high", [2**32, 2**32 + 1, 2**40])
+    def test_refuses_ranges_of_2_to_the_32_or_more(self, high):
+        sampler = _RawSampler(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="32 bits"):
+            sampler.integers(high)
+
+    def test_choice_refuses_other_draws(self):
+        sampler = _RawSampler(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="two draws"):
+            sampler.choice(5, size=3, replace=False)
+        with pytest.raises(ValueError, match="two draws"):
+            sampler.choice(5, size=2, replace=True)
+
+
 class TestRunSearch:
     def test_trace_monotone_and_final_at_least_initial(self):
         data, preds, pool = small_problem()
@@ -411,10 +464,13 @@ class TestRunSearch:
 
 # sha256 over (op, accepted, float.hex of the proposed and best objectives) of
 # every step of a fixed chain on small_problem(). Any change to these digests is
-# a behaviour change of the search, not a speed-up.
+# a behaviour change of the search, not a speed-up. The "companion-short" chain
+# starts empty and keeps lists of 0, 1 and 2 rules, where integers(1) and the
+# first Floyd draw of choice(2, ...) consume no random bits.
 TRACE_DIGESTS = {
     "rules_only": "bef5e52abb7b2f83f8bf482219b39bd227a3abaaeaca8695411d6c575e14c3bb",
     "companion-guard": "de81da5f2d3782a786994e604352b7d386b70c3e569719cafd45f8f563bf30ee",
+    "companion-short": "4463f03d6ba7a157702e64b6e4665888d014b516108db5161619cf262ba84e20",
 }
 
 
@@ -423,6 +479,7 @@ TRACE_DIGESTS = {
     [
         ("rules_only", {"alpha": 0.001, "scoring": "rules_only"}),
         ("companion-guard", {"alpha": 0.0, "max_rules_guard": 4}),
+        ("companion-short", {"alpha": 0.14, "init_size": 0}),
     ],
 )
 def test_search_trace_digest(name, knobs):
