@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -373,6 +374,86 @@ def cmd_tune(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform does not say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+# The folds `_fitted_folds` is fitting: (args, data, preds, folds, fold seeds).
+# Pool workers inherit it through the fork, so no task pickles the dataset.
+_cv_job: tuple | None = None
+
+
+def _cv_fold(i: int):
+    """Fit fold ``i`` of ``_cv_job`` on the other folds; score it on its own rows."""
+    args, data, preds, folds, fold_seeds = _cv_job
+    try:
+        tr_idx = train_indices(folds, i)
+        data_tr = data.subset(tr_idx)
+        preds_tr = preds.subset(tr_idx)
+        data_te = data.subset(folds[i])
+        preds_te = preds.subset(folds[i])
+        result = _fit(args, data_tr, preds_tr, fold_seeds[i])
+        test_curve = curve(result.best_list, data_te, preds_te)
+    except CrlError as exc:
+        raise type(exc)(f"fold {i}: {exc}") from exc
+    return result, test_curve
+
+
+def _pooled_folds(pool, procs, n_folds: int):
+    """``_cv_fold(i)`` for each fold in order, computed by ``pool``'s worker processes.
+
+    Pool replaces a worker that dies but loses its task, so a fold it held would
+    never return: while waiting, a worker of ``procs`` that has exited is a SearchError.
+    """
+    from multiprocessing import TimeoutError
+
+    results = pool.imap(_cv_fold, range(n_folds))
+    for i in range(n_folds):
+        while True:
+            try:
+                result = results.next(timeout=0.5)  # returns as soon as the fold is in
+                break
+            except TimeoutError:
+                for p in procs:
+                    if p.exitcode is not None:
+                        raise SearchError(
+                            f"a cv worker process ended with exit code {p.exitcode} "
+                            f"before fold {i} returned"
+                        ) from None
+        yield result
+
+
+@contextmanager
+def _fitted_folds(args, data, preds, folds, fold_seeds):
+    """An iterator of ``_cv_fold(i)`` over the folds in order.
+
+    On more than one usable CPU the folds run in a pool of forked worker
+    processes, at most one per CPU, and the pool ends with the block.
+    """
+    global _cv_job
+    workers = min(len(folds), _usable_cpus())
+    _cv_job = (args, data, preds, folds, fold_seeds)
+    pool = None
+    try:
+        if workers < 2:
+            yield map(_cv_fold, range(len(folds)))
+        else:
+            import multiprocessing
+
+            # Pool forks its workers before it starts any thread of its own
+            others = set(multiprocessing.active_children())
+            pool = multiprocessing.get_context("fork").Pool(workers)
+            procs = set(multiprocessing.active_children()) - others
+            yield _pooled_folds(pool, procs, len(folds))
+    finally:
+        _cv_job = None
+        if pool is not None:
+            pool.terminate()
+
+
 def cmd_cv(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -384,37 +465,27 @@ def cmd_cv(args) -> int:
     manifest.save(out / "manifest.json")
 
     fold_rows: list[dict] = []
-    for i, test_idx in enumerate(folds):
-        try:
-            tr_idx = train_indices(folds, i)
-            data_tr = data.subset(tr_idx)
-            preds_tr = preds.subset(tr_idx)
-            data_te = data.subset(test_idx)
-            preds_te = preds.subset(test_idx)
-            result = _fit(args, data_tr, preds_tr, fold_seeds[i])
-            test_curve = curve(result.best_list, data_te, preds_te)
-        except CrlError as exc:
-            raise type(exc)(f"fold {i}: {exc}") from exc
-
-        fold_dir = out / f"fold_{i}"
-        fold_dir.mkdir(exist_ok=True)
-        doc = model_from_training(result.best_list, data.feature_names, result.curve)
-        save_model(fold_dir / "model.json", doc)
-        save_curve_csv(fold_dir / "curve_train.csv", result.curve)
-        save_curve_csv(fold_dir / "curve_test.csv", test_curve)
-        save_trace_csv(fold_dir / "trace.csv", result.trace)
-        fold_rows.append(
-            {
-                "fold": i,
-                "n_rows_train": int(len(tr_idx)),
-                "n_rows_test": int(len(test_idx)),
-                "n_rules": len(result.best_list),
-                "train_autac": autac_hat(result.curve),
-                "test_autac": autac_hat(test_curve),
-                "test_blackbox_accuracy": test_curve.points[0][1],
-                "model": f"fold_{i}/model.json",
-            }
-        )
+    with _fitted_folds(args, data, preds, folds, fold_seeds) as fitted:
+        for i, (result, test_curve) in enumerate(fitted):
+            fold_dir = out / f"fold_{i}"
+            fold_dir.mkdir(exist_ok=True)
+            doc = model_from_training(result.best_list, data.feature_names, result.curve)
+            save_model(fold_dir / "model.json", doc)
+            save_curve_csv(fold_dir / "curve_train.csv", result.curve)
+            save_curve_csv(fold_dir / "curve_test.csv", test_curve)
+            save_trace_csv(fold_dir / "trace.csv", result.trace)
+            fold_rows.append(
+                {
+                    "fold": i,
+                    "n_rows_train": data.n_rows - len(folds[i]),
+                    "n_rows_test": len(folds[i]),
+                    "n_rules": len(result.best_list),
+                    "train_autac": autac_hat(result.curve),
+                    "test_autac": autac_hat(test_curve),
+                    "test_blackbox_accuracy": test_curve.points[0][1],
+                    "model": f"fold_{i}/model.json",
+                }
+            )
 
     test_autacs = np.array([f["test_autac"] for f in fold_rows])
     report = {

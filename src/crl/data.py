@@ -41,6 +41,7 @@ MISSING_CATEGORY = "<missing>"
 
 _KIND_NUMERIC = "numeric"
 _KIND_CATEGORICAL = "categorical"
+MANIFEST_VERSION = 1
 
 
 def pack_bool(column: np.ndarray) -> int:
@@ -219,6 +220,16 @@ def write_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _first_repeat(values):
+    """The first of ``values`` equal to an earlier one; None when all differ."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            return v
+        seen.add(v)
+    return None
+
+
 def _read_rows(path: Path, delimiter: str) -> tuple[list[str], list[tuple[str, ...]]]:
     """The stripped header and cell columns of a UTF-8 delimited text file.
 
@@ -234,7 +245,7 @@ def _read_rows(path: Path, delimiter: str) -> tuple[list[str], list[tuple[str, .
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        dup = next((h for i, h in enumerate(header) if h in header[:i]), None)
+        dup = _first_repeat(header)
         if dup is not None:
             raise DataError(f"{path}: duplicate column name {dup!r}")
         width = len(header)
@@ -419,6 +430,9 @@ def _manifest_column(c: dict) -> ManifestColumn:
         raise DataError(f"manifest column name {name!r} is not a string")
     if not isinstance(categories, list) or not all(isinstance(v, str) for v in categories):
         raise DataError(f"manifest column {name!r}: categories must be a list of strings")
+    repeated = _first_repeat(categories)
+    if repeated is not None:
+        raise DataError(f"manifest column {name!r}: category {repeated!r} is listed twice")
     edges = tuple(c["edges"]) if c["edges"] is not None else None
     if kind not in (_KIND_NUMERIC, _KIND_CATEGORICAL):
         raise DataError(f"manifest column {name!r}: unknown kind {kind!r}")
@@ -445,7 +459,7 @@ class BinarizationManifest:
     def to_obj(self) -> dict:
         return {
             "format": "crl-manifest",
-            "version": 1,
+            "version": MANIFEST_VERSION,
             "label_column": self.label_column,
             "positive_value": self.positive_value,
             "quantiles": self.quantiles,
@@ -468,7 +482,15 @@ class BinarizationManifest:
         try:
             if obj["format"] != "crl-manifest":
                 raise DataError(f"not a binarization manifest: {obj.get('format')!r}")
+            version, quantiles = obj["version"], obj["quantiles"]
+            if isinstance(version, bool) or version != MANIFEST_VERSION:
+                raise DataError(f"unknown manifest version {version!r}")
+            if isinstance(quantiles, bool) or not isinstance(quantiles, int) or quantiles < 2:
+                raise DataError(f"manifest quantiles {quantiles!r} is not an integer >= 2")
             columns = tuple(_manifest_column(c) for c in obj["columns"])
+            repeated = _first_repeat(c.name for c in columns)
+            if repeated is not None:
+                raise DataError(f"manifest column {repeated!r} is listed twice")
             # a label of another type never equals a cell: every row would read 0
             for key in ("label_column", "positive_value"):
                 if not isinstance(obj[key], str):
@@ -477,7 +499,7 @@ class BinarizationManifest:
                 columns=columns,
                 label_column=obj["label_column"],
                 positive_value=obj["positive_value"],
-                quantiles=obj["quantiles"],
+                quantiles=quantiles,
             )
         except (KeyError, TypeError) as exc:
             raise DataError(f"malformed binarization manifest: {exc}") from exc
@@ -506,6 +528,8 @@ def binarize(
     sets exactly one bit per source column. The encoding is fitted as a
     manifest, and rows are labelled as :func:`apply_manifest` labels them.
     """
+    if quantiles < 2:  # checked here too when no column is numeric: the manifest records it
+        raise ValueError("quantiles must be >= 2")
     fitted = [
         ManifestColumn.fit(name, values, quantiles) for name, values in table.columns.items()
     ]

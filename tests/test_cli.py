@@ -1,11 +1,14 @@
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
 import math
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -27,6 +30,8 @@ from crl import (
 )
 from crl import cli
 from crl.cli import main
+from crl.data import child_seeds
+from crl.errors import SearchError
 from crl.model_io import ModelDocument, save_model
 
 from oracles import read_curve_csv, simulate_first_match
@@ -475,6 +480,10 @@ def write_random_csv(path, n_rows, seed):
             )
 
 
+def planted_search_error():
+    raise SearchError("planted failure")
+
+
 class TestCv:
     def run_cv(self, data_path, out, accuracy, seed=5):
         return run(
@@ -529,6 +538,76 @@ class TestCv:
         lo = json.loads((low / "report.json").read_text())["blackbox_accuracy_mean"]
         assert abs(hi - 0.9) <= 0.03
         assert abs(lo - 0.7) <= 0.03
+
+    @pytest.fixture
+    def worker_runs(self, tmp_path, monkeypatch, capsys):
+        """Run cv once with each worker count; (exit code, stdout, stderr, out dir)."""
+        data_path = tmp_path / "d.csv"
+        write_random_csv(data_path, 100, seed=3)
+
+        def cv_with(workers):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+            out = tmp_path / f"cv{workers}"
+            capsys.readouterr()
+            previous = signal.signal(signal.SIGALRM, hung)
+            signal.alarm(60)  # a run that waits forever on a lost fold fails instead
+            try:
+                code = self.run_cv(data_path, out, 0.8)
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err, out
+
+        def hung(signum, frame):
+            pytest.fail("cv did not finish in 60 s")
+
+        return cv_with
+
+    def test_worker_count_leaves_output_byte_identical(self, worker_runs):
+        runs = [worker_runs(n) for n in (1, 2)]
+        trees = []
+        for code, stdout, _, out in runs:
+            assert code == 0
+            files = sorted(p for p in out.rglob("*") if p.is_file())
+            trees.append({p.relative_to(out): p.read_bytes() for p in files})
+        assert runs[0][1] == runs[1][1]
+        assert trees[0] == trees[1]
+        assert len(trees[0]) == 3 + 4 * 5  # manifest, report.json/txt; 4 files per fold
+
+    @pytest.mark.parametrize(
+        "workers, fail, message",
+        [
+            (1, planted_search_error, "fold 2: planted failure"),
+            (2, planted_search_error, "fold 2: planted failure"),
+            # Pool replaces a dead worker and drops its task: waiting on fold 2 would hang
+            (
+                2,
+                functools.partial(os._exit, 9),
+                "a cv worker process ended with exit code 9 before fold 2 returned",
+            ),
+        ],
+        ids=["one-worker", "two-workers", "dead-worker"],
+    )
+    def test_failing_fold_stops_the_run(self, worker_runs, monkeypatch, workers, fail, message):
+        failing = child_seeds(5, 5)[2]  # fold 2 of run_cv's seed
+        real = cli.run_search
+
+        def run_search(data, preds, pool, config):
+            if config.seed == failing:
+                fail()
+            return real(data, preds, pool, config)
+
+        monkeypatch.setattr(cli, "run_search", run_search)
+        code, _, err, out = worker_runs(workers)
+        assert code == 4
+        assert err.splitlines() == [f"search error: {message}"]
+        assert [(out / f"fold_{i}").exists() for i in range(5)] == [True] * 2 + [False] * 3
+        assert (out / "fold_1" / "trace.csv").exists()
+
+    def test_usable_cpus_is_one_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cli._usable_cpus() == 1
 
 
 def one_error_line(capsys, kind):
@@ -632,6 +711,35 @@ class TestManifestReuse:
         assert code == 3
         line = one_error_line(capsys, "data error")
         assert line.startswith(f"data error: {bad}: ") and "list of strings" in line, line
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.update(version=99), "unknown manifest version 99"),
+            (lambda m: m.update(version=True), "unknown manifest version True"),
+            (lambda m: m.update(quantiles="x"), "manifest quantiles 'x' is not an integer >= 2"),
+            (lambda m: m.update(quantiles=1), "manifest quantiles 1 is not an integer >= 2"),
+            (lambda m: m.update(quantiles=True), "manifest quantiles True is not an integer"),
+            (
+                lambda m: m["columns"][0]["categories"].append(m["columns"][0]["categories"][0]),
+                "manifest column 'a': category 'bin0' is listed twice",
+            ),
+            (lambda m: m["columns"].append(m["columns"][0]), "manifest column 'a' is listed twice"),
+        ],
+        ids=["version", "bool-version", "text-quantiles", "one-quantile", "bool-quantiles",
+             "repeated-category", "repeated-column"],
+    )
+    def test_bad_manifest_field_is_data_error(self, yes_no_run, tmp_path, capsys, edit, message):
+        # each was read as the clean manifest; a repeat gave two features one name
+        out, reuse = yes_no_run
+        obj = json.loads((out / "manifest.json").read_text())
+        edit(obj)
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("evaluate", *reuse[:-1], bad) == 3
+        line = one_error_line(capsys, "data error")
+        assert line.startswith(f"data error: {bad}: ") and message in line, line
 
 
 FIT_CSV = "a,b,y\n" + "".join(f"{i},{'pq'[i % 2]},{i % 2}\n" for i in range(1, 9))

@@ -259,6 +259,12 @@ class TestManifest:
         with pytest.raises(DataError, match=message):
             BinarizationManifest.from_obj(obj)
 
+    def test_binarize_refuses_one_quantile_without_numeric_columns(self, tmp_path):
+        # the manifest records quantiles even where no column is binned; from_obj refuses 1
+        p = write(tmp_path, "t.csv", "c,y\nA,0\nB,1\n")
+        with pytest.raises(ValueError, match="quantiles must be >= 2"):
+            binarize(load_table(p, "y"), quantiles=1)
+
 
 # Categorical values whose code points sort just before, at and after
 # "<missing>", plus numeric-looking strings that a stray "x" keeps categorical.

@@ -69,6 +69,16 @@ def test_benchmark_tracer_patches_and_restores_every_traced_name():
         assert getattr(owner, attr) is original, attr
 
 
+def test_cli_import_leaves_multiprocessing_out():
+    # cv imports multiprocessing when it starts a pool; every other run skips the cost
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, crl.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
 @pytest.mark.parametrize(
     "script, args",
     [
