@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,8 @@ from .data import (
     apply_manifest,
     binarize,
     child_seeds,
+    json_int,
+    json_number,
     load_predictions,
     load_table,
     read_json,
@@ -147,14 +149,9 @@ def _read_config(path) -> dict:
         knob = CONFIG_KNOBS[key]
         if value is None and knob.default is None:
             continue
-        # bool is an int subclass, but JSON true/false are not numbers
-        number = (int, float) if knob.type is float else int
-        if not isinstance(value, bool) and isinstance(value, number):
-            try:
-                obj[key] = knob.type(value)  # the type the flag would parse to
-                continue
-            except OverflowError:  # an integer beyond the float range
-                pass
+        if (json_number if knob.type is float else json_int)(value):
+            obj[key] = knob.type(value)  # the type the flag would parse to
+            continue
         kind = "a number" if knob.type is float else "an integer"
         if knob.default is None:
             kind += " or null"
@@ -347,24 +344,11 @@ def cmd_tune(args) -> int:
     obj = {
         "chosen_alpha": report.chosen_alpha,
         "tied_alphas": list(report.tied_alphas),
-        "candidates": [
-            {
-                "alpha": c.alpha,
-                "n_rules": c.n_rules,
-                "n_conditions": c.n_conditions,
-                "train_autac": c.train_autac,
-                "admissible": c.admissible,
-            }
-            for c in report.candidates
-        ],
+        "candidates": [asdict(c) for c in report.candidates],
     }
     write_json(args.out, obj)
     for c in report.candidates:
-        flag = "ok " if c.admissible else "cap"
-        print(
-            f"alpha={c.alpha:<7g} rules={c.n_rules:<3d} conditions={c.n_conditions:<3d} "
-            f"train_autac={c.train_autac:.6f} [{flag}]"
-        )
+        print(c.summary())
     print(f"chosen alpha: {report.chosen_alpha}")
     if args.model_out:
         doc = model_from_training(

@@ -17,7 +17,8 @@ file (a table, or a prediction file read by column) is read by
 labels, categories and numbers are mapped a column at a time; every CSV
 artifact is written by :func:`write_rows`, and every JSON file goes through
 :func:`read_json` and :func:`write_json`, which refuse NaN and infinite
-numbers. Child seeds of one seed come from :func:`child_seeds`.
+numbers; :func:`json_int` and :func:`json_number` say what a JSON integer or
+number is. Child seeds of one seed come from :func:`child_seeds`.
 """
 
 from __future__ import annotations
@@ -103,6 +104,9 @@ class BinaryDataset:
             raise DataError("dataset must contain at least one binary feature")
         if len(self.feature_bits) != len(self.feature_names):
             raise DataError("feature_bits and feature_names lengths differ")
+        repeated = _first_repeat(self.feature_names)
+        if repeated is not None:
+            raise DataError(f"two features are named {repeated!r}")
         if len(self.labels) != self.n_rows:
             raise DataError("label vector length does not match row count")
         if not np.isin(self.labels, (0, 1)).all():
@@ -189,18 +193,35 @@ def _refuse_constant(token: str):
     raise ValueError(f"{token} is not a JSON number")
 
 
-def read_json(path):
-    """The value of a UTF-8 JSON file.
+def json_int(v) -> bool:
+    """Whether a JSON value is an integer: JSON ``true``/``false`` are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
-    Bad bytes, bad JSON and the non-standard ``NaN``/``Infinity`` tokens are
-    each a DataError naming the file.
+
+def json_number(v) -> bool:
+    """Whether a JSON value is a number a float holds finitely: not ``true``, not ``1e400``."""
+    try:
+        return (json_int(v) or isinstance(v, float)) and math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def read_json(path, parse=None):
+    """The value of a UTF-8 JSON file, or ``parse`` of it.
+
+    Bad bytes, bad JSON, the non-standard ``NaN``/``Infinity`` tokens and a
+    DataError raised by ``parse`` are each a DataError naming the file.
     """
     with _decoding(path):
         text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text, parse_constant=_refuse_constant)
+        obj = json.loads(text, parse_constant=_refuse_constant)
     except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return obj if parse is None else parse(obj)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_json(path, obj) -> None:
@@ -438,11 +459,11 @@ def _manifest_column(c: dict) -> ManifestColumn:
         raise DataError(f"manifest column {name!r}: unknown kind {kind!r}")
     if kind == _KIND_NUMERIC and (
         edges is None
-        or not all(map(math.isfinite, edges))
+        or not all(map(json_number, edges))
         or any(b <= a for a, b in zip(edges, edges[1:]))
     ):
         raise DataError(
-            f"manifest column {name!r}: numeric edges must be finite and strictly ascending"
+            f"manifest column {name!r}: numeric edges must be finite numbers, strictly ascending"
         )
     return ManifestColumn(name, kind, tuple(categories), edges)
 
@@ -483,9 +504,9 @@ class BinarizationManifest:
             if obj["format"] != "crl-manifest":
                 raise DataError(f"not a binarization manifest: {obj.get('format')!r}")
             version, quantiles = obj["version"], obj["quantiles"]
-            if isinstance(version, bool) or version != MANIFEST_VERSION:
+            if not json_int(version) or version != MANIFEST_VERSION:
                 raise DataError(f"unknown manifest version {version!r}")
-            if isinstance(quantiles, bool) or not isinstance(quantiles, int) or quantiles < 2:
+            if not json_int(quantiles) or quantiles < 2:
                 raise DataError(f"manifest quantiles {quantiles!r} is not an integer >= 2")
             columns = tuple(_manifest_column(c) for c in obj["columns"])
             repeated = _first_repeat(c.name for c in columns)
@@ -507,11 +528,7 @@ class BinarizationManifest:
     @classmethod
     def load(cls, path) -> "BinarizationManifest":
         """The manifest in a JSON file; a DataError names the file."""
-        obj = read_json(path)
-        try:
-            return cls.from_obj(obj)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+        return read_json(path, cls.from_obj)
 
     def feature_names(self) -> list[str]:
         return [name for c in self.columns for name in c.feature_names()]
@@ -556,6 +573,12 @@ def apply_manifest(table: RawTable, manifest: BinarizationManifest) -> BinaryDat
 
 def _one_hot(table: RawTable, manifest: BinarizationManifest, column_indices) -> BinaryDataset:
     """One bit column per manifest category, from each column's :meth:`ManifestColumn.indices`."""
+    # a value holding "=" can spell another column's feature: a's b=c and a=b's c
+    names = manifest.feature_names()
+    repeated = _first_repeat(names)
+    if repeated is not None:
+        first, second = [c.name for c in manifest.columns if repeated in c.feature_names()][:2]
+        raise DataError(f"columns {first!r} and {second!r} both give a feature named {repeated!r}")
     feature_bits = [
         pack_bool(idx == k)
         for mcol, idx in zip(manifest.columns, column_indices)
@@ -565,7 +588,7 @@ def _one_hot(table: RawTable, manifest: BinarizationManifest, column_indices) ->
         raise DataError("zero usable feature columns after binarization")
     return BinaryDataset(
         feature_bits=tuple(feature_bits),
-        feature_names=tuple(manifest.feature_names()),
+        feature_names=tuple(names),
         labels=table.labels,
         n_rows=table.n_rows,
     )

@@ -8,10 +8,9 @@ byte for byte.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .data import BinaryDataset, read_json, write_json, write_rows
+from .data import BinaryDataset, json_int, json_number, read_json, write_json, write_rows
 from .errors import DataError
 from .mining import CandidatePool
 from .objective import TradeoffCurve
@@ -100,11 +99,6 @@ def save_model(path, doc: ModelDocument) -> None:
     write_json(path, doc.to_obj())
 
 
-def _is_finite_number(v) -> bool:
-    # bool is an int subclass, but true/false is no statistic
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise DataError(f"model schema violation: {msg}")
@@ -114,7 +108,8 @@ def model_from_obj(obj) -> ModelDocument:
     _require(isinstance(obj, dict), "top level must be an object")
     _require(set(obj) == {"format", "version", "rules", "training"}, "unexpected keys")
     _require(obj["format"] == MODEL_FORMAT, f"unknown format {obj.get('format')!r}")
-    _require(obj["version"] == MODEL_VERSION, f"unknown version {obj.get('version')!r}")
+    version = obj["version"]
+    _require(json_int(version) and version == MODEL_VERSION, f"unknown version {version!r}")
     _require(isinstance(obj["rules"], list), "rules must be a list")
     rules = []
     last_t = 0.0
@@ -126,7 +121,7 @@ def model_from_obj(obj) -> ModelDocument:
             isinstance(conds, list) and conds and all(isinstance(c, str) for c in conds),
             "conditions must be a nonempty list of feature names",
         )
-        _require(r["output"] in (0, 1), "rule output must be 0 or 1")
+        _require(json_int(r["output"]) and r["output"] in (0, 1), "rule output must be 0 or 1")
         stats = r["stats"]
         if stats is not None:
             _require(
@@ -135,13 +130,13 @@ def model_from_obj(obj) -> ModelDocument:
             )
             _require(
                 all(
-                    _is_finite_number(v) or (k == "rule_accuracy" and v is None)
+                    json_number(v) or (k == "rule_accuracy" and v is None)
                     for k, v in stats.items()
                 ),
                 "rule stats must be finite numbers (rule_accuracy may be null)",
             )
             _require(
-                isinstance(stats["exclusive_support"], int)
+                json_int(stats["exclusive_support"])
                 and stats["exclusive_support"] >= 0
                 and all(
                     v is None or 0 <= v <= 1
@@ -160,11 +155,7 @@ def model_from_obj(obj) -> ModelDocument:
 
 def load_model(path) -> ModelDocument:
     """The model in a JSON file; a DataError names the file."""
-    obj = read_json(path)
-    try:
-        return model_from_obj(obj)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return read_json(path, model_from_obj)
 
 
 def resolve_rules(doc: ModelDocument, data: BinaryDataset) -> RuleList:

@@ -126,7 +126,6 @@ class SearchResult:
     curve: TradeoffCurve
     trace: SearchTrace
     objective: ObjectiveValue
-    config: SearchConfig
 
 
 def temperature(n: int, c0: float) -> float:
@@ -385,13 +384,7 @@ def run_search(
     best_list = RuleList(tuple(pool.rules[i] for i in best))
     best_curve = curve(best_list, data, preds)
     obj = make_objective(autac_hat(best_curve), config.alpha, len(best_list))
-    return SearchResult(
-        best_list=best_list,
-        curve=best_curve,
-        trace=trace,
-        objective=obj,
-        config=config,
-    )
+    return SearchResult(best_list=best_list, curve=best_curve, trace=trace, objective=obj)
 
 
 @dataclass(frozen=True)
@@ -401,6 +394,14 @@ class AlphaCandidate:
     n_conditions: int
     train_autac: float
     admissible: bool
+
+    def summary(self) -> str:
+        """This candidate as one line of the ``crl tune`` table."""
+        flag = "ok " if self.admissible else "cap"
+        return (
+            f"alpha={self.alpha:<7g} rules={self.n_rules:<3d} "
+            f"conditions={self.n_conditions:<3d} train_autac={self.train_autac:.6f} [{flag}]"
+        )
 
 
 @dataclass(eq=False)

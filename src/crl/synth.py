@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .companion import CompanionEvaluator
 from .data import BinaryDataset, PredictionVector, child_seeds, synth_oracle
-from .objective import cover_masks, first_match_indices, sweep
 from .rules import Rule, RuleList
 
 FEATURE_PROBS = (0.6, 0.6, 0.375, 0.3, 0.5, 0.7, 0.4, 0.55, 0.45, 0.5)
@@ -56,12 +56,12 @@ def planted_benchmark(
     label_rng = np.random.default_rng(label_seed)
     labels = (label_rng.random(n_rows) < ELSEWHERE_POSITIVE_RATE).astype(np.uint8)
     shell = BinaryDataset.from_bool_matrix(matrix, labels, names)
-    match = first_match_indices(sweep(cover_masks(PLANTED, shell), 0, n_rows), n_rows)
-    outputs = np.array([r.output for r in PLANTED] + [0], dtype=np.uint8)
-    labels = np.where(match >= 0, outputs[match], labels).astype(np.uint8)
+    # the planted list answers the rows it covers, the random labels the rest
+    evaluator = CompanionEvaluator(PLANTED, shell, PredictionVector(labels))
+    labels, provenance = evaluator.level_predictions(len(PLANTED))
     data = BinaryDataset.from_bool_matrix(matrix, labels, names)
 
-    covered = match >= 0
+    covered = provenance >= 0
     on_rules = synth_oracle(labels, covered_oracle_accuracy, covered_seed).preds
     elsewhere = synth_oracle(labels, oracle_accuracy, elsewhere_seed).preds
     preds = PredictionVector(np.where(covered, on_rules, elsewhere).astype(np.uint8))

@@ -725,9 +725,18 @@ class TestManifestReuse:
                 "manifest column 'a': category 'bin0' is listed twice",
             ),
             (lambda m: m["columns"].append(m["columns"][0]), "manifest column 'a' is listed twice"),
+            # edges (0.0, 1.0, 2.0, 3.0): a 400-digit edge raised OverflowError, true read as 1
+            (
+                lambda m: m["columns"][0]["edges"].__setitem__(3, int("9" * 400)),
+                "manifest column 'a': numeric edges must be finite numbers",
+            ),
+            (
+                lambda m: m["columns"][0]["edges"].__setitem__(1, True),
+                "manifest column 'a': numeric edges must be finite numbers",
+            ),
         ],
         ids=["version", "bool-version", "text-quantiles", "one-quantile", "bool-quantiles",
-             "repeated-category", "repeated-column"],
+             "repeated-category", "repeated-column", "400-digit-edge", "bool-edge"],
     )
     def test_bad_manifest_field_is_data_error(self, yes_no_run, tmp_path, capsys, edit, message):
         # each was read as the clean manifest; a repeat gave two features one name
@@ -749,11 +758,17 @@ FIT_CSV = "a,b,y\n" + "".join(f"{i},{'pq'[i % 2]},{i % 2}\n" for i in range(1, 9
     "fit_text, held_out_text, message",
     [
         ("a,a,y\n1,2,0\n3,4,1\n", None, "duplicate column name 'a'"),
+        (
+            "a,a=b,y\nb=c,c,0\nx,d,1\n",
+            None,
+            "columns 'a' and 'a=b' both give a feature named 'a=b=c'",
+        ),
         (FIT_CSV.replace("\n3,", "\nnan,"), None, "non-finite value 'nan'"),
         (FIT_CSV, FIT_CSV.replace("\n3,", "\nfoo,"), "'foo'"),
         (FIT_CSV, FIT_CSV.replace("\n3,", "\ninf,"), "non-finite value 'inf'"),
     ],
-    ids=["duplicate-header", "nan-at-fit", "text-under-numeric", "inf-held-out"],
+    ids=["duplicate-header", "colliding-feature-names", "nan-at-fit", "text-under-numeric",
+         "inf-held-out"],
 )
 def test_bad_cell_is_data_error(tmp_path, capsys, fit_text, held_out_text, message):
     fit_path = tmp_path / "fit.csv"
@@ -1072,6 +1087,7 @@ def test_cli_defaults_equal_library_defaults():
         {"max_card": 1.5},
         {"mine_fraction": False},
         {"alpha": 10**400},
+        {"alpha": 1e400},
     ],
     ids=lambda v: json.dumps(v)[:32],
 )
@@ -1079,7 +1095,8 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, values):
     data_path = tmp_path / "d.csv"
     write_random_csv(data_path, 200, seed=0)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"iters": 20, **values}))
+    # JSON has no infinity; the number literal 1e400 is what reads as one
+    cfg.write_text(json.dumps({"iters": 20, **values}).replace("Infinity", "1e400"))
     code = run(
         "train", "--data", data_path, "--label-column", "y", "--oracle-accuracy", 0.8,
         "--config", cfg, "--out", tmp_path / "out",
@@ -1143,8 +1160,19 @@ def first_column(obj):
         ("manifest.json", lambda m: first_column(m).update(kind="text"), "unknown kind 'text'"),
         ("model.json", lambda m: m["rules"][0]["stats"].update(accuracy=math.nan), "NaN"),
         ("config.json", lambda c: c.update(alpha=math.nan), "NaN"),
+        # each was read as a valid model: evaluate exited 0, or raised OverflowError
+        ("model.json", lambda m: m.update(version=True), "unknown version True"),
+        ("model.json", lambda m: m.update(version=1.0), "unknown version 1.0"),
+        ("model.json", lambda m: m["rules"][0].update(output=True), "rule output must be 0 or 1"),
+        ("model.json", lambda m: m["rules"][0].update(output=1.0), "rule output must be 0 or 1"),
+        (
+            "model.json",
+            lambda m: m["rules"][0]["stats"].update(accuracy=int("9" * 400)),
+            "rule stats must be finite numbers",
+        ),
     ],
-    ids=["descending-edges", "nan-edge", "unknown-kind", "nan-stat", "nan-config"],
+    ids=["descending-edges", "nan-edge", "unknown-kind", "nan-stat", "nan-config",
+         "bool-version", "float-version", "bool-output", "float-output", "400-digit-stat"],
 )
 def test_corrupted_json_input_is_data_error(tmp_path, capsys, name, edit, message):
     data_path = tmp_path / "d.csv"
@@ -1164,7 +1192,8 @@ def test_corrupted_json_input_is_data_error(tmp_path, capsys, name, edit, messag
         reuse = ("--model", out / "model.json", "--manifest", out / "manifest.json")
         code = run("evaluate", *common, *reuse)
     assert code == 3
-    assert message in one_error_line(capsys, "data error")
+    line = one_error_line(capsys, "data error")
+    assert line.startswith(f"data error: {path}: ") and message in line, line
 
 
 # A schema error in one of two JSON inputs must say which file it is in.

@@ -22,6 +22,7 @@ from crl import (
 )
 from crl.data import (
     ManifestColumn,
+    RawTable,
     _read_rows,
     quantile_edges,
     read_json,
@@ -199,6 +200,31 @@ class TestBinarize:
         for prefix in ("c=", "v="):
             cols = [j for j, name in enumerate(dataset.feature_names) if name.startswith(prefix)]
             assert (matrix[:, cols].sum(axis=1) == 1).all()
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_accepted_tables_have_unique_names_that_round_trip(self, data_strategy):
+        # names and values built from "a", "b", "c" and "=" often spell one feature twice
+        n = data_strategy.draw(st.integers(min_value=1, max_value=6))
+        names = data_strategy.draw(
+            st.lists(st.sampled_from(["a", "b", "a=b", "b=c", "="]), min_size=1, max_size=4,
+                     unique=True)
+        )
+        cell = st.sampled_from(["", "b", "c", "b=c", "=c", "1", "2"])
+        columns = {
+            name: tuple(data_strategy.draw(st.lists(cell, min_size=n, max_size=n)))
+            for name in names
+        }
+        table = RawTable(columns, "y", np.arange(n, dtype=np.uint8) % 2, "1")
+        try:
+            dataset, _ = binarize(table)
+        except DataError as exc:
+            assert "both give a feature named" in str(exc)
+            return
+        assert len(set(dataset.feature_names)) == dataset.n_features
+        assert [dataset.name_index[name] for name in dataset.feature_names] == list(
+            range(dataset.n_features)
+        )
 
 
 class TestManifest:
@@ -434,6 +460,22 @@ class TestInputHardening:
         held_out = load_table(write(tmp_path, "c.csv", f"a,y\n{cell},0\n"), "y")
         with pytest.raises(DataError, match="non-finite"):
             apply_manifest(held_out, manifest)
+
+    def test_colliding_feature_names_are_data_error(self, tmp_path):
+        # a's value b=c and a=b's value c both spell a=b=c, which name_index mapped to a=b's bit
+        table = load_table(write(tmp_path, "t.csv", "a,a=b,y\nb=c,c,0\nx,d,1\n"), "y")
+        message = r"^columns 'a' and 'a=b' both give a feature named 'a=b=c'$"
+        with pytest.raises(DataError, match=message):
+            binarize(table)
+        fit = load_table(write(tmp_path, "u.csv", "a,v,y\nb=c,c,0\nx,d,1\n"), "y")
+        obj = binarize(fit)[1].to_obj()
+        obj["columns"][1]["name"] = "a=b"
+        with pytest.raises(DataError, match=message):
+            apply_manifest(table, BinarizationManifest.from_obj(obj))
+
+    def test_repeated_feature_name_is_data_error(self):
+        with pytest.raises(DataError, match="two features are named 'x'"):
+            BinaryDataset.from_bool_matrix([[True, False]], [0], ("x", "x"))
 
     def test_duplicate_header_name(self, tmp_path):
         p = write(tmp_path, "t.csv", "a,a,b,y\n1,2,3,0\n")

@@ -1,11 +1,15 @@
+import copy
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crl import (
+    BinarizationManifest,
     CompanionEvaluator,
     DataError,
     curve,
@@ -91,6 +95,9 @@ class TestModelRoundTrip:
             ("accuracy", 7),
             ("exclusive_support", 2.5),
             ("exclusive_support", -2),
+            # a 400-digit integer no float holds: it raised OverflowError
+            pytest.param("transparency", int("9" * 400), id="transparency-400-digits"),
+            pytest.param("exclusive_support", int("9" * 400), id="exclusive_support-400-digits"),
         ],
     )
     def test_stat_values_checked(self, d4, stat, value):
@@ -176,3 +183,87 @@ class TestPoolJson:
             assert rec["output"] in (0, 1)
             assert 0.0 < rec["support"] <= 1.0
             assert all(isinstance(c, str) and "=" not in c[:0] for c in rec["conditions"])
+
+
+# A valid model (the 4-row worked example) and a valid manifest with one
+# numeric column, and the path of every field of each that holds a JSON number.
+VALID_MODEL = {
+    "format": "crl-model",
+    "version": 1,
+    "rules": [
+        {
+            "conditions": ["f0"],
+            "output": 1,
+            "stats": {
+                "exclusive_support": 2, "rule_accuracy": 0.5, "transparency": 0.5, "accuracy": 0.25
+            },
+        },
+        {
+            "conditions": ["f1"],
+            "output": 1,
+            "stats": {
+                "exclusive_support": 1, "rule_accuracy": 1.0, "transparency": 0.75, "accuracy": 0.5
+            },
+        },
+    ],
+    "training": None,
+}
+VALID_MANIFEST = {
+    "format": "crl-manifest",
+    "version": 1,
+    "label_column": "y",
+    "positive_value": "1",
+    "quantiles": 7,
+    "columns": [
+        {"name": "a", "kind": "numeric", "categories": ["bin0", "bin1"], "edges": [0.0, 1.0]},
+    ],
+}
+NUMBER_FIELDS = [
+    (model_from_obj, VALID_MODEL, ("version",)),
+    *(
+        (model_from_obj, VALID_MODEL, ("rules", i, *field))
+        for i in range(2)
+        for field in [("output",), *(("stats", k) for k in VALID_MODEL["rules"][0]["stats"])]
+    ),
+    (BinarizationManifest.from_obj, VALID_MANIFEST, ("version",)),
+    (BinarizationManifest.from_obj, VALID_MANIFEST, ("quantiles",)),
+    (BinarizationManifest.from_obj, VALID_MANIFEST, ("columns", 0, "edges", 0)),
+    (BinarizationManifest.from_obj, VALID_MANIFEST, ("columns", 0, "edges", 1)),
+]
+JSON_SCALARS = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.integers(),
+    st.integers(min_value=2**1024, max_value=2**1100),
+    st.integers(min_value=-(2**1100), max_value=-(2**1024)),
+    st.floats(),
+)
+
+
+@pytest.mark.parametrize(
+    "reader, valid",
+    [(model_from_obj, VALID_MODEL), (BinarizationManifest.from_obj, VALID_MANIFEST)],
+)
+def test_valid_objects_load(reader, valid):
+    reader(copy.deepcopy(valid))
+
+
+@given(field=st.sampled_from(NUMBER_FIELDS), value=JSON_SCALARS)
+@example(field=NUMBER_FIELDS[0], value=True)
+@example(field=NUMBER_FIELDS[-1], value=10**400)
+@settings(max_examples=300, deadline=None)
+def test_any_json_scalar_in_a_number_field_loads_or_is_data_error(field, value):
+    reader, valid, path = field
+    obj = copy.deepcopy(valid)
+    *parents, key = path
+    target = obj
+    for k in parents:
+        target = target[k]
+    target[key] = value
+    try:
+        reader(obj)
+    except DataError:
+        return
+    # true/false and text are never a number, whatever the field
+    assert not isinstance(value, (bool, str)), f"{path} accepted {value!r}"
