@@ -43,7 +43,7 @@ def exhaustive_best(pool, data, preds, max_len=3):
             if j in prefix_ids:
                 continue
             child = sweep((mask,), bb, n, levels, depth)
-            best = max(best, 0.5 * child[-1][4])
+            best = max(best, 0.5 * child[-1][-1])
             if depth + 1 < max_len:
                 extend(prefix_ids | {j}, child)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -152,6 +153,8 @@ def _read_config(path) -> dict:
         if (json_number if knob.type is float else json_int)(value):
             obj[key] = knob.type(value)  # the type the flag would parse to
             continue
+        if isinstance(value, float) and not math.isfinite(value):  # read from, say, 1e400
+            raise UsageError(f"config key {key!r} holds a number beyond the float range")
         kind = "a number" if knob.type is float else "an integer"
         if knob.default is None:
             kind += " or null"
@@ -335,7 +338,7 @@ def cmd_tune(args) -> int:
     with _knob_errors("--candidates"):
         candidates = (
             tuple(float(a) for a in args.candidates.split(","))
-            if args.candidates
+            if args.candidates is not None
             else ALPHA_CANDIDATES
         )
         report = tune_alpha(
@@ -533,26 +536,20 @@ def cmd_synth(args) -> int:
 
     # Re-load through the standard pipeline so the shipped planted model uses
     # the one-hot feature names any `train`/`evaluate` run on data.csv will see.
-    table = load_table(out / "data.csv", "label")
-    bdata, manifest = binarize(table)
+    _, manifest = binarize(load_table(out / "data.csv", "label"))
     manifest.save(out / "manifest.json")
-    from .rules import Rule, RuleList
 
     # a planted condition is "column i takes value 1"; name it as binarize did
-    index = bdata.name_index
-    mapped = []
+    names = {}
     for rule in bench.planted:
-        conds = []
         for i in rule.conditions:
             col = manifest.columns[i]
             k = col.indices(("1",))[0]
             if k < 0:
                 raise DataError(f"planted feature {col.name!r} is never 1 in {args.rows} rows")
-            conds.append(index[col.feature_names()[k]])
-        mapped.append(Rule(tuple(conds), rule.output))
-    planted = RuleList(tuple(mapped))
-    planted_curve = curve(planted, bdata, bench.preds)
-    doc = model_from_training(planted, bdata.feature_names, planted_curve)
+            names[i] = col.feature_names()[k]
+    planted_curve = curve(bench.planted, bench.data, bench.preds)
+    doc = model_from_training(bench.planted, names, planted_curve)
     save_model(out / "planted_model.json", doc)
     print(
         f"wrote benchmark ({bench.data.n_rows} rows, "

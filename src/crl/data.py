@@ -121,8 +121,10 @@ class BinaryDataset:
         return (1 << self.n_rows) - 1
 
     @cached_property
-    def label_mask(self) -> int:
-        return pack_bool(self.labels.astype(bool))
+    def class_masks(self) -> tuple[int, int]:
+        """The rows labelled 0 and the rows labelled 1, indexed by class."""
+        positive = pack_bool(self.labels.astype(bool))
+        return ~positive & self.full_mask, positive
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -87,13 +87,11 @@ def mine_rules(
         raise ValueError("gamma must be in (0, 1]")
     if max_cardinality < 1:
         raise ValueError("max_cardinality must be >= 1")
-    pos_mask = data.label_mask
-    neg_mask = ~pos_mask & data.full_mask
-    if pos_mask.bit_count() == 0 or neg_mask.bit_count() == 0:
+    if not all(data.class_masks):
         raise DataError("mining needs both label classes present")
 
     entries: list[tuple[tuple[int, ...], int, float]] = []
-    for output, class_mask in ((1, pos_mask), (0, neg_mask)):
+    for output, class_mask in enumerate(data.class_masks):
         class_size = class_mask.bit_count()
         cols = [b & class_mask for b in data.feature_bits]
         for items, count in _mine_class(cols, class_size, gamma, max_cardinality):

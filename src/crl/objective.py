@@ -76,9 +76,9 @@ class TradeoffCurve:
     @classmethod
     def from_sweep(cls, levels: SweepLevels, n_rows: int) -> "TradeoffCurve":
         """The curve read off one :func:`sweep` over ``n_rows`` rows."""
-        _, covered, rule_correct, _, _ = zip(*levels)
+        _, covered, rule_correct, _, t, a, _ = zip(*levels)
         return cls(
-            points=tuple((c / n_rows, (rc + rest) / n_rows) for _, c, rc, rest, _ in levels),
+            points=tuple(zip(t, a)),
             covered_counts=covered,
             rule_correct_counts=rule_correct,
             exclusive_counts=_differences(covered),
@@ -97,8 +97,14 @@ class ObjectiveValue:
     autac: float
     alpha: float
     n_rules: int
-    penalty: float
-    objective: float
+
+    @property
+    def penalty(self) -> float:
+        return self.alpha * self.n_rules
+
+    @property
+    def objective(self) -> float:
+        return self.autac - self.penalty
 
 
 def _check_alignment(data: BinaryDataset, preds: PredictionVector) -> None:
@@ -111,18 +117,18 @@ def _check_alignment(data: BinaryDataset, preds: PredictionVector) -> None:
 
 # Per-level state of one prefix sweep, indexed by level m = 0..M. Level m is
 # (S_m as a row bitset, |S_m|, rule-correct rows in S_m, base-correct rows
-# outside S_m, twice the trapezoid area over points 0..m).
-SweepLevels = list[tuple[int, int, int, int, float]]
+# outside S_m, curve point m's transparency t and accuracy a, twice the
+# trapezoid area over points 0..m).
+SweepLevels = list[tuple[int, int, int, int, float, float, float]]
 
 
 def cover_masks(rules, data: BinaryDataset) -> list[tuple[int, int, int, int]]:
     """Per rule, its raw cover, the covered rows its output gets right, and both popcounts."""
-    label_mask = data.label_mask
-    neg_mask = ~label_mask & data.full_mask
+    class_masks = data.class_masks
     masks = []
     for r in rules:
         raw = raw_cover(r, data)
-        hits = raw & (label_mask if r.output == 1 else neg_mask)
+        hits = raw & class_masks[r.output]
         masks.append((raw, hits, raw.bit_count(), hits.bit_count()))
     return masks
 
@@ -139,7 +145,8 @@ def sweep(
     Rows outside the first m covers are scored by ``base_correct`` (the
     black-box's correct rows for the curve, the majority class's for the
     rules-only baseline). Every other estimate in the package reads these
-    levels, one tuple per level (see ``SweepLevels``).
+    levels, one tuple per level (see ``SweepLevels``), and no other code
+    divides a level's counts into its curve point (t, a).
 
     Without ``start`` the walk begins at the empty list (level 0). With
     ``start``, the sweep of a list that shares its first ``level`` rules, it
@@ -149,13 +156,12 @@ def sweep(
     :func:`autac_hat`, so a resumed sweep is bit-identical to a full one.
     """
     if start is None:
-        levels = [(0, 0, 0, base_correct.bit_count(), 0.0)]
+        rest = base_correct.bit_count()
+        levels = [(0, 0, 0, rest, 0.0, rest / n_rows, 0.0)]
     else:
         levels = start[: level + 1]
-    covered, cover_cnt, rule_correct, rest, area = levels[-1]
+    covered, cover_cnt, rule_correct, rest, t0, a0, area = levels[-1]
     base_total = levels[0][3]
-    t0 = cover_cnt / n_rows
-    a0 = (rule_correct + rest) / n_rows
     append = levels.append
     # |x \ S| is taken as |x| - |x & S|: ANDing with ~S costs more in CPython.
     for raw, hits, raw_n, hits_n in masks:
@@ -167,7 +173,7 @@ def sweep(
         a1 = (rule_correct + rest) / n_rows
         area += (a1 + a0) * (t1 - t0)
         t0, a0 = t1, a1
-        append((covered, cover_cnt, rule_correct, rest, area))
+        append((covered, cover_cnt, rule_correct, rest, t1, a1, area))
     return levels
 
 
@@ -226,8 +232,7 @@ def objective(
 ) -> ObjectiveValue:
     """The training objective: curve area minus alpha per rule."""
     check_alpha(alpha)
-    autac = autac_hat(curve(rule_list, data, preds))
-    return make_objective(autac, alpha, len(rule_list))
+    return ObjectiveValue(autac_hat(curve(rule_list, data, preds)), alpha, len(rule_list))
 
 
 def check_alpha(alpha: float) -> None:
@@ -235,17 +240,6 @@ def check_alpha(alpha: float) -> None:
     # NaN fails every comparison, so finiteness is checked on its own.
     if not math.isfinite(alpha) or alpha < 0:
         raise ValueError("alpha must be a finite number >= 0")
-
-
-def make_objective(autac: float, alpha: float, n_rules: int) -> ObjectiveValue:
-    penalty = alpha * n_rules
-    return ObjectiveValue(
-        autac=autac,
-        alpha=alpha,
-        n_rules=n_rules,
-        penalty=penalty,
-        objective=autac - penalty,
-    )
 
 
 def level_for_t(t_values, t: float) -> tuple[int, float]:

@@ -47,11 +47,11 @@ from .mining import CandidatePool
 from .objective import (
     ObjectiveValue,
     TradeoffCurve,
+    _check_alignment,
     autac_hat,
     check_alpha,
     cover_masks,
     curve,
-    make_objective,
     sweep,
 )
 from .rules import RuleList
@@ -303,11 +303,8 @@ class _Scorer:
         self.alpha = alpha
         self.rules_only = scoring == SCORING_RULES_ONLY
         if self.rules_only:
-            label_mask = data.label_mask
-            if 2 * label_mask.bit_count() >= data.n_rows:
-                self.base_correct = label_mask
-            else:
-                self.base_correct = ~label_mask & data.full_mask
+            negative, positive = data.class_masks
+            self.base_correct = positive if 2 * positive.bit_count() >= self.n else negative
         else:
             self.base_correct = preds.correct_mask(data.labels)
         self.masks = cover_masks(pool.rules, data)
@@ -324,12 +321,9 @@ class _Scorer:
             return obj
         levels = self._sweep(state, k)
         self._scored = (state, levels)
-        _, _, rule_correct, rest, area = levels[-1]
-        if self.rules_only:
-            area = (rule_correct + rest) / self.n
-        else:
-            area = 0.5 * area
-        obj = self._memo[state] = area - self.alpha * len(state)
+        _, _, _, _, _, accuracy, area = levels[-1]
+        quality = accuracy if self.rules_only else 0.5 * area
+        obj = self._memo[state] = quality - self.alpha * len(state)
         return obj
 
     def commit(self) -> None:
@@ -354,6 +348,7 @@ def run_search(
     config: SearchConfig,
 ) -> SearchResult:
     """Run one annealed search chain; fully deterministic given its inputs."""
+    _check_alignment(data, preds)
     if len(pool) == 0:
         raise SearchError("cannot search an empty candidate pool")
     rng = np.random.default_rng(config.seed)
@@ -383,7 +378,7 @@ def run_search(
 
     best_list = RuleList(tuple(pool.rules[i] for i in best))
     best_curve = curve(best_list, data, preds)
-    obj = make_objective(autac_hat(best_curve), config.alpha, len(best_list))
+    obj = ObjectiveValue(autac_hat(best_curve), config.alpha, len(best_list))
     return SearchResult(best_list=best_list, curve=best_curve, trace=trace, objective=obj)
 
 

@@ -17,6 +17,7 @@ from crl import (
     BinarizationManifest,
     CompanionEvaluator,
     apply_manifest,
+    autac_hat,
     binarize,
     SearchConfig,
     curve,
@@ -95,6 +96,25 @@ class TestSynth:
         # with one row some planted column is constant 0, so "x=1" has no bin
         assert run("synth", "--rows", 1, "--out", tmp_path) == 3
         assert "never 1" in one_error_line(capsys, "data error")
+
+    @pytest.mark.parametrize("rows, seed", [(50, 3), (300, 4), (1000, 7)])
+    def test_planted_model_names_the_planted_list(self, tmp_path, capsys, rows, seed):
+        # GOLDEN_DIGESTS pins one (rows, seed); these check the planted model elsewhere
+        assert run("synth", "--rows", rows, "--seed", seed, "--out", tmp_path) == 0
+        bench = planted_benchmark(n_rows=rows, seed=seed)
+        manifest = BinarizationManifest.load(tmp_path / "manifest.json")
+        doc = load_model(tmp_path / "planted_model.json")
+        names = set(manifest.feature_names())
+        assert all(set(r.conditions) <= names for r in doc.rules)
+        capsys.readouterr()
+        code = run(
+            "evaluate", "--data", tmp_path / "data.csv", "--label-column", "label",
+            "--preds", tmp_path / "preds.txt", "--model", tmp_path / "planted_model.json",
+            "--manifest", tmp_path / "manifest.json",
+        )
+        assert code == 0
+        expected = autac_hat(curve(bench.planted, bench.data, bench.preds))
+        assert autac_from_stdout(capsys) == expected
 
 
 class TestTrain:
@@ -811,6 +831,8 @@ KNOB_CASES = [
     ("train", "--c0", "nan", 2, "usage error", "numeric"),
     ("cv", "--c0", "inf", 2, "usage error", "numeric"),
     ("tune", "--candidates", "nan,0.01", 2, "usage error", "numeric"),
+    # an empty list is refused, not replaced by the default grid
+    ("tune", "--candidates", "", 2, "usage error", "numeric"),
     # negative seeds are refused by flag name before any data loads
     ("train", "--seed", -1, 2, "usage error", "numeric"),
     ("cv", "--seed", -1, 2, "usage error", "numeric"),
@@ -1088,6 +1110,7 @@ def test_cli_defaults_equal_library_defaults():
         {"mine_fraction": False},
         {"alpha": 10**400},
         {"alpha": 1e400},
+        {"seed": 1e400},
     ],
     ids=lambda v: json.dumps(v)[:32],
 )
@@ -1103,7 +1126,9 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, values):
     )
     assert code == 2
     (key,) = values
-    assert repr(key) in one_error_line(capsys, "usage error")
+    line = one_error_line(capsys, "usage error")
+    assert repr(key) in line
+    assert "Infinity" not in line  # the file holds no such token
 
 
 def test_config_integer_for_float_knob_resolves_as_the_flag_would(monkeypatch, tmp_path):

@@ -27,6 +27,7 @@ from crl.data import (
     quantile_edges,
     read_json,
     synth_oracle,
+    unpack_bool,
     write_json,
     write_rows,
 )
@@ -476,6 +477,15 @@ class TestInputHardening:
     def test_repeated_feature_name_is_data_error(self):
         with pytest.raises(DataError, match="two features are named 'x'"):
             BinaryDataset.from_bool_matrix([[True, False]], [0], ("x", "x"))
+
+    @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=300))
+    def test_class_masks_split_the_rows_by_label(self, labels):
+        data = BinaryDataset.from_bool_matrix(np.ones((len(labels), 1)), labels, ("x",))
+        negative, positive = data.class_masks
+        assert negative & positive == 0
+        assert negative | positive == data.full_mask
+        assert positive.bit_count() == data.labels.sum()
+        assert unpack_bool(positive, data.n_rows).tolist() == [v == 1 for v in labels]
 
     def test_duplicate_header_name(self, tmp_path):
         p = write(tmp_path, "t.csv", "a,a,b,y\n1,2,3,0\n")

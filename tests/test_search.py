@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crl import (
+    DataError,
+    PredictionVector,
     Rule,
     RuleList,
     SearchConfig,
@@ -460,6 +462,17 @@ class TestRunSearch:
         empty = CandidatePool(rules=(), supports=(), gamma=0.5, max_cardinality=2)
         with pytest.raises(SearchError):
             run_search(data, preds, empty, SearchConfig(alpha=0.001, n_iters=10))
+
+    @pytest.mark.parametrize("n_preds", [5, 1])
+    def test_misaligned_predictions_refused_before_the_chain(self, monkeypatch, n_preds):
+        # refused before any draw, whether the length broadcasts against the labels (1) or not (5)
+        data, _, pool = small_problem(n_rows=300)
+        preds = PredictionVector(np.zeros(n_preds, dtype=np.uint8))
+        proposed = []
+        monkeypatch.setattr("crl.search.propose", lambda *a: proposed.append(a))
+        with pytest.raises(DataError, match="does not align"):
+            run_search(data, preds, pool, SearchConfig(alpha=0.001, n_iters=10))
+        assert proposed == []
 
 
 # sha256 over (op, accepted, float.hex of the proposed and best objectives) of
