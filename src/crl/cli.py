@@ -16,7 +16,8 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+import warnings
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -389,56 +390,43 @@ def _cv_fold(i: int):
     return result, test_curve
 
 
-def _pooled_folds(pool, procs, n_folds: int):
-    """``_cv_fold(i)`` for each fold in order, computed by ``pool``'s worker processes.
-
-    Pool replaces a worker that dies but loses its task, so a fold it held would
-    never return: while waiting, a worker of ``procs`` that has exited is a SearchError.
-    """
-    from multiprocessing import TimeoutError
-
-    results = pool.imap(_cv_fold, range(n_folds))
-    for i in range(n_folds):
-        while True:
-            try:
-                result = results.next(timeout=0.5)  # returns as soon as the fold is in
-                break
-            except TimeoutError:
-                for p in procs:
-                    if p.exitcode is not None:
-                        raise SearchError(
-                            f"a cv worker process ended with exit code {p.exitcode} "
-                            f"before fold {i} returned"
-                        ) from None
-        yield result
-
-
-@contextmanager
 def _fitted_folds(args, data, preds, folds, fold_seeds):
-    """An iterator of ``_cv_fold(i)`` over the folds in order.
+    """``_cv_fold(i)`` for each fold in order.
 
     On more than one usable CPU the folds run in a pool of forked worker
-    processes, at most one per CPU, and the pool ends with the block.
+    processes, at most one per CPU; the pool ends when the generator is closed.
+    Pool replaces a worker that dies but loses its task, so a fold it held would
+    never return: while waiting, a worker that has exited is a SearchError.
     """
     global _cv_job
     workers = min(len(folds), _usable_cpus())
     _cv_job = (args, data, preds, folds, fold_seeds)
-    pool = None
     try:
         if workers < 2:
-            yield map(_cv_fold, range(len(folds)))
-        else:
-            import multiprocessing
+            yield from map(_cv_fold, range(len(folds)))
+            return
+        import multiprocessing
 
-            # Pool forks its workers before it starts any thread of its own
-            others = set(multiprocessing.active_children())
-            pool = multiprocessing.get_context("fork").Pool(workers)
+        # Pool forks its workers before it starts any thread of its own
+        others = set(multiprocessing.active_children())
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             procs = set(multiprocessing.active_children()) - others
-            yield _pooled_folds(pool, procs, len(folds))
+            results = pool.imap(_cv_fold, range(len(folds)))
+            for i in range(len(folds)):
+                while True:
+                    try:
+                        result = results.next(timeout=0.5)  # returns once the fold is in
+                        break
+                    except multiprocessing.TimeoutError:
+                        for p in procs:
+                            if p.exitcode is not None:
+                                raise SearchError(
+                                    f"a cv worker process ended with exit code {p.exitcode} "
+                                    f"before fold {i} returned"
+                                ) from None
+                yield result
     finally:
         _cv_job = None
-        if pool is not None:
-            pool.terminate()
 
 
 def cmd_cv(args) -> int:
@@ -446,13 +434,16 @@ def cmd_cv(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     data, manifest = _load_dataset(args)
     preds = _load_preds(args, data)
-    with _knob_errors("--folds", DataError):
+    with _knob_errors("--folds", DataError), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         folds = split_folds(data, k=args.folds, seed=args.seed)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     fold_seeds = child_seeds(args.seed, len(folds))
     manifest.save(out / "manifest.json")
 
     fold_rows: list[dict] = []
-    with _fitted_folds(args, data, preds, folds, fold_seeds) as fitted:
+    with closing(_fitted_folds(args, data, preds, folds, fold_seeds)) as fitted:
         for i, (result, test_curve) in enumerate(fitted):
             fold_dir = out / f"fold_{i}"
             fold_dir.mkdir(exist_ok=True)

@@ -675,22 +675,19 @@ def split_folds(data: BinaryDataset, k: int = 5, seed: int = 0) -> list[np.ndarr
     rng = np.random.default_rng(seed)
     labels = data.labels
     classes, counts = np.unique(labels, return_counts=True)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    groups = [np.flatnonzero(labels == c) for c in classes]
     if (counts < k).any():
         warnings.warn(
             "a label class has fewer members than folds; falling back to an "
             "unstratified split",
             stacklevel=2,
         )
-        perm = rng.permutation(data.n_rows)
+        groups = [np.arange(data.n_rows)]
+    folds: list[list[int]] = [[] for _ in range(k)]
+    for group in groups:
+        perm = rng.permutation(group)
         for f in range(k):
             folds[f].extend(perm[f::k].tolist())
-    else:
-        for cls in classes:
-            idx = np.flatnonzero(labels == cls)
-            perm = rng.permutation(idx)
-            for f in range(k):
-                folds[f].extend(perm[f::k].tolist())
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 

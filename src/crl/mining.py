@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BinaryDataset
+from .data import BinaryDataset, _first_repeat
 from .errors import DataError
 from .rules import Rule
 
@@ -39,7 +39,7 @@ class CandidatePool:
     def __post_init__(self) -> None:
         # The search holds lists as pool indices, so equal rules would be two
         # different indices for one rule.
-        if len(set(self.rules)) != len(self.rules):
+        if _first_repeat(self.rules) is not None:
             raise ValueError("candidate pool rules must be distinct")
 
     def __len__(self) -> int:
@@ -66,10 +66,7 @@ def _mine_class(cols_in_class: list[int], class_size: int, gamma: float, max_car
                 if len(grown) < max_card:
                     grow(grown, inter, pos + 1)
 
-    for pos, (i, bits) in enumerate(frequent1):
-        found.append(((i,), bits.bit_count()))
-        if max_card > 1:
-            grow((i,), bits, pos + 1)
+    grow((), -1, 0)  # -1 has every bit set, so the first level is the singletons
     return found
 
 

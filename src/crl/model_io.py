@@ -208,7 +208,7 @@ def save_pool(path, pool: CandidatePool, feature_names) -> None:
 def save_curve_csv(path, curve: TradeoffCurve) -> None:
     """Write the curve as CSV, one row per level, full float precision."""
     rows = [
-        (m, repr(t), repr(a), exc, repr(curve.rule_part_accuracy(m)) if m else "")
+        (m, t, a, exc, curve.rule_part_accuracy(m) if m else None)
         for m, ((t, a), exc) in enumerate(zip(curve.points, curve.exclusive_counts))
     ]
     write_rows(path, CURVE_FIELDS, rows)
@@ -216,7 +216,7 @@ def save_curve_csv(path, curve: TradeoffCurve) -> None:
 
 def save_trace_csv(path, trace: SearchTrace) -> None:
     rows = (
-        (s.iteration, s.op, repr(s.proposed_objective), int(s.accepted), repr(s.best_objective))
+        (s.iteration, s.op, s.proposed_objective, int(s.accepted), s.best_objective)
         for s in trace.steps
     )
     write_rows(path, TRACE_FIELDS, rows)

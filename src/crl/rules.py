@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data import BinaryDataset
+from .data import BinaryDataset, _first_repeat
 
 # A condition is an index into the dataset's binary feature columns; the
 # condition holds on a row when that bit is set. Negations are expressed
@@ -43,12 +43,9 @@ class RuleList:
     rules: tuple[Rule, ...] = ()
 
     def __post_init__(self) -> None:
-        seen = set()
-        for r in self.rules:
-            key = (r.conditions, r.output)
-            if key in seen:
-                raise ValueError(f"duplicate rule in list: {key}")
-            seen.add(key)
+        repeated = _first_repeat(self.rules)
+        if repeated is not None:
+            raise ValueError(f"duplicate rule in list: {(repeated.conditions, repeated.output)}")
 
     def __len__(self) -> int:
         return len(self.rules)

@@ -457,7 +457,7 @@ def tune_alpha(
         )
         if not admissible:
             continue
-        if chosen is None or train_autac > best_autac:
+        if train_autac > best_autac:
             chosen, chosen_alpha, best_autac = result, alpha, train_autac
             ties = []
         elif train_autac == best_autac:

@@ -625,6 +625,67 @@ class TestCv:
         assert [(out / f"fold_{i}").exists() for i in range(5)] == [True] * 2 + [False] * 3
         assert (out / "fold_1" / "trace.csv").exists()
 
+    @pytest.mark.parametrize(
+        "fail, code",
+        [(None, 0), (planted_search_error, 4), (functools.partial(os._exit, 9), 4)],
+        ids=["success", "failing-fold", "dead-worker"],
+    )
+    def test_no_worker_outlives_the_run(self, worker_runs, monkeypatch, fail, code):
+        failing = child_seeds(5, 5)[2]  # fold 2 of run_cv's seed
+        real_search, real_fork = cli.run_search, os.fork
+        forked = []
+
+        def run_search(data, preds, pool, config):
+            if fail is not None and config.seed == failing:
+                fail()
+            return real_search(data, preds, pool, config)
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(cli, "run_search", run_search)
+        monkeypatch.setattr(os, "fork", fork)
+        assert worker_runs(2)[0] == code
+        assert len(forked) >= 2
+        left = []  # children not yet reaped; WNOWAIT leaves them to their reaper
+        for pid in forked:
+            try:
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+            except ChildProcessError:  # the run has reaped it
+                continue
+            left.append(pid)
+        assert left == []
+
+    def test_unstratified_fallback_warns_in_one_line(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        data_path = tmp_path / "small.csv"
+        positives = {7, 31, 52}
+        rows = [
+            f"{rng.integers(4)},{'xyz'[rng.integers(3)]},{int(i in positives)}" for i in range(60)
+        ]
+        data_path.write_text("a,b,y\n" + "\n".join(rows) + "\n")
+        code = run(
+            "cv",
+            "--data", data_path,
+            "--label-column", "y",
+            "--oracle-accuracy", 0.8,
+            "--folds", 5,
+            "--gamma", 0.01,
+            "--iters", 200,
+            "--seed", 9,
+            "--out", tmp_path / "cv",
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.splitlines() == [
+            "warning: a label class has fewer members than folds; "
+            "falling back to an unstratified split"
+        ]
+        assert captured.out.startswith("fold  rules  train_autac  test_autac\n")
+
     def test_usable_cpus_is_one_without_an_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert cli._usable_cpus() == 1

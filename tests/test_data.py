@@ -664,6 +664,17 @@ class TestSplitFolds:
             folds = split_folds(data, k=5, seed=0)
         assert sorted(np.concatenate(folds).tolist()) == list(range(10))
 
+    def test_unstratified_fallback_folds_are_pinned(self):
+        # one permutation of every row, dealt round-robin; the values are pinned
+        labels = np.array([1] + [0] * 9, dtype=np.uint8)
+        data = BinaryDataset.from_bool_matrix(np.eye(10, 2, dtype=bool), labels, ("a", "b"))
+        with pytest.warns(UserWarning, match="unstratified"):
+            folds = split_folds(data, k=5, seed=0)
+        assert [f.tolist() for f in folds] == [[4, 5], [6, 9], [0, 2], [7, 8], [1, 3]]
+        with pytest.warns(UserWarning, match="unstratified"):
+            folds = split_folds(data, k=3, seed=7)
+        assert [f.tolist() for f in folds] == [[1, 2, 8, 9], [0, 3, 4], [5, 6, 7]]
+
     @given(seed=st.integers(min_value=0, max_value=2**31), k=st.integers(2, 6))
     @settings(max_examples=30, deadline=None)
     def test_partition_random(self, seed, k):

@@ -73,12 +73,16 @@ class TestMineRules:
         keys = {(r.conditions, r.output) for r in pool.rules}
         assert ((0,), 0) in keys and ((0,), 1) in keys
 
-    @given(seed=st.integers(0, 2**31), gamma=st.sampled_from([0.05, 0.1, 0.3]))
+    @given(
+        seed=st.integers(0, 2**31),
+        gamma=st.sampled_from([0.05, 0.1, 0.3]),
+        max_card=st.sampled_from([1, 2, 3]),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_brute_force_equivalence(self, seed, gamma):
+    def test_brute_force_equivalence(self, seed, gamma, max_card):
         data = random_dataset(seed, n_rows=80, n_features=7)
-        expected = brute_force_pool(data.matrix, data.labels, gamma, 2)
-        pool = mine_rules(data, gamma=gamma, max_cardinality=2)
+        expected = brute_force_pool(data.matrix, data.labels, gamma, max_card)
+        pool = mine_rules(data, gamma=gamma, max_cardinality=max_card)
         got = {(r.conditions, r.output): s for r, s in zip(pool.rules, pool.supports)}
         assert got == expected
 

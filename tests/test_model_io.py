@@ -12,6 +12,8 @@ from crl import (
     BinarizationManifest,
     CompanionEvaluator,
     DataError,
+    Rule,
+    RuleList,
     curve,
     load_model,
     mine_rules,
@@ -151,6 +153,15 @@ class TestCurveCsv:
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "level,transparency,accuracy,exclusive_support,rule_part_accuracy"
         assert lines[1].split(",")[4] == ""
+
+    def test_shadowed_rule_has_blank_rule_accuracy(self, d4, tmp_path):
+        # the second rule repeats the first one's condition, so it answers no row
+        data, preds, _ = d4
+        rl = RuleList((Rule((0,), 1), Rule((0,), 0)))
+        p = tmp_path / "curve.csv"
+        save_curve_csv(p, curve(rl, data, preds))
+        lines = p.read_text().strip().splitlines()
+        assert lines[3].split(",")[3:] == ["0", ""]
 
 
 class TestTraceCsv:
