@@ -32,8 +32,8 @@ def exhaustive_best(pool, data, preds, max_len=3):
     per-level :func:`sweep` state and sweeps one more rule.
     """
     n = data.n_rows
-    masks = cover_masks(pool.rules, data)
     bb = preds.correct_mask(data.labels)
+    masks = cover_masks(pool.rules, data, bb)
     best = 0.0
 
     def extend(prefix_ids, levels):

@@ -76,7 +76,10 @@ class TradeoffCurve:
     @classmethod
     def from_sweep(cls, levels: SweepLevels, n_rows: int) -> "TradeoffCurve":
         """The curve read off one :func:`sweep` over ``n_rows`` rows."""
-        _, covered, rule_correct, _, t, a, _ = zip(*levels)
+        covered_masks, correct_masks, covered, _, t, a, _ = zip(*levels)
+        rule_correct = tuple(
+            (s & c).bit_count() for s, c in zip(covered_masks, correct_masks)
+        )
         return cls(
             points=tuple(zip(t, a)),
             covered_counts=covered,
@@ -116,20 +119,27 @@ def _check_alignment(data: BinaryDataset, preds: PredictionVector) -> None:
 
 
 # Per-level state of one prefix sweep, indexed by level m = 0..M. Level m is
-# (S_m as a row bitset, |S_m|, rule-correct rows in S_m, base-correct rows
-# outside S_m, curve point m's transparency t and accuracy a, twice the
+# (S_m, the rows the first m rules cover, as a bitset; C_m, the rows the
+# companion answers correctly at level m, as a bitset: the first-match rule's
+# answer inside S_m, ``base_correct`` outside it; |S_m|; |C_m|; curve point
+# m's transparency t = |S_m| / n and accuracy a = |C_m| / n; twice the
 # trapezoid area over points 0..m).
 SweepLevels = list[tuple[int, int, int, int, float, float, float]]
 
 
-def cover_masks(rules, data: BinaryDataset) -> list[tuple[int, int, int, int]]:
-    """Per rule, its raw cover, the covered rows its output gets right, and both popcounts."""
+def cover_masks(rules, data: BinaryDataset, base_correct: int) -> list[tuple[int, int]]:
+    """Per rule, its raw cover and the covered rows where it and the base disagree.
+
+    The second mask, ``raw & (rows of the rule's class ^ base_correct)``, holds
+    the rows whose correctness flips when this rule, rather than the base
+    (``base_correct``, as passed to :func:`sweep`), answers them: the rows the
+    rule gets right and the base wrong, and the other way round.
+    """
     class_masks = data.class_masks
     masks = []
     for r in rules:
         raw = raw_cover(r, data)
-        hits = raw & class_masks[r.output]
-        masks.append((raw, hits, raw.bit_count(), hits.bit_count()))
+        masks.append((raw, raw & (class_masks[r.output] ^ base_correct)))
     return masks
 
 
@@ -144,36 +154,41 @@ def sweep(
 
     Rows outside the first m covers are scored by ``base_correct`` (the
     black-box's correct rows for the curve, the majority class's for the
-    rules-only baseline). Every other estimate in the package reads these
-    levels, one tuple per level (see ``SweepLevels``), and no other code
-    divides a level's counts into its curve point (t, a).
+    rules-only baseline), which must be the base ``masks`` were made with.
+    Every other estimate in the package reads these levels, one tuple per
+    level (see ``SweepLevels``), and no other code divides a level's counts
+    into its curve point (t, a).
+
+    A level carries the covered rows S and the correctly answered rows C, so
+    the next one is ``S' = S | raw`` and ``C' = C ^ (flip & (S' ^ S))``: the
+    rows the rule covers first switch from the base's answer to the rule's.
+    That costs two popcounts per level, |S'| and |C'|.
 
     Without ``start`` the walk begins at the empty list (level 0). With
     ``start``, the sweep of a list that shares its first ``level`` rules, it
     keeps levels 0..``level`` of ``start`` and walks only ``masks``, the rules
-    after that shared prefix. Each level's counts depend only on the level
-    before it, and the trapezoid is summed left to right as in
-    :func:`autac_hat`, so a resumed sweep is bit-identical to a full one.
+    after that shared prefix. Each level depends only on the level before it,
+    and the trapezoid is summed left to right as in :func:`autac_hat`, so a
+    resumed sweep is bit-identical to a full one.
     """
     if start is None:
-        rest = base_correct.bit_count()
-        levels = [(0, 0, 0, rest, 0.0, rest / n_rows, 0.0)]
+        correct_cnt = base_correct.bit_count()
+        levels = [(0, base_correct, 0, correct_cnt, 0.0, correct_cnt / n_rows, 0.0)]
     else:
         levels = start[: level + 1]
-    covered, cover_cnt, rule_correct, rest, t0, a0, area = levels[-1]
-    base_total = levels[0][3]
+    covered, correct, _, _, t0, a0, area = levels[-1]
     append = levels.append
-    # |x \ S| is taken as |x| - |x & S|: ANDing with ~S costs more in CPython.
-    for raw, hits, raw_n, hits_n in masks:
-        cover_cnt += raw_n - (raw & covered).bit_count()
-        rule_correct += hits_n - (hits & covered).bit_count()
-        covered |= raw
-        rest = base_total - (base_correct & covered).bit_count()
+    for raw, flip in masks:
+        grown = covered | raw
+        correct ^= flip & (grown ^ covered)
+        covered = grown
+        cover_cnt = covered.bit_count()
+        correct_cnt = correct.bit_count()
         t1 = cover_cnt / n_rows
-        a1 = (rule_correct + rest) / n_rows
+        a1 = correct_cnt / n_rows
         area += (a1 + a0) * (t1 - t0)
         t0, a0 = t1, a1
-        append((covered, cover_cnt, rule_correct, rest, t1, a1, area))
+        append((covered, correct, cover_cnt, correct_cnt, t1, a1, area))
     return levels
 
 
@@ -182,9 +197,8 @@ def list_sweep(
 ) -> SweepLevels:
     """The :func:`sweep` of one evaluated list, rows outside it scored by the black-box."""
     _check_alignment(data, preds)
-    return sweep(
-        cover_masks(rule_list, data), preds.correct_mask(data.labels), data.n_rows
-    )
+    base_correct = preds.correct_mask(data.labels)
+    return sweep(cover_masks(rule_list, data, base_correct), base_correct, data.n_rows)
 
 
 def curve(

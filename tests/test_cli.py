@@ -463,6 +463,22 @@ class TestMineAndTune:
         obj = json.loads(out.read_text())
         assert obj["rules"]
 
+    def test_repeated_candidate_is_usage_error(self, bench_dir, tmp_path, capsys):
+        # the repeats would run chains that differ only in their seeds
+        code = run(
+            "tune",
+            "--data", bench_dir / "data.csv",
+            "--label-column", "label",
+            "--preds", bench_dir / "preds.txt",
+            "--iters", 20,
+            "--candidates", "0.01,0.01,0.010",
+            "--out", tmp_path / "tune.json",
+        )
+        assert code == 2
+        line = one_error_line(capsys, "usage error")
+        assert line == "usage error: --candidates: alpha candidate 0.01 is given more than once"
+        assert not (tmp_path / "tune.json").exists()
+
     def test_tune_report(self, bench_dir, tmp_path):
         out = tmp_path / "tune.json"
         code = run(

@@ -13,10 +13,11 @@ from crl import (
     curve,
     objective,
 )
-from crl.objective import level_for_t
+from crl.data import pack_bool
+from crl.objective import TradeoffCurve, cover_masks, level_for_t, sweep
 
 from conftest import make_random_dataset, make_random_preds
-from oracles import random_instance, simulate_autac, simulate_curve
+from oracles import random_instance, simulate_autac, simulate_curve, simulate_first_match
 
 FIG_POINTS = ((0.0, 0.92), (0.4, 0.90), (0.7, 0.84), (1.0, 0.75))
 FIG_T = tuple(t for t, _ in FIG_POINTS)
@@ -190,3 +191,31 @@ class TestInvariants:
         assert list(c.rule_correct_counts) == corrects
         assert c.points == tuple(points)
         assert autac_hat(c) == simulate_autac(points)
+
+    @given(seed=st.integers(0, 2**31), base=st.sampled_from(["blackbox", "majority"]))
+    @settings(max_examples=60, deadline=None)
+    def test_level_state_matches_per_row_oracle(self, seed, base):
+        # C_m is the rule's answer on rows the first m rules cover, the base's elsewhere
+        rng = np.random.default_rng(seed)
+        matrix, labels, bb, specs = random_instance(rng)
+        n = matrix.shape[0]
+        names = tuple(f"f{j}" for j in range(matrix.shape[1]))
+        data = BinaryDataset.from_bool_matrix(matrix, labels, names)
+        if base == "majority":  # the rules-only baseline's base
+            bb = np.full(n, 1 if 2 * int(labels.sum()) >= n else 0, dtype=np.uint8)
+        base_ok = bb == labels
+        base_correct = pack_bool(base_ok)
+        rl = RuleList(tuple(Rule(c, z) for c, z in specs))
+        levels = sweep(cover_masks(rl, data, base_correct), base_correct, n)
+        match = simulate_first_match(specs, matrix)
+        assert len(levels) == len(specs) + 1
+        for m, (covered, correct, n_covered, n_correct, *_) in enumerate(levels):
+            inside = (match != -1) & (match < m)
+            rule_ok = np.array([j != -1 and specs[j][1] == y for j, y in zip(match, labels)])
+            assert covered == pack_bool(inside)
+            assert correct == pack_bool(np.where(inside, rule_ok, base_ok))
+            assert (n_covered, n_correct) == (covered.bit_count(), correct.bit_count())
+        _, corrects, _, points = simulate_curve(specs, matrix, labels, bb)
+        read = TradeoffCurve.from_sweep(levels, n)
+        assert list(read.rule_correct_counts) == corrects
+        assert read.points == tuple(points)

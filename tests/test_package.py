@@ -69,6 +69,19 @@ def test_benchmark_tracer_patches_and_restores_every_traced_name():
         assert getattr(owner, attr) is original, attr
 
 
+def test_benchmark_smoke_run_passes():
+    # the benchmark's output checks and traced names run against this checkout's crl
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--smoke"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "smoke: ok"
+
+
 def test_cli_import_leaves_multiprocessing_out():
     # cv imports multiprocessing when it starts a pool; every other run skips the cost
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

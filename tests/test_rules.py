@@ -18,8 +18,8 @@ def to_indices(bits):
 
 def match_of(rule_list, data):
     """Per-row first-match index, read off the list's prefix sweep."""
-    counts = sweep(cover_masks(rule_list, data), 0, data.n_rows)
-    return first_match_indices(counts, data.n_rows)
+    levels = sweep(cover_masks(rule_list, data, 0), 0, data.n_rows)
+    return first_match_indices(levels, data.n_rows)
 
 
 def dataset_from_columns(columns, n_rows):

@@ -378,7 +378,7 @@ class TestRunSearch:
         data, preds, pool = small_problem(seed=seed % 7, n_rows=60)
         alpha = 0.001
         scorer = _Scorer(data, preds, pool, alpha=alpha, scoring=scoring)
-        masks = cover_masks(pool.rules, data)
+        masks = cover_masks(pool.rules, data, scorer.base_correct)
 
         def full_sweep(state):
             return sweep([masks[i] for i in state], scorer.base_correct, data.n_rows)
@@ -408,7 +408,9 @@ class TestRunSearch:
             assert scorer.committed[0] == current
             assert scorer.committed[1] == full_sweep(current)
 
-    def test_each_state_swept_at_most_once_per_committed_list(self, monkeypatch):
+    def test_score_sweeps_no_state_twice_in_one_chain(self, monkeypatch):
+        # the memo outlives commits: a state first scored against an earlier
+        # committed list is not swept again either
         data, preds, pool = small_problem()
         swept = []
 
@@ -423,39 +425,50 @@ class TestRunSearch:
         current = init_list(pool, 3, rng)
         scorer.score(current, 0)
         scorer.commit()
-        seen = set()
-        repeats = 0
+        first_scored_at = {current: 0}  # state -> commits made before its first score
+        commits = 1
+        repeats_across_commits = 0
         for n in range(1, 1500):
             proposal, _op, k = propose(current, pool, rng)
             before = len(swept)
             scorer.score(proposal, k)
-            if proposal in seen:
-                repeats += 1
+            if proposal in first_scored_at:
                 assert len(swept) == before, proposal
+                repeats_across_commits += first_scored_at[proposal] < commits
             else:
                 assert len(swept) == before + 1, proposal
-                seen.add(proposal)
-            if n % 100 == 0:
+                first_scored_at[proposal] = commits
+            if n % 20 == 0:
                 scorer.commit()
+                commits += 1
                 current = proposal
-                seen = set()
-        assert repeats > 0
+        assert repeats_across_commits > 0
 
     def test_memo_hit_then_commit_sweeps_the_hit(self):
         data, preds, pool = small_problem()
         scorer = _Scorer(data, preds, pool, alpha=0.001, scoring="companion")
-        a, b = (0, 1, 2), (0, 2, 1)
+        masks = cover_masks(pool.rules, data, scorer.base_correct)
+
+        def full_sweep(state):
+            return sweep([masks[i] for i in state], scorer.base_correct, data.n_rows)
+
+        a = (0, 1, 2)
         scorer.score(a, 0)
         scorer.commit()
         a_next, b_next = a + (3,), (0, 1, 3, 2)
         obj = scorer.score(a_next, 3)
-        scorer.score(b_next, 2)
+        b_obj = scorer.score(b_next, 2)
         assert scorer.score(a_next, 3) == obj
+        assert scorer._scored == (a_next, 3)  # a hit: no levels were swept
         scorer.commit()
         assert scorer.committed[0] == a_next
-        masks = cover_masks(pool.rules, data)
-        full = sweep([masks[i] for i in a_next], scorer.base_correct, data.n_rows)
-        assert scorer.committed[1] == full
+        assert scorer.committed[1] == full_sweep(a_next)
+        # b_next was first scored against a, before a_next was committed
+        assert scorer.score(b_next, 2) == b_obj
+        assert scorer._scored == (b_next, 2)
+        scorer.commit()
+        assert scorer.committed[0] == b_next
+        assert scorer.committed[1] == full_sweep(b_next)
 
     def test_empty_pool_rejected(self):
         data, preds, _ = small_problem()
@@ -529,6 +542,15 @@ class TestTuneAlpha:
         monkeypatch.setattr("crl.search.run_search", lambda *a: searched.append(a))
         with pytest.raises(ValueError, match="alpha"):
             tune_alpha(data, preds, pool, candidates=(0.001, math.nan))
+        assert searched == []
+
+    def test_repeated_candidate_refused_before_first_search(self, monkeypatch):
+        # repeats would run chains that differ only in their seeds
+        data, preds, pool = small_problem(seed=6)
+        searched = []
+        monkeypatch.setattr("crl.search.run_search", lambda *a: searched.append(a))
+        with pytest.raises(ValueError, match=r"^alpha candidate 0\.01 is given more than once$"):
+            tune_alpha(data, preds, pool, candidates=(0.01, 0.001, 0.010))
         assert searched == []
 
     def test_single_admissible_candidate_chosen(self):
