@@ -18,7 +18,7 @@ import os
 import sys
 import warnings
 from contextlib import closing, contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,13 +72,23 @@ def _knob_errors(knobs: str, error: type[CrlError] = UsageError):
         raise error(f"{knobs}: {exc}") from exc
 
 
+@contextmanager
+def _warnings_to_stderr():
+    """Print each library warning raised inside as one ``warning: ...`` stderr line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+
+
 @dataclass(frozen=True)
 class Knob:
     """A flag with a default, declared once for every subcommand that takes it.
 
     The parser leaves the flag ``None`` when it is not given; resolution then
     fills in the ``--config`` value (``config`` rows only) or ``default``, and
-    checks ``minimum``. Every other range check stays in the library.
+    checks ``minimum`` and ``maximum``. Every other range check stays in the library.
     """
 
     flag: str
@@ -87,6 +97,7 @@ class Knob:
     help: str
     commands: tuple[str, ...]
     minimum: int | None = None
+    maximum: int | None = None
     config: bool = False
 
     @property
@@ -101,7 +112,9 @@ _SEARCH = ("train", "tune", "cv")
 
 KNOBS = (
     Knob("--delimiter", str, ",", "field delimiter of the input files", _DATA),
-    Knob("--quantiles", int, 7, "bins per numeric column", _DATA, minimum=2, config=True),
+    Knob(
+        "--quantiles", int, 7, "bins per numeric column", _DATA, minimum=2, maximum=1000, config=True
+    ),
     Knob("--oracle-seed", int, 0, "seed of the --oracle-accuracy black-box", _PREDS, minimum=0),
     Knob("--gamma", float, 0.05, "min class support", _MINING, config=True),
     Knob("--max-card", int, 2, "max conditions per rule", _MINING, config=True),
@@ -167,17 +180,31 @@ def _resolve_knobs(args) -> None:
     """Give every unset knob its ``--config`` value or default, then check it.
 
     Runs before any data loads. An explicit flag always wins over the file,
-    the file over the default.
+    the file over the default. A search command also gets ``args.search``, the
+    one :class:`SearchConfig` every chain of the run copies with its own seed.
     """
     config = _read_config(args.config) if getattr(args, "config", None) else {}
     for knob in args.knobs:
         if getattr(args, knob.dest) is None:
             value = config.get(knob.dest, knob.default) if knob.config else knob.default
             setattr(args, knob.dest, value)
-        if knob.minimum is not None and getattr(args, knob.dest) < knob.minimum:
+        value = getattr(args, knob.dest)
+        if knob.minimum is not None and value < knob.minimum:
             raise UsageError(f"{knob.flag} must be >= {knob.minimum}")
+        if knob.maximum is not None and value > knob.maximum:
+            raise UsageError(f"{knob.flag} must be <= {knob.maximum}")
     if len(getattr(args, "delimiter", ",")) != 1:
         raise UsageError("--delimiter must be exactly one character")
+    if args.command in _SEARCH:
+        with _knob_errors("search options"):
+            args.search = SearchConfig(
+                alpha=args.alpha,
+                c0=args.c0,
+                n_iters=args.iters,
+                seed=args.seed,
+                init_size=args.init_size,
+                max_rules_guard=args.max_rules,
+            )
 
 
 def _load_dataset(args) -> tuple[BinaryDataset, BinarizationManifest]:
@@ -195,7 +222,8 @@ def _load_dataset(args) -> tuple[BinaryDataset, BinarizationManifest]:
         args.data, args.label_column, delimiter=args.delimiter, positive_value=positive_value
     )
     if manifest is not None:
-        return apply_manifest(table, manifest), manifest
+        with _warnings_to_stderr():
+            return apply_manifest(table, manifest), manifest
     return binarize(table, quantiles=args.quantiles)
 
 
@@ -212,18 +240,6 @@ def _load_preds(args, data: BinaryDataset) -> PredictionVector:
     raise UsageError("black-box predictions required: pass --preds or --oracle-accuracy")
 
 
-def _search_config(args, seed: int) -> SearchConfig:
-    with _knob_errors("search options"):
-        return SearchConfig(
-            alpha=args.alpha,
-            c0=args.c0,
-            n_iters=args.iters,
-            seed=seed,
-            init_size=args.init_size,
-            max_rules_guard=args.max_rules,
-        )
-
-
 def _mine(args, data: BinaryDataset, seed: int):
     with _knob_errors("mining options"):
         mining = subsample_for_mining(data, args.mine_fraction, seed=seed)
@@ -232,9 +248,8 @@ def _mine(args, data: BinaryDataset, seed: int):
 
 def _fit(args, data: BinaryDataset, preds: PredictionVector, seed: int):
     """Mine a pool on ``data`` and run one search chain; ``seed`` drives both."""
-    config = _search_config(args, seed)
     pool = _mine(args, data, seed)
-    return run_search(data, preds, pool, config)
+    return run_search(data, preds, pool, replace(args.search, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +350,6 @@ def cmd_tune(args) -> int:
     data, _ = _load_dataset(args)
     preds = _load_preds(args, data)
     pool = _mine(args, data, args.seed)
-    base = _search_config(args, args.seed)
     with _knob_errors("--candidates"):
         candidates = (
             tuple(float(a) for a in args.candidates.split(","))
@@ -343,7 +357,7 @@ def cmd_tune(args) -> int:
             else ALPHA_CANDIDATES
         )
         report = tune_alpha(
-            data, preds, pool, candidates=candidates, i_max=args.i_max, base_config=base
+            data, preds, pool, candidates=candidates, i_max=args.i_max, base_config=args.search
         )
     obj = {
         "chosen_alpha": report.chosen_alpha,
@@ -385,7 +399,7 @@ def _cv_fold(i: int):
         preds_te = preds.subset(folds[i])
         result = _fit(args, data_tr, preds_tr, fold_seeds[i])
         test_curve = curve(result.best_list, data_te, preds_te)
-    except CrlError as exc:
+    except (DataError, SearchError) as exc:  # a UsageError is the run's, not the fold's
         raise type(exc)(f"fold {i}: {exc}") from exc
     return result, test_curve
 
@@ -434,11 +448,8 @@ def cmd_cv(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     data, manifest = _load_dataset(args)
     preds = _load_preds(args, data)
-    with _knob_errors("--folds", DataError), warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _knob_errors("--folds", DataError), _warnings_to_stderr():
         folds = split_folds(data, k=args.folds, seed=args.seed)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
     fold_seeds = child_seeds(args.seed, len(folds))
     manifest.save(out / "manifest.json")
 
@@ -458,7 +469,7 @@ def cmd_cv(args) -> int:
                     "n_rows_train": data.n_rows - len(folds[i]),
                     "n_rows_test": len(folds[i]),
                     "n_rules": len(result.best_list),
-                    "train_autac": autac_hat(result.curve),
+                    "train_autac": result.objective.autac,
                     "test_autac": autac_hat(test_curve),
                     "test_blackbox_accuracy": test_curve.points[0][1],
                     "model": f"fold_{i}/model.json",

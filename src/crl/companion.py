@@ -49,7 +49,7 @@ class CompanionEvaluator:
         self.data = data
         self.preds = preds
         levels = list_sweep(rule_list, data, preds)
-        self.curve = TradeoffCurve.from_sweep(levels, data.n_rows)
+        self.curve = TradeoffCurve.from_sweep(levels)
         self._first_idx = first_match_indices(levels, data.n_rows)
         outputs = np.array([r.output for r in rule_list] + [0], dtype=np.uint8)
         self._rule_preds = outputs[self._first_idx]  # arbitrary where uncovered

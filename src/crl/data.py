@@ -402,15 +402,15 @@ class ManifestColumn:
             present, floats = _numeric_cells(self.name, values)
         except ValueError as exc:
             raise DataError(f"numeric column {self.name!r}: {exc}") from None
-        return self._bin_indices(present, floats)
+        edges = np.asarray(self.edges, dtype=float)
+        return self._bin_indices(present, np.searchsorted(edges, floats, side="left"))
 
-    def _bin_indices(self, present: np.ndarray, floats: np.ndarray) -> np.ndarray:
-        """:meth:`indices` of a numeric column from its parsed cells."""
+    def _bin_indices(self, present: np.ndarray, bins: np.ndarray) -> np.ndarray:
+        """:meth:`indices` of a numeric column from the bin of each non-blank cell."""
         pos = {c: j for j, c in enumerate(self.categories)}
-        edges = np.asarray(self.edges or (), dtype=float)
-        bin_index = np.array([pos.get(f"bin{k}", -1) for k in range(len(edges) + 1)])
+        bin_index = np.array([pos.get(f"bin{k}", -1) for k in range(len(self.edges) + 1)])
         idx = np.full(len(present), pos.get(MISSING_CATEGORY, -1), dtype=np.intp)
-        idx[present] = bin_index[np.searchsorted(edges, floats, side="left")]
+        idx[present] = bin_index[bins]
         return idx
 
     def feature_names(self) -> list[str]:
@@ -436,10 +436,10 @@ class ManifestColumn:
             fitted = cls(name, _KIND_CATEGORICAL, tuple(cats), None)
             return fitted, fitted.indices(values)
         edges = tuple(quantile_edges(floats, quantiles))
-        codes = np.unique(np.searchsorted(edges, floats, side="left"))
-        cats = [f"bin{k}" for k in codes] + [MISSING_CATEGORY] * (not present.all())
+        bins = np.searchsorted(edges, floats, side="left")
+        cats = [f"bin{k}" for k in np.unique(bins)] + [MISSING_CATEGORY] * (not present.all())
         fitted = cls(name, _KIND_NUMERIC, tuple(cats), edges)
-        return fitted, fitted._bin_indices(present, floats)
+        return fitted, fitted._bin_indices(present, bins)
 
 
 def _manifest_column(c: dict) -> ManifestColumn:
@@ -566,10 +566,20 @@ def apply_manifest(table: RawTable, manifest: BinarizationManifest) -> BinaryDat
 
     Each column is read as the manifest's kind, so a non-numeric or non-finite
     cell under a numeric column is a :class:`DataError`. Values that fall into
-    a category unseen at fit time set no bit in that column group (exact
-    one-hot coverage is only guaranteed on the data the manifest was fitted on).
+    a category unseen at fit time (a new level, a numeric bin no training row
+    fell in, a blank where training had none) set no bit in that column group;
+    one ``UserWarning`` counts them per column, in manifest order.
     """
     column_indices = [mcol.indices(table.column(mcol.name)) for mcol in manifest.columns]
+    unseen = [
+        f"{mcol.name} {n}"
+        for mcol, idx in zip(manifest.columns, column_indices)
+        if (n := int(np.count_nonzero(idx < 0)))
+    ]
+    if unseen:
+        warnings.warn(
+            f"cells in a category unseen at fit set no bit: {', '.join(unseen)}", stacklevel=2
+        )
     return _one_hot(table, manifest, column_indices)
 
 

@@ -44,8 +44,6 @@ class TradeoffCurve:
     points: tuple[tuple[float, float], ...]
     covered_counts: tuple[int, ...]  # cumulative |S_m|
     rule_correct_counts: tuple[int, ...]  # cumulative, rules part
-    exclusive_counts: tuple[int, ...]  # per level, [0] == 0
-    exclusive_correct_counts: tuple[int, ...]  # per level, [0] == 0
 
     @property
     def n_levels(self) -> int:
@@ -60,6 +58,12 @@ class TradeoffCurve:
         return tuple(p[1] for p in self.points)
 
     @property
+    def exclusive_counts(self) -> tuple[int, ...]:
+        """Rows each level's rule answers first, |S_m| - |S_{m-1}|; [0] == 0."""
+        covered = self.covered_counts
+        return (0,) + tuple(b - a for a, b in zip(covered, covered[1:]))
+
+    @property
     def coverage(self) -> float:
         """Transparency of the full list (the curve's right endpoint)."""
         return self.points[-1][0]
@@ -68,14 +72,14 @@ class TradeoffCurve:
         """Accuracy of rule m on its exclusive cover; None when that cover is empty."""
         if m < 1 or m > self.n_levels:
             raise IndexError("level out of range")
-        exc = self.exclusive_counts[m]
+        exc = self.covered_counts[m] - self.covered_counts[m - 1]
         if exc == 0:
             return None
-        return self.exclusive_correct_counts[m] / exc
+        return (self.rule_correct_counts[m] - self.rule_correct_counts[m - 1]) / exc
 
     @classmethod
-    def from_sweep(cls, levels: SweepLevels, n_rows: int) -> "TradeoffCurve":
-        """The curve read off one :func:`sweep` over ``n_rows`` rows."""
+    def from_sweep(cls, levels: SweepLevels) -> "TradeoffCurve":
+        """The curve read off one :func:`sweep`."""
         covered_masks, correct_masks, covered, _, t, a, _ = zip(*levels)
         rule_correct = tuple(
             (s & c).bit_count() for s, c in zip(covered_masks, correct_masks)
@@ -84,13 +88,7 @@ class TradeoffCurve:
             points=tuple(zip(t, a)),
             covered_counts=covered,
             rule_correct_counts=rule_correct,
-            exclusive_counts=_differences(covered),
-            exclusive_correct_counts=_differences(rule_correct),
         )
-
-
-def _differences(cumulative) -> tuple[int, ...]:
-    return (0,) + tuple(b - a for a, b in zip(cumulative, cumulative[1:]))
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,7 @@ def curve(
     rule_list: RuleList, data: BinaryDataset, preds: PredictionVector
 ) -> TradeoffCurve:
     """All M+1 curve points, read off a single :func:`sweep`."""
-    return TradeoffCurve.from_sweep(list_sweep(rule_list, data, preds), data.n_rows)
+    return TradeoffCurve.from_sweep(list_sweep(rule_list, data, preds))
 
 
 def first_match_indices(levels: SweepLevels, n_rows: int) -> np.ndarray:

@@ -460,7 +460,7 @@ def tune_alpha(
         result = run_search(data, preds, pool, cfg)
         n_rules = len(result.best_list)
         n_conditions = sum(len(r.conditions) for r in result.best_list)
-        train_autac = autac_hat(result.curve)
+        train_autac = result.objective.autac
         admissible = n_rules < i_max
         records.append(
             AlphaCandidate(alpha, n_rules, n_conditions, train_autac, admissible)

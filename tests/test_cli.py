@@ -31,7 +31,7 @@ from crl import (
 )
 from crl import cli
 from crl.cli import main
-from crl.data import child_seeds
+from crl.data import child_seeds, synth_oracle
 from crl.errors import SearchError
 from crl.model_io import ModelDocument, save_model
 
@@ -702,9 +702,84 @@ class TestCv:
         ]
         assert captured.out.startswith("fold  rules  train_autac  test_autac\n")
 
+    def test_search_knob_error_comes_before_the_output_directory(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        write_random_csv(data_path, 100, seed=0)
+        out = tmp_path / "cv"
+        code = run(
+            "cv", "--data", data_path, "--label-column", "y", "--oracle-accuracy", 0.8,
+            "--alpha", -1, "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "usage error: search options: alpha must be a finite number >= 0"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mining_knob_error_names_no_fold(self, tmp_path, capsys, monkeypatch, workers):
+        # a bad flag is the run's error, not fold 0's
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        data_path = tmp_path / "d.csv"
+        write_random_csv(data_path, 100, seed=0)
+        code = run(
+            "cv", "--data", data_path, "--label-column", "y", "--oracle-accuracy", 0.8,
+            "--gamma", 2, "--iters", 20, "--out", tmp_path / "cv",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "usage error: mining options: gamma must be in (0, 1]"
+        ]
+
     def test_usable_cpus_is_one_without_an_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert cli._usable_cpus() == 1
+
+
+def test_quantiles_cap_holds_for_a_config_value(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"quantiles": 1001}')
+    code = run(
+        "train", "--data", tmp_path / "absent.csv", "--label-column", "y",
+        "--oracle-accuracy", 0.8, "--config", config, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["usage error: --quantiles must be <= 1000"]
+
+
+def test_unseen_held_out_cells_are_counted_in_one_warning(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    rows = [(f"{rng.random():.4f}", "xyz"[rng.integers(3)], i % 2) for i in range(120)]
+    data_path = tmp_path / "d.csv"
+    data_path.write_text("n,a,y\n" + "".join(f"{n},{a},{y}\n" for n, a, y in rows))
+    common = ("--label-column", "y", "--oracle-accuracy", 0.8)
+    out = tmp_path / "model"
+    assert run("train", "--data", data_path, *common, "--iters", 50, "--out", out) == 0
+    # three cells of a in a new category, one blank n where training had none
+    held_out = [
+        ("" if i == 5 else n, "w" if i in (1, 2, 40) else a, y) for i, (n, a, y) in enumerate(rows)
+    ]
+    held_path = tmp_path / "held_out.csv"
+    held_path.write_text("n,a,y\n" + "".join(f"{n},{a},{y}\n" for n, a, y in held_out))
+    capsys.readouterr()
+    code = run(
+        "evaluate", "--data", held_path, *common, "--model", out / "model.json",
+        "--manifest", out / "manifest.json",
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.splitlines() == [
+        "warning: cells in a category unseen at fit set no bit: n 1, a 3"
+    ]
+    manifest = BinarizationManifest.load(out / "manifest.json")
+    with pytest.warns(UserWarning):
+        data = apply_manifest(load_table(held_path, "y"), manifest)
+    preds = synth_oracle(data.labels, 0.8, 0)
+    evaluator = CompanionEvaluator(resolve_rules(load_model(out / "model.json"), data), data, preds)
+    assert captured.out == (
+        f"autac={evaluator.autac()!r} coverage={evaluator.curve.coverage!r} "
+        f"blackbox_accuracy={evaluator.curve.points[0][1]!r}\n"
+    )
 
 
 def one_error_line(capsys, kind):
@@ -921,6 +996,12 @@ KNOB_CASES = [
     ("cv", "--folds", 1, 2, "usage error", "missing"),
     ("tune", "--i-max", 0, 2, "usage error", "missing"),
     ("train", "--quantiles", 1, 2, "usage error", "missing"),
+    ("train", "--quantiles", 1001, 2, "usage error", "missing"),
+    # so is every range SearchConfig checks: one config serves every chain of the run
+    ("train", "--alpha", -1, 2, "usage error", "missing"),
+    ("tune", "--c0", 0, 2, "usage error", "missing"),
+    ("cv", "--iters", 0, 2, "usage error", "missing"),
+    ("train", "--max-rules", -1, 2, "usage error", "missing"),
     ("synth", "--rows", -3, 2, "usage error", "numeric"),
     ("synth", "--rows", 0, 2, "usage error", "numeric"),
     ("synth", "--oracle-accuracy", "nan", 2, "usage error", "numeric"),

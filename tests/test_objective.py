@@ -216,6 +216,6 @@ class TestInvariants:
             assert correct == pack_bool(np.where(inside, rule_ok, base_ok))
             assert (n_covered, n_correct) == (covered.bit_count(), correct.bit_count())
         _, corrects, _, points = simulate_curve(specs, matrix, labels, bb)
-        read = TradeoffCurve.from_sweep(levels, n)
+        read = TradeoffCurve.from_sweep(levels)
         assert list(read.rule_correct_counts) == corrects
         assert read.points == tuple(points)

@@ -50,6 +50,46 @@ def test_every_python_block_of_the_readme_runs():
         exec(compile(block, "README.md", "exec"), {})
 
 
+def unread_parameters(source: str) -> list[str]:
+    """``function(parameter)`` for each parameter its function's body never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [
+            f"{node.name}({p.arg})"
+            for p in params
+            if p is not None
+            and p.arg not in read
+            and p.arg not in ("self", "cls")
+            and not p.arg.startswith("_")
+        ]
+    return unread
+
+
+def test_unread_parameters_finds_a_parameter_only_written():
+    source = "def f(a, b, _c, *d, e, **g):\n    b = a + e\n    return lambda h: h\n"
+    assert unread_parameters(source) == ["f(b)", "f(d)", "f(g)"]
+
+
+def test_every_function_reads_each_of_its_parameters():
+    # a parameter nothing reads still asks every caller for a value
+    unread = [
+        f"{path.name}:{name}"
+        for path in sorted((ROOT / "src" / "crl").glob("*.py"))
+        for name in unread_parameters(path.read_text())
+    ]
+    assert unread == []
+
+
 def test_benchmark_tracer_patches_and_restores_every_traced_name():
     # perfbench/tracing.py wraps crl names by attribute; renaming one must fail here
     path = ROOT / "perfbench" / "tracing.py"
