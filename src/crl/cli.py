@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
 from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,8 @@ from .model_io import (
     save_trace_csv,
 )
 from .objective import autac_hat, curve
-from .search import ALPHA_CANDIDATES, SearchConfig, run_search, tune_alpha
+from .search import ALPHA_CANDIDATES, SearchConfig, _run_chains, check_candidates
+from .search import run_search, tune_alpha
 from .synth import planted_benchmark
 
 
@@ -181,7 +182,8 @@ def _resolve_knobs(args) -> None:
 
     Runs before any data loads. An explicit flag always wins over the file,
     the file over the default. A search command also gets ``args.search``, the
-    one :class:`SearchConfig` every chain of the run copies with its own seed.
+    one :class:`SearchConfig` every chain of the run copies with its own seed,
+    and ``tune`` gets ``args.alphas``, its checked alpha candidates.
     """
     config = _read_config(args.config) if getattr(args, "config", None) else {}
     for knob in args.knobs:
@@ -204,6 +206,12 @@ def _resolve_knobs(args) -> None:
                 seed=args.seed,
                 init_size=args.init_size,
                 max_rules_guard=args.max_rules,
+            )
+    if args.command == "tune":
+        with _knob_errors("--candidates"):
+            listed = args.candidates
+            args.alphas = check_candidates(
+                ALPHA_CANDIDATES if listed is None else map(float, listed.split(","))
             )
 
 
@@ -258,11 +266,11 @@ def _fit(args, data: BinaryDataset, preds: PredictionVector, seed: int):
 
 
 def cmd_train(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     data, manifest = _load_dataset(args)
     preds = _load_preds(args, data)
     result = _fit(args, data, preds, args.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     doc = model_from_training(
         result.best_list,
@@ -350,15 +358,9 @@ def cmd_tune(args) -> int:
     data, _ = _load_dataset(args)
     preds = _load_preds(args, data)
     pool = _mine(args, data, args.seed)
-    with _knob_errors("--candidates"):
-        candidates = (
-            tuple(float(a) for a in args.candidates.split(","))
-            if args.candidates is not None
-            else ALPHA_CANDIDATES
-        )
-        report = tune_alpha(
-            data, preds, pool, candidates=candidates, i_max=args.i_max, base_config=args.search
-        )
+    report = tune_alpha(
+        data, preds, pool, candidates=args.alphas, i_max=args.i_max, base_config=args.search
+    )
     obj = {
         "chosen_alpha": report.chosen_alpha,
         "tied_alphas": list(report.tied_alphas),
@@ -376,85 +378,29 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform does not say."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-# The folds `_fitted_folds` is fitting: (args, data, preds, folds, fold seeds).
-# Pool workers inherit it through the fork, so no task pickles the dataset.
-_cv_job: tuple | None = None
-
-
-def _cv_fold(i: int):
-    """Fit fold ``i`` of ``_cv_job`` on the other folds; score it on its own rows."""
-    args, data, preds, folds, fold_seeds = _cv_job
+def _cv_fold(args, data, preds, folds, fold_seeds, i: int):
+    """Fit fold ``i`` on the other folds; score it on its own rows."""
     try:
         tr_idx = train_indices(folds, i)
-        data_tr = data.subset(tr_idx)
-        preds_tr = preds.subset(tr_idx)
-        data_te = data.subset(folds[i])
-        preds_te = preds.subset(folds[i])
-        result = _fit(args, data_tr, preds_tr, fold_seeds[i])
-        test_curve = curve(result.best_list, data_te, preds_te)
+        result = _fit(args, data.subset(tr_idx), preds.subset(tr_idx), fold_seeds[i])
+        test_curve = curve(result.best_list, data.subset(folds[i]), preds.subset(folds[i]))
     except (DataError, SearchError) as exc:  # a UsageError is the run's, not the fold's
         raise type(exc)(f"fold {i}: {exc}") from exc
     return result, test_curve
 
 
-def _fitted_folds(args, data, preds, folds, fold_seeds):
-    """``_cv_fold(i)`` for each fold in order.
-
-    On more than one usable CPU the folds run in a pool of forked worker
-    processes, at most one per CPU; the pool ends when the generator is closed.
-    Pool replaces a worker that dies but loses its task, so a fold it held would
-    never return: while waiting, a worker that has exited is a SearchError.
-    """
-    global _cv_job
-    workers = min(len(folds), _usable_cpus())
-    _cv_job = (args, data, preds, folds, fold_seeds)
-    try:
-        if workers < 2:
-            yield from map(_cv_fold, range(len(folds)))
-            return
-        import multiprocessing
-
-        # Pool forks its workers before it starts any thread of its own
-        others = set(multiprocessing.active_children())
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            procs = set(multiprocessing.active_children()) - others
-            results = pool.imap(_cv_fold, range(len(folds)))
-            for i in range(len(folds)):
-                while True:
-                    try:
-                        result = results.next(timeout=0.5)  # returns once the fold is in
-                        break
-                    except multiprocessing.TimeoutError:
-                        for p in procs:
-                            if p.exitcode is not None:
-                                raise SearchError(
-                                    f"a cv worker process ended with exit code {p.exitcode} "
-                                    f"before fold {i} returned"
-                                ) from None
-                yield result
-    finally:
-        _cv_job = None
-
-
 def cmd_cv(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     data, manifest = _load_dataset(args)
     preds = _load_preds(args, data)
     with _knob_errors("--folds", DataError), _warnings_to_stderr():
         folds = split_folds(data, k=args.folds, seed=args.seed)
-    fold_seeds = child_seeds(args.seed, len(folds))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     manifest.save(out / "manifest.json")
 
+    fold = partial(_cv_fold, args, data, preds, folds, child_seeds(args.seed, len(folds)))
     fold_rows: list[dict] = []
-    with closing(_fitted_folds(args, data, preds, folds, fold_seeds)) as fitted:
+    with closing(_run_chains(fold, len(folds), "fold")) as fitted:
         for i, (result, test_curve) in enumerate(fitted):
             fold_dir = out / f"fold_{i}"
             fold_dir.mkdir(exist_ok=True)
@@ -520,8 +466,6 @@ def _cv_table(report: dict) -> str:
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with _knob_errors("--oracle-accuracy/--covered-oracle-accuracy"):
         bench = planted_benchmark(
             n_rows=args.rows,
@@ -529,6 +473,8 @@ def cmd_synth(args) -> int:
             oracle_accuracy=args.oracle_accuracy,
             covered_oracle_accuracy=args.covered_oracle_accuracy,
         )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     matrix = np.column_stack([bench.data.matrix, bench.data.labels])  # uint8
     rows = (row.tolist() for row in matrix)
     write_rows(out / "data.csv", (*bench.data.feature_names, "label"), rows)

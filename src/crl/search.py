@@ -37,6 +37,8 @@ again.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -422,6 +424,66 @@ class AlphaTuneReport:
     chosen: SearchResult
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# The job `_run_chains` is running. Workers inherit it through the fork, so no
+# task pickles the data it reads.
+_job = None
+
+
+def _call_job(i: int):
+    return _job(i)
+
+
+def _run_chains(job, n: int, noun: str):
+    """``job(i)`` for each ``i`` in ``range(n)``, in order.
+
+    On more than one usable CPU the chains run in up to that many forked worker
+    processes. Closing the generator cancels the chains not yet handed to a
+    worker and waits for the others, so no healthy worker is killed mid-write.
+    A dead worker breaks the pool: every pending chain fails with it, so the
+    error names the chain the run was waiting on, not necessarily the dead one.
+    """
+    global _job
+    workers = min(n, _usable_cpus())
+    if workers < 2:
+        yield from map(job, range(n))
+        return
+    # imported here: a one-CPU run and every other command never pay for them
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    _job = job
+    ex = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    try:
+        results = ex.map(_call_job, range(n))  # drops each future as it yields its result
+        for i in range(n):
+            try:
+                yield next(results)
+            except BrokenProcessPool:
+                raise SearchError(f"a worker process ended before {noun} {i} returned") from None
+    finally:
+        ex.shutdown(cancel_futures=True)
+        _job = None
+
+
+def check_candidates(candidates) -> tuple[float, ...]:
+    """``candidates`` as a tuple, refused when empty, repeated or holding a bad alpha."""
+    candidates = tuple(candidates)
+    if not candidates:
+        raise ValueError("need at least one alpha candidate")
+    for alpha in candidates:
+        check_alpha(alpha)
+    # a repeat would run chains that differ only in their seeds
+    repeated = _first_repeat(candidates)
+    if repeated is not None:
+        raise ValueError(f"alpha candidate {repeated!r} is given more than once")
+    return candidates
+
+
 def tune_alpha(
     data: BinaryDataset,
     preds: PredictionVector,
@@ -433,45 +495,37 @@ def tune_alpha(
     """Pick the penalty weight by maximizing training curve area under a cap.
 
     Runs one full search per candidate against the shared pool (nothing is
-    re-mined), with per-candidate seeds derived deterministically from the base
-    seed. Candidates whose best list has ``i_max`` or more rules are
-    inadmissible; if every candidate is, the search fails with advice to use
-    larger alphas or a looser cap. A repeated candidate is refused: its chains
-    would differ only in their seeds, and the report could not tell them apart.
+    re-mined) through :func:`_run_chains`, with per-candidate seeds derived
+    deterministically from the base seed. Candidates whose best list has
+    ``i_max`` or more rules are inadmissible; if every candidate is, the search
+    fails with advice to use larger alphas or a looser cap. Every candidate is
+    checked by :func:`check_candidates` before the first search runs.
     """
-    candidates = tuple(candidates)
-    if not candidates:
-        raise ValueError("need at least one alpha candidate")
+    candidates = check_candidates(candidates)
     base = base_config if base_config is not None else SearchConfig(alpha=0.0)
-    # Every candidate is validated before the first search runs.
     configs = [
         replace(base, alpha=alpha, seed=seed)
         for alpha, seed in zip(candidates, child_seeds(base.seed, len(candidates)))
     ]
-    repeated = _first_repeat(candidates)
-    if repeated is not None:
-        raise ValueError(f"alpha candidate {repeated!r} is given more than once")
+    chains = _run_chains(
+        lambda i: run_search(data, preds, pool, configs[i]), len(configs), "candidate"
+    )
     records: list[AlphaCandidate] = []
     chosen: SearchResult | None = None
-    chosen_alpha = 0.0
-    best_autac = -math.inf
     ties: list[float] = []
-    for alpha, cfg in zip(candidates, configs):
-        result = run_search(data, preds, pool, cfg)
-        n_rules = len(result.best_list)
-        n_conditions = sum(len(r.conditions) for r in result.best_list)
-        train_autac = result.objective.autac
-        admissible = n_rules < i_max
-        records.append(
-            AlphaCandidate(alpha, n_rules, n_conditions, train_autac, admissible)
-        )
-        if not admissible:
-            continue
-        if train_autac > best_autac:
-            chosen, chosen_alpha, best_autac = result, alpha, train_autac
-            ties = []
-        elif train_autac == best_autac:
-            ties.append(alpha)
+    with closing(chains) as results:
+        for alpha, result in zip(candidates, results):
+            n_rules = len(result.best_list)
+            n_conditions = sum(len(r.conditions) for r in result.best_list)
+            train_autac = result.objective.autac
+            admissible = n_rules < i_max
+            records.append(AlphaCandidate(alpha, n_rules, n_conditions, train_autac, admissible))
+            if not admissible:
+                continue
+            if chosen is None or train_autac > chosen.objective.autac:
+                chosen, ties = result, []
+            elif train_autac == chosen.objective.autac:
+                ties.append(alpha)
     if chosen is None:
         raise SearchError(
             f"every alpha candidate produced {i_max} rules or more; add larger "
@@ -479,7 +533,7 @@ def tune_alpha(
         )
     return AlphaTuneReport(
         candidates=tuple(records),
-        chosen_alpha=chosen_alpha,
+        chosen_alpha=chosen.objective.alpha,
         tied_alphas=tuple(ties),
         chosen=chosen,
     )

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from crl import (
     resolve_rules,
     split_folds,
 )
-from crl import cli
+from crl import cli, search
 from crl.cli import main
 from crl.data import child_seeds, synth_oracle
 from crl.errors import SearchError
@@ -498,6 +499,14 @@ class TestMineAndTune:
         assert len(obj["candidates"]) == 2
         assert (tmp_path / "tuned.json").exists()
 
+    def test_worker_count_leaves_tune_output_byte_identical(self, worker_runs):
+        runs = [worker_runs(n, "tune") for n in (1, 2)]
+        assert [code for code, *_ in runs] == [0, 0]
+        assert runs[0][1] == runs[1][1]
+        trees = [output_tree(out) for *_, out in runs]
+        assert trees[0] == trees[1]
+        assert sorted(map(str, trees[0])) == ["model.json", "report.json"]
+
 
 def write_random_csv(path, n_rows, seed):
     # balanced labels keep the stratified 5-fold split at exact 80/20 sizes
@@ -518,6 +527,65 @@ def write_random_csv(path, n_rows, seed):
 
 def planted_search_error():
     raise SearchError("planted failure")
+
+
+def dead_worker(written):
+    """End this worker with exit code 9 once the parent has written ``written``.
+
+    Waiting keeps the chains before this one from being failed with it; the
+    wait is bounded, so a parent that never writes the file still sees the
+    worker die.
+    """
+    deadline = time.monotonic() + 30
+    while not written.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    os._exit(9)
+
+
+@pytest.fixture
+def worker_runs(tmp_path, monkeypatch, capsys):
+    """Run cv or tune with a given worker count; (exit code, stdout, stderr, out dir).
+
+    cv writes its directory ``cv{workers}``; tune writes ``report.json`` and
+    ``model.json`` into ``tune{workers}``. Both read the same table and seed.
+    """
+    data_path = tmp_path / "d.csv"
+    write_random_csv(data_path, 100, seed=3)
+
+    def run_with(workers, command="cv"):
+        monkeypatch.setattr(search, "_usable_cpus", lambda: workers)
+        out = tmp_path / f"{command}{workers}"
+        common = (
+            "--data", data_path, "--label-column", "y", "--oracle-accuracy", 0.8,
+            "--oracle-seed", 17, "--seed", 5, "--gamma", 0.1, "--iters", 200,
+        )
+        if command == "cv":
+            argv = ("cv", *common, "--folds", 5, "--out", out)
+        else:
+            out.mkdir()
+            argv = (
+                "tune", *common, "--out", out / "report.json", "--model-out", out / "model.json"
+            )
+        capsys.readouterr()
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)  # a run that waits forever on a lost chain fails instead
+        try:
+            code = run(*argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out
+
+    def hung(signum, frame):
+        pytest.fail("the run did not finish in 60 s")
+
+    return run_with
+
+
+def output_tree(out):
+    """Every file under ``out`` by its relative path, with its bytes."""
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 class TestCv:
@@ -575,38 +643,12 @@ class TestCv:
         assert abs(hi - 0.9) <= 0.03
         assert abs(lo - 0.7) <= 0.03
 
-    @pytest.fixture
-    def worker_runs(self, tmp_path, monkeypatch, capsys):
-        """Run cv once with each worker count; (exit code, stdout, stderr, out dir)."""
-        data_path = tmp_path / "d.csv"
-        write_random_csv(data_path, 100, seed=3)
-
-        def cv_with(workers):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
-            out = tmp_path / f"cv{workers}"
-            capsys.readouterr()
-            previous = signal.signal(signal.SIGALRM, hung)
-            signal.alarm(60)  # a run that waits forever on a lost fold fails instead
-            try:
-                code = self.run_cv(data_path, out, 0.8)
-            finally:
-                signal.alarm(0)
-                signal.signal(signal.SIGALRM, previous)
-            captured = capsys.readouterr()
-            return code, captured.out, captured.err, out
-
-        def hung(signum, frame):
-            pytest.fail("cv did not finish in 60 s")
-
-        return cv_with
-
     def test_worker_count_leaves_output_byte_identical(self, worker_runs):
         runs = [worker_runs(n) for n in (1, 2)]
         trees = []
         for code, stdout, _, out in runs:
             assert code == 0
-            files = sorted(p for p in out.rglob("*") if p.is_file())
-            trees.append({p.relative_to(out): p.read_bytes() for p in files})
+            trees.append(output_tree(out))
         assert runs[0][1] == runs[1][1]
         assert trees[0] == trees[1]
         assert len(trees[0]) == 3 + 4 * 5  # manifest, report.json/txt; 4 files per fold
@@ -616,18 +658,18 @@ class TestCv:
         [
             (1, planted_search_error, "fold 2: planted failure"),
             (2, planted_search_error, "fold 2: planted failure"),
-            # Pool replaces a dead worker and drops its task: waiting on fold 2 would hang
-            (
-                2,
-                functools.partial(os._exit, 9),
-                "a cv worker process ended with exit code 9 before fold 2 returned",
-            ),
+            # a dead worker fails every pending fold: fold 2's waits until fold 1 is written
+            (2, dead_worker, "a worker process ended before fold 2 returned"),
         ],
         ids=["one-worker", "two-workers", "dead-worker"],
     )
-    def test_failing_fold_stops_the_run(self, worker_runs, monkeypatch, workers, fail, message):
-        failing = child_seeds(5, 5)[2]  # fold 2 of run_cv's seed
+    def test_failing_fold_stops_the_run(
+        self, worker_runs, monkeypatch, tmp_path, workers, fail, message
+    ):
+        failing = child_seeds(5, 5)[2]  # fold 2 of worker_runs' seed
         real = cli.run_search
+        if fail is dead_worker:
+            fail = functools.partial(dead_worker, tmp_path / "cv2" / "fold_1" / "trace.csv")
 
         def run_search(data, preds, pool, config):
             if config.seed == failing:
@@ -642,13 +684,24 @@ class TestCv:
         assert (out / "fold_1" / "trace.csv").exists()
 
     @pytest.mark.parametrize(
-        "fail, code",
-        [(None, 0), (planted_search_error, 4), (functools.partial(os._exit, 9), 4)],
-        ids=["success", "failing-fold", "dead-worker"],
+        "command, fail, code",
+        [
+            (command, fail, code)
+            for command in ("cv", "tune")
+            for fail, code in (
+                (None, 0), (planted_search_error, 4), (functools.partial(os._exit, 9), 4)
+            )
+        ],
+        ids=[
+            "success", "failing-fold", "dead-worker",
+            "tune-success", "tune-failing-candidate", "tune-dead-worker",
+        ],
     )
-    def test_no_worker_outlives_the_run(self, worker_runs, monkeypatch, fail, code):
-        failing = child_seeds(5, 5)[2]  # fold 2 of run_cv's seed
-        real_search, real_fork = cli.run_search, os.fork
+    def test_no_worker_outlives_the_run(self, worker_runs, monkeypatch, command, fail, code):
+        # fold 2 of cv, or candidate 2 of tune's 7, at worker_runs' seed
+        failing = child_seeds(5, 5 if command == "cv" else 7)[2]
+        owner = cli if command == "cv" else search  # the module whose run_search is called
+        real_search, real_fork = owner.run_search, os.fork
         forked = []
 
         def run_search(data, preds, pool, config):
@@ -662,9 +715,9 @@ class TestCv:
                 forked.append(pid)
             return pid
 
-        monkeypatch.setattr(cli, "run_search", run_search)
+        monkeypatch.setattr(owner, "run_search", run_search)
         monkeypatch.setattr(os, "fork", fork)
-        assert worker_runs(2)[0] == code
+        assert worker_runs(2, command)[0] == code
         assert len(forked) >= 2
         left = []  # children not yet reaped; WNOWAIT leaves them to their reaper
         for pid in forked:
@@ -719,7 +772,7 @@ class TestCv:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mining_knob_error_names_no_fold(self, tmp_path, capsys, monkeypatch, workers):
         # a bad flag is the run's error, not fold 0's
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(search, "_usable_cpus", lambda: workers)
         data_path = tmp_path / "d.csv"
         write_random_csv(data_path, 100, seed=0)
         code = run(
@@ -731,9 +784,26 @@ class TestCv:
             "usage error: mining options: gamma must be in (0, 1]"
         ]
 
-    def test_usable_cpus_is_one_without_an_affinity_call(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert cli._usable_cpus() == 1
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("train", "--data", "missing.csv", "--oracle-accuracy", 0.8), 3),
+        (("cv", "--data", "d.csv", "--preds", "missing.txt"), 3),
+        (("synth", "--oracle-accuracy", 2), 2),
+        (("train", "--data", "d.csv", "--oracle-accuracy", 0.8, "--init-size", 100_000), 4),
+    ],
+    ids=["train-missing-data", "cv-missing-preds", "synth-bad-accuracy", "train-search-error"],
+)
+def test_failed_run_creates_no_output_directory(tmp_path, capsys, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    write_random_csv(tmp_path / "d.csv", 100, seed=0)
+    command, *rest = argv
+    if command != "synth":
+        rest += ["--label-column", "y", "--iters", 20]
+    assert run(command, *rest, "--out", "out") == code
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_quantiles_cap_holds_for_a_config_value(tmp_path, capsys):
@@ -985,6 +1055,9 @@ KNOB_CASES = [
     ("tune", "--candidates", "nan,0.01", 2, "usage error", "numeric"),
     # an empty list is refused, not replaced by the default grid
     ("tune", "--candidates", "", 2, "usage error", "numeric"),
+    # the candidate list is checked before any file is read or the pool is mined
+    ("tune", "--candidates", "abc", 2, "usage error", "missing"),
+    ("tune", "--candidates", "0.01,0.01", 2, "usage error", "missing"),
     # negative seeds are refused by flag name before any data loads
     ("train", "--seed", -1, 2, "usage error", "numeric"),
     ("cv", "--seed", -1, 2, "usage error", "numeric"),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,9 +21,18 @@ from crl import (
     run_search,
     tune_alpha,
 )
+from crl import search
 from crl.mining import CandidatePool
 from crl.objective import cover_masks, sweep
-from crl.search import _RawSampler, _Scorer, accept, init_list, propose, temperature
+from crl.search import (
+    _RawSampler,
+    _run_chains,
+    _Scorer,
+    accept,
+    init_list,
+    propose,
+    temperature,
+)
 
 from conftest import make_random_dataset, make_random_preds
 from oracles import simulate_first_match
@@ -590,3 +600,22 @@ class TestTuneAlpha:
         assert autac_hat(report.chosen.curve) == max(
             c.train_autac for c in report.candidates if c.admissible
         )
+
+
+class TestRunChains:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_yields_each_job_result_in_order(self, monkeypatch, workers):
+        monkeypatch.setattr(search, "_usable_cpus", lambda: workers)
+        offset = 10
+        # a closure does not pickle: workers inherit the job through the fork
+        assert list(_run_chains(lambda i: i * i + offset, 5, "chain")) == [10, 11, 14, 19, 26]
+        assert search._job is None
+
+    def test_a_dead_worker_names_the_chain_waited_on(self, monkeypatch):
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+        with pytest.raises(SearchError, match="^a worker process ended before chain 0 returned$"):
+            list(_run_chains(lambda i: os._exit(9), 3, "chain"))
+
+    def test_usable_cpus_is_one_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert search._usable_cpus() == 1
