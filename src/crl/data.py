@@ -14,7 +14,10 @@ from a file or synthesized by :func:`synth_oracle` for experiments.
 Each file format has one reader and one writer here: every delimited text
 file (a table, or a prediction file read by column) is read by
 :func:`_read_rows`, which returns it as columns of stripped cells, so that
-labels, categories and numbers are mapped a column at a time; every CSV
+labels, categories and numbers are mapped a column at a time. A file with
+no quote (and no NUL) is split on its line ends and delimiter a block at a
+time, and any other goes through ``csv.reader``, which quoted fields need;
+both give the same columns and the same errors. Every CSV
 artifact is written by :func:`write_rows`, and every JSON file goes through
 :func:`read_json` and :func:`write_json`, which refuse NaN and infinite
 numbers; :func:`json_int` and :func:`json_number` say what a JSON integer or
@@ -29,8 +32,8 @@ import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, partial
+from itertools import chain, repeat
 from operator import eq, itemgetter
 from pathlib import Path
 
@@ -253,38 +256,145 @@ def _first_repeat(values):
     return None
 
 
+# characters read at a time: the strings and lists made from a block of an
+# ordinary table stay under malloc's 128 KiB mmap threshold. Freeing a larger
+# one (a copy of the whole text, say) raises that threshold, and the
+# process's later mid-size blocks then stay on its heap, raising peak RSS.
+_BLOCK = 32768
+
+
 def _read_rows(path: Path, delimiter: str) -> tuple[list[str], list[tuple[str, ...]]]:
     """The stripped header and cell columns of a UTF-8 delimited text file.
 
-    Blank lines are skipped. An empty file, a repeated column name and a row
-    whose field count differs from the header's are each a :class:`DataError`.
-    Each column is a tuple of stripped cells in file order; a header with no
-    data rows gives one empty tuple per column.
+    Blank lines are skipped. An empty file, a repeated column name, a row
+    whose field count differs from the header's and a cell longer than
+    ``csv.field_size_limit()`` are each a :class:`DataError`; a line in a
+    message counts records, blank ones included. Each column is a tuple of
+    stripped cells in file order; a header with no data rows gives one empty
+    tuple per column.
+
+    Unless the delimiter is ``"``, ``\\r`` or ``\\n``, the text is first
+    scanned a block at a time. When it holds no ``"`` (no field can be
+    quoted) and no NUL (which ``csv.reader`` refuses before Python 3.11), it
+    is read again with universal newlines and split with ``str.split``
+    (:func:`_split_columns`): there each ``\\n``, ``\\r\\n`` or lone ``\\r``
+    ends a record and each delimiter ends a field, as ``csv.reader`` reads
+    it, at a fraction of its cost per cell. Any other text is read by
+    ``csv.reader`` (:func:`_csv_columns`).
     """
-    with _decoding(path), path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        dup = _first_repeat(header)
-        if dup is not None:
-            raise DataError(f"{path}: duplicate column name {dup!r}")
-        width = len(header)
-        rows = []
+    with _decoding(path), path.open(encoding="utf-8-sig") as fh:
+        blocks = iter(partial(fh.read, _BLOCK), "")
+        plain = len(delimiter) == 1 and delimiter not in '"\r\n'
+        plain = plain and not any('"' in block or "\0" in block for block in blocks)
+        fh.seek(0)  # this resets the decoder too, so a BOM is skipped again
+        if plain:
+            return _split_columns(path, fh, delimiter)
+        fh.reconfigure(newline="")  # csv.reader finds line ends in quoted fields itself
+        return _csv_columns(path, fh, delimiter)
+
+
+def _header(path: Path, fields: list[str]) -> list[str]:
+    """The stripped names of a header record; a repeated name is a DataError."""
+    header = [h.strip() for h in fields]
+    dup = _first_repeat(header)
+    if dup is not None:
+        raise DataError(f"{path}: duplicate column name {dup!r}")
+    return header
+
+
+def _ragged(path: Path, lineno: int, n_fields: int, width: int) -> DataError:
+    return DataError(
+        f"{path}: ragged row at line {lineno} ({n_fields} fields, expected {width})"
+    )
+
+
+def _too_long(path: Path, lineno: int) -> DataError:
+    return DataError(
+        f"{path}: cell longer than {csv.field_size_limit()} characters at line {lineno}"
+    )
+
+
+def _csv_columns(path: Path, lines, delimiter: str):
+    """:func:`_read_rows` of a text read from ``lines`` by ``csv.reader``.
+
+    ``lines`` is a text file opened with ``newline=""`` or any iterable of
+    its lines, line ends kept.
+    """
+    reader = csv.reader(lines, delimiter=delimiter)
+    lineno = 0  # the records read so far
+    try:
+        header = _header(path, next(reader))
+        lineno, width, rows = 1, len(header), []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != width:
                 if not row:
                     continue
-                raise DataError(
-                    f"{path}: ragged row at line {lineno} "
-                    f"({len(row)} fields, expected {width})"
-                )
+                raise _ragged(path, lineno, len(row), width)
             rows.append(row)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        if str(exc).startswith("field larger than field limit"):
+            raise _too_long(path, lineno + 1) from None
+        raise DataError(f"{path}: unreadable line {lineno + 1}: {exc}") from None
     # one C-level pass over the rows per column: zip(*rows) would hold an
     # iterator per row and every unstripped column at once, a higher peak
     return header, [tuple(map(str.strip, map(itemgetter(j), rows))) for j in range(width)]
+
+
+def _split_columns(path: Path, fh, delimiter: str):
+    """:func:`_read_rows` of a text file with no ``"``, opened with universal newlines, by ``str.split``.
+
+    Each ``\\n`` ends a record, an empty line is a blank record, and the
+    fields of a line are its pieces between delimiters, as ``csv.reader``
+    reads such text; errors are raised in the order it would meet them.
+    """
+    limit = csv.field_size_limit()
+    header, lineno, tail = None, 0, ""  # lineno: the records before this block
+    while True:
+        block = fh.read(_BLOCK)
+        *lines, tail = (tail + block).split("\n")
+        if not block:  # the end of the text: what follows its last line end is a line too
+            if header is None and not tail:
+                raise DataError(f"{path}: empty file")
+            lines.append(tail)
+        too_long = math.inf  # the first record holding a field over the limit
+        if lines and max(map(len, lines)) > limit:  # no field is longer than its line
+            fields = (line.split(delimiter) for line in lines)
+            too_long = next(
+                (n for n, f in enumerate(fields, lineno + 1) if max(map(len, f)) > limit),
+                too_long,
+            )
+        if header is None:
+            if not lines:  # the first line goes on past this block
+                continue
+            if too_long == 1:
+                raise _too_long(path, 1)
+            header = _header(path, lines[0].split(delimiter) if lines[0] else [])
+            width, columns = len(header), [[] for _ in header]  # a column's cells per block
+            lines[0] = ""  # still counted as a record, and skipped as a blank one
+        rows = list(filter(None, lines))
+        if not set(map(str.count, rows, repeat(delimiter))) <= {width - 1}:
+            n, line = next(
+                (n, line)
+                for n, line in enumerate(lines, lineno + 1)
+                if line and line.count(delimiter) != width - 1
+            )
+            if n < too_long:
+                raise _ragged(path, n, line.count(delimiter) + 1, width)
+        if too_long < math.inf:
+            raise _too_long(path, too_long)
+        lineno += len(lines)
+        if rows:
+            joined = delimiter.join(rows)
+            # str.strip takes nothing off ASCII cells with no whitespace in
+            # them, so such a block's cells are kept as split
+            bare = joined.isascii() and not any(map(joined.__contains__, " \t\v\f\x1c\x1d\x1e\x1f"))
+            cells = joined.split(delimiter)  # row i's cell j is cells[i * width + j]
+            for j, pieces in enumerate(columns):
+                pieces.append(cells[j::width] if bare else list(map(str.strip, cells[j::width])))
+        if not block:
+            return header, [tuple(chain.from_iterable(pieces)) for pieces in columns]
 
 
 def load_table(

@@ -429,25 +429,28 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-# The job `_run_chains` is running. Workers inherit it through the fork, so no
-# task pickles the data it reads.
+# The job `_run_chains` is running, and the event that tells a worker to skip
+# it. Workers inherit both through the fork, so no task pickles the data the
+# job reads.
 _job = None
+_stop = None
 
 
 def _call_job(i: int):
-    return _job(i)
+    return None if _stop.is_set() else _job(i)
 
 
 def _run_chains(job, n: int, noun: str):
     """``job(i)`` for each ``i`` in ``range(n)``, in order.
 
     On more than one usable CPU the chains run in up to that many forked worker
-    processes. Closing the generator cancels the chains not yet handed to a
-    worker and waits for the others, so no healthy worker is killed mid-write.
-    A dead worker breaks the pool: every pending chain fails with it, so the
-    error names the chain the run was waiting on, not necessarily the dead one.
+    processes. Closing the generator, which a failed chain does too, sets a
+    stop event: a chain a worker has not started yet is skipped, and the ones
+    running are waited for, so no healthy worker is killed mid-write. A dead
+    worker breaks the pool: every pending chain fails with it, so the error
+    names the chain the run was waiting on, not necessarily the dead one.
     """
-    global _job
+    global _job, _stop
     workers = min(n, _usable_cpus())
     if workers < 2:
         yield from map(job, range(n))
@@ -456,8 +459,9 @@ def _run_chains(job, n: int, noun: str):
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     from multiprocessing import get_context
 
-    _job = job
-    ex = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    context = get_context("fork")
+    _job, _stop = job, context.Event()
+    ex = ProcessPoolExecutor(workers, mp_context=context)
     try:
         results = ex.map(_call_job, range(n))  # drops each future as it yields its result
         for i in range(n):
@@ -466,8 +470,9 @@ def _run_chains(job, n: int, noun: str):
             except BrokenProcessPool:
                 raise SearchError(f"a worker process ended before {noun} {i} returned") from None
     finally:
+        _stop.set()
         ex.shutdown(cancel_futures=True)
-        _job = None
+        _job = _stop = None
 
 
 def check_candidates(candidates) -> tuple[float, ...]:

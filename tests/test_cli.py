@@ -1402,6 +1402,32 @@ def test_short_row_in_prediction_column_file_is_data_error(tmp_path, capsys):
     assert line.endswith("ragged row at line 3 (1 fields, expected 2)"), line
 
 
+@pytest.mark.parametrize(
+    "newline, last", [("\n", "4"), ("\r\n", "4"), ("\r\n", '"4"')], ids=["lf", "crlf", "quoted"]
+)
+@pytest.mark.parametrize("command", ["train", "mine", "pred-column"])
+def test_cell_over_the_field_size_limit_is_data_error(tmp_path, capsys, command, newline, last):
+    # csv.reader's field size limit escaped as a _csv.Error traceback (exit 1)
+    long_cell = "x" * (csv.field_size_limit() + 1)
+    table = ["a,y", "1,0", "2,1", "3,0", f"{last},1"]
+    preds = ["id,p", "1,1", "2,0", "3,1", f"{last},0"]
+    rows = preds if command == "pred-column" else table
+    rows[2] = f"{long_cell},{rows[2][-1]}"
+    data_path, preds_path = tmp_path / "t.csv", tmp_path / "p.csv"
+    data_path.write_bytes(newline.join(table).encode() + newline.encode())
+    preds_path.write_bytes(newline.join(preds).encode() + newline.encode())
+    common = ("--data", data_path, "--label-column", "y")
+    if command == "mine":
+        argv = ("mine", *common, "--out", tmp_path / "pool.json")
+    else:
+        preds = ("--preds", preds_path, "--pred-column", "p")
+        argv = ("train", *common, *preds, "--out", tmp_path / "out")
+    assert run(*argv) == 3
+    bad = preds_path if command == "pred-column" else data_path
+    line = one_error_line(capsys, "data error")
+    assert line == f"data error: {bad}: cell longer than {len(long_cell) - 1} characters at line 3"
+
+
 def first_column(obj):
     return obj["columns"][0]
 

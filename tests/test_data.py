@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 import tempfile
@@ -20,9 +21,11 @@ from crl import (
     load_table,
     split_folds,
 )
+from crl import data as data_module
 from crl.data import (
     ManifestColumn,
     RawTable,
+    _csv_columns,
     _read_rows,
     quantile_edges,
     read_json,
@@ -600,6 +603,121 @@ def test_read_rows_inverts_write_rows(table):
         path = Path(d) / "t.csv"
         write_rows(path, header, iter(rows))
         assert _read_rows(path, ",") == (header, columns)
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and message of the DataError it raises."""
+    try:
+        return call()
+    except DataError as exc:
+        return DataError, str(exc)
+
+
+@st.composite
+def delimited_texts(draw):
+    """A delimited text, mostly unquoted, with mixed line ends, its delimiter,
+    a field size limit and a block size; some rows are ragged and some cells
+    oversized."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    # a cell holding a delimiter is a ragged row, which the row strategy makes.
+    # Half the texts draw from a few characters and one extra one, so many are
+    # ASCII with one kind of whitespace or none, which decides whether the
+    # split cells are stripped; a '"' or a NUL sends the text to csv.reader.
+    extra = draw(st.sampled_from(" \t\x0b\x0c\x1c\x1f\x00\ufeffé\u3000\""))
+    few_chars = st.sampled_from(["a", "b", "1", ".", "-", extra])
+    any_char = st.characters(exclude_categories=("Cs",), exclude_characters='"\r\n,;\t')
+    char = draw(st.sampled_from([few_chars, any_char]))
+    cell = st.text(char, max_size=5)
+    width = draw(st.sampled_from([0, 1, 2, 2, 3, 4]))  # 0: an empty first line
+    names = st.lists(cell, min_size=width, max_size=width, unique_by=str.strip)
+    header = delimiter.join(draw(names))
+    full_row = st.lists(cell, min_size=width, max_size=width).map(delimiter.join)
+    row = st.one_of(
+        full_row,
+        full_row,
+        st.lists(cell, max_size=width + 1).map(delimiter.join),
+        st.sampled_from(["", extra, extra + extra]),
+    )
+    lines = [header, *draw(st.lists(row, max_size=6))]
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines[:-1]) + lines[-1]
+    text += draw(st.sampled_from(["", "\n", "\r\n", "\n\n", "\r"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    limit = draw(st.sampled_from([3, 5, 131072, 131072, 131072]))
+    return bom + text, delimiter, limit, draw(st.sampled_from([1, 2, 7, 32768]))
+
+
+@given(case=delimited_texts())
+@example(case=("a,b\n1,2\n\n \n3,4,5\n", ",", 131072, 32768))  # ragged after a blank and a space
+@example(case=("\n1\n", ",", 131072, 32768))  # an empty first line: the header has no field
+@example(case=("a;b\n1;22222\n3\n", ";", 4, 32768))  # an oversized cell before a ragged row
+@example(case=("\ufeffa\tb\n", "\t", 131072, 32768))  # BOM, header only
+@example(case=("a, a\n1,2\n", ",", 131072, 32768))  # a repeated name
+@example(case=("a,b\n1,\x1fx\n", ",", 131072, 32768))  # ASCII whose only whitespace is \x1f
+@example(case=("a,b\r\n1,2\r\r\n3,4\r", ",", 131072, 2))  # \r\n split across blocks, lone \r
+@example(case=("\ufeffa,b\n1,2\n3,\"4\"\n", ",", 131072, 4))  # quoted in a later block, BOM
+@example(case=("a,b\n1\n2,\"3\"\n", ",", 131072, 4))  # ragged before the block with a quote
+@example(case=("", ",", 131072, 32768))  # empty
+@settings(max_examples=300, deadline=None)
+def test_split_branch_reads_what_csv_reader_reads(case):
+    # unquoted text takes _read_rows' split branch; csv.reader must agree
+    text, delimiter, limit, block = case
+    old_limit, old_block = csv.field_size_limit(limit), data_module._BLOCK
+    data_module._BLOCK = block
+    try:
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            lines = io.StringIO(text.removeprefix("\ufeff"), newline="")
+            expected = outcome(lambda: _csv_columns(path, lines, delimiter))
+            assert outcome(lambda: _read_rows(path, delimiter)) == expected
+    finally:
+        csv.field_size_limit(old_limit)
+        data_module._BLOCK = old_block
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_unquoted_table_never_reaches_csv_reader(tmp_path, monkeypatch, newline):
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(data_module.csv, "reader", refuse)
+    text = newline.join(["a;b;y", "1; x ;0", "", "2;z;1", ""])
+    table = load_table(write(tmp_path, "t.csv", text), "y", delimiter=";")
+    assert table.columns == {"a": ("1", "2"), "b": ("x", "z")}
+    with pytest.raises(AssertionError, match="csv.reader called"):
+        load_table(write(tmp_path, "q.csv", f'a,y{newline}"1",0{newline}'), "y")
+
+
+@pytest.mark.parametrize(
+    "newline, name", [("\n", "a"), ("\r\n", "a"), ("\r\n", '"a"')], ids=["lf", "crlf", "quoted"]
+)
+def test_cell_over_the_field_size_limit_names_its_line(tmp_path, newline, name):
+    # csv.reader's own error escaped: _csv.Error: field larger than field limit
+    long_cell = "x" * (csv.field_size_limit() + 1)
+    lines = [f"{name},y", "", "1,0", f"2,{long_cell}", "3,0,9"]
+    p = write(tmp_path, "t.csv", newline.join(lines) + newline)
+    limit = csv.field_size_limit()
+    message = rf"^{re.escape(str(p))}: cell longer than {limit} characters at line 4$"
+    with pytest.raises(DataError, match=message):
+        load_table(p, "y")
+    with pytest.raises(DataError, match=message):
+        load_predictions(p, 3, column="y")
+    # a cell of exactly the limit is read
+    p = write(tmp_path, "u.csv", f"{name},y{newline}1,{long_cell[1:]}{newline}")
+    assert load_table(p, "a", positive_value="1").columns["y"] == (long_cell[1:],)
+
+
+def test_other_csv_reader_errors_name_their_line(tmp_path, monkeypatch):
+    # csv.reader before Python 3.11 refuses a NUL; no such error is an oversized cell
+    def reader(lines, delimiter):
+        yield ["a", "y"]
+        raise csv.Error("line contains NUL")
+
+    monkeypatch.setattr(data_module.csv, "reader", reader)
+    p = write(tmp_path, "t.csv", 'a,y\n"1",0\n')
+    with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: unreadable line 2: line contains NUL$"):
+        load_table(p, "y")
 
 
 class TestSynthOracle:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -615,6 +616,24 @@ class TestRunChains:
         monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
         with pytest.raises(SearchError, match="^a worker process ended before chain 0 returned$"):
             list(_run_chains(lambda i: os._exit(9), 3, "chain"))
+
+    def test_a_failed_chain_stops_the_chains_not_yet_started(self, monkeypatch, tmp_path):
+        # chain 0 fails at once; the others take 0.5 s each. Without the stop
+        # event the workers went on through the executor's queue (chains 1-4
+        # or more finished); with it, only the chain each worker had started
+        # before the failure reached the run may finish.
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+
+        def job(i):
+            if i == 0:
+                raise ValueError("chain 0 failed")
+            time.sleep(0.5)
+            (tmp_path / str(i)).touch()
+
+        with pytest.raises(ValueError, match="chain 0 failed"):
+            list(_run_chains(job, 8, "chain"))
+        assert len(list(tmp_path.iterdir())) <= 2
+        assert search._job is None and search._stop is None
 
     def test_usable_cpus_is_one_without_an_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
