@@ -30,7 +30,6 @@ from .data import (
     PredictionVector,
     apply_manifest,
     binarize,
-    child_seeds,
     json_int,
     json_number,
     load_predictions,
@@ -57,6 +56,7 @@ from .model_io import (
 from .objective import autac_hat, curve
 from .search import ALPHA_CANDIDATES, SearchConfig, _run_chains, check_candidates
 from .search import run_search, tune_alpha
+from .streams import Stream, child_seeds
 from .synth import planted_benchmark
 
 
@@ -327,7 +327,7 @@ def cmd_predict(args) -> int:
             levels = doc.level_transparencies()
         except DataError as exc:
             raise DataError(f"{args.model}: {exc}; --level works without them") from exc
-        rng = np.random.default_rng(args.seed)
+        rng = Stream(args.seed)
         preds, prov = evaluator.stochastic_predictions(args.transparency, rng, levels)
     elif args.all_blackbox:
         preds, prov = evaluator.level_predictions(0)

@@ -31,6 +31,7 @@ from .objective import (
     list_sweep,
 )
 from .rules import RuleList
+from .streams import Stream
 
 
 class CompanionEvaluator:
@@ -87,7 +88,7 @@ class CompanionEvaluator:
         return self._assemble(self._adopted(m))
 
     def stochastic_predictions(
-        self, t: float, rng: np.random.Generator, level_transparencies
+        self, t: float, rng: Stream, level_transparencies
     ) -> tuple[np.ndarray, np.ndarray]:
         """One draw of the stochastic companion at target transparency t.
 
@@ -95,7 +96,8 @@ class CompanionEvaluator:
         ``level_transparencies``, the training-time transparency of levels
         0..M (``ModelDocument.level_transparencies()`` or the training curve's
         ``transparency``), never through this dataset's curve. Row i takes the
-        i-th of one batch of ``n_rows`` uniforms drawn from ``rng``; rows
+        i-th of one batch of ``n_rows`` uniforms drawn by ``rng.random(n_rows)``
+        (a :class:`~crl.streams.Stream` or a numpy ``Generator``); rows
         whose first match is rule index m adopt it when that draw is < q. On
         the training rows the expected fraction of rule-answered rows equals
         t; on any rows, t equal to level m's entry (q = 0) gives level m's

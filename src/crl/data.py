@@ -21,7 +21,7 @@ both give the same columns and the same errors. Every CSV
 artifact is written by :func:`write_rows`, and every JSON file goes through
 :func:`read_json` and :func:`write_json`, which refuse NaN and infinite
 numbers; :func:`json_int` and :func:`json_number` say what a JSON integer or
-number is. Child seeds of one seed come from :func:`child_seeds`.
+number is.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .streams import Stream, permutations
 
 MISSING_CATEGORY = "<missing>"
 
@@ -764,20 +765,14 @@ def synth_oracle(labels: np.ndarray, accuracy: float, seed: int) -> PredictionVe
     if not 0.0 <= accuracy <= 1.0:
         raise ValueError("accuracy must be in [0, 1]")
     labels = np.asarray(labels, dtype=np.uint8)
-    rng = np.random.default_rng(seed)
-    keep = rng.random(len(labels)) < accuracy
+    keep = Stream(seed).random(len(labels)) < accuracy
     preds = np.where(keep, labels, 1 - labels).astype(np.uint8)
     return PredictionVector(preds)
 
 
 # ---------------------------------------------------------------------------
-# Seeds and fold splitting
+# Fold splitting
 # ---------------------------------------------------------------------------
-
-
-def child_seeds(seed: int, n: int) -> list[int]:
-    """``n`` independent seeds derived from ``seed``, one per fold, candidate or stream."""
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
 def split_folds(data: BinaryDataset, k: int = 5, seed: int = 0) -> list[np.ndarray]:
@@ -792,7 +787,6 @@ def split_folds(data: BinaryDataset, k: int = 5, seed: int = 0) -> list[np.ndarr
         raise ValueError("fold count must be >= 2")
     if data.n_rows < k:
         raise ValueError("dataset has fewer rows than folds")
-    rng = np.random.default_rng(seed)
     labels = data.labels
     classes, counts = np.unique(labels, return_counts=True)
     groups = [np.flatnonzero(labels == c) for c in classes]
@@ -804,8 +798,7 @@ def split_folds(data: BinaryDataset, k: int = 5, seed: int = 0) -> list[np.ndarr
         )
         groups = [np.arange(data.n_rows)]
     folds: list[list[int]] = [[] for _ in range(k)]
-    for group in groups:
-        perm = rng.permutation(group)
+    for perm in permutations(seed, groups):
         for f in range(k):
             folds[f].extend(perm[f::k].tolist())
     return [np.array(sorted(f), dtype=int) for f in folds]

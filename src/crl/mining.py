@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .data import BinaryDataset, _first_repeat
 from .errors import DataError
 from .rules import Rule
+from .streams import Stream
 
 
 @dataclass(frozen=True)
@@ -122,6 +121,4 @@ def subsample_for_mining(
     n_sub = int(fraction * data.n_rows)
     if n_sub < 1:
         raise ValueError("fraction yields an empty subsample")
-    rng = np.random.default_rng(seed)
-    rows = np.sort(rng.choice(data.n_rows, size=n_sub, replace=False))
-    return data.subset(rows)
+    return data.subset(sorted(Stream(seed).choice(data.n_rows, size=n_sub, replace=False)))

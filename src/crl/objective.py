@@ -80,7 +80,7 @@ class TradeoffCurve:
     @classmethod
     def from_sweep(cls, levels: SweepLevels) -> "TradeoffCurve":
         """The curve read off one :func:`sweep`."""
-        covered_masks, correct_masks, covered, _, t, a, _ = zip(*levels)
+        covered_masks, correct_masks, covered, t, a, _ = zip(*levels)
         rule_correct = tuple(
             (s & c).bit_count() for s, c in zip(covered_masks, correct_masks)
         )
@@ -119,10 +119,10 @@ def _check_alignment(data: BinaryDataset, preds: PredictionVector) -> None:
 # Per-level state of one prefix sweep, indexed by level m = 0..M. Level m is
 # (S_m, the rows the first m rules cover, as a bitset; C_m, the rows the
 # companion answers correctly at level m, as a bitset: the first-match rule's
-# answer inside S_m, ``base_correct`` outside it; |S_m|; |C_m|; curve point
-# m's transparency t = |S_m| / n and accuracy a = |C_m| / n; twice the
-# trapezoid area over points 0..m).
-SweepLevels = list[tuple[int, int, int, int, float, float, float]]
+# answer inside S_m, ``base_correct`` outside it; |S_m|; curve point m's
+# transparency t = |S_m| / n and accuracy a = |C_m| / n; twice the trapezoid
+# area over points 0..m).
+SweepLevels = list[tuple[int, int, int, float, float, float]]
 
 
 def cover_masks(rules, data: BinaryDataset, base_correct: int) -> list[tuple[int, int]]:
@@ -170,23 +170,21 @@ def sweep(
     resumed sweep is bit-identical to a full one.
     """
     if start is None:
-        correct_cnt = base_correct.bit_count()
-        levels = [(0, base_correct, 0, correct_cnt, 0.0, correct_cnt / n_rows, 0.0)]
+        levels = [(0, base_correct, 0, 0.0, base_correct.bit_count() / n_rows, 0.0)]
     else:
         levels = start[: level + 1]
-    covered, correct, _, _, t0, a0, area = levels[-1]
+    covered, correct, _, t0, a0, area = levels[-1]
     append = levels.append
     for raw, flip in masks:
         grown = covered | raw
         correct ^= flip & (grown ^ covered)
         covered = grown
         cover_cnt = covered.bit_count()
-        correct_cnt = correct.bit_count()
         t1 = cover_cnt / n_rows
-        a1 = correct_cnt / n_rows
+        a1 = correct.bit_count() / n_rows
         area += (a1 + a0) * (t1 - t0)
         t0, a0 = t1, a1
-        append((covered, correct, cover_cnt, correct_cnt, t1, a1, area))
+        append((covered, correct, cover_cnt, t1, a1, area))
     return levels
 
 
@@ -264,12 +262,14 @@ def level_for_t(t_values, t: float) -> tuple[int, float]:
     transparency values (rules with empty exclusive cover) are skipped by
     always taking the last index among ties.
     """
-    # written so that NaN, which fails every comparison, is refused too
-    if not 0.0 <= t <= t_values[-1]:
+    if t > t_values[-1]:
         raise DataError(
             f"transparency {t} exceeds list coverage {t_values[-1]} "
             "(no rule level reaches it)"
         )
+    # written so that NaN, which fails every comparison, is refused too
+    if not t >= 0.0:
+        raise DataError(f"transparency {t} is not in [0, {t_values[-1]}]")
     m = bisect_right(t_values, t) - 1
     if m >= len(t_values) - 1:
         return len(t_values) - 1, 0.0

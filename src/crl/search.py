@@ -8,18 +8,13 @@ count n grows; improvements are always accepted. The best list seen so far is
 tracked separately, so the returned model never depends on where the chain
 happens to end.
 
-Every draw of a chain comes from one PCG64 ``Generator`` seeded with the
-config's seed, so runs are bit-reproducible for a fixed seed. ``init_list``
-draws through the ``Generator`` itself; from the first proposal on the loop
-draws through :class:`_RawSampler`, which pulls raw 64-bit PCG64 outputs in
-blocks and rebuilds from them, bit for bit, what the ``Generator``'s
-``random``, ``integers`` and ``choice`` would have returned. One numpy call
-costs far more than the arithmetic of a draw, and nothing reads the
-generator after the search, so reading a block ahead changes no result.
-Edits that are impossible on the current list (removing from an empty list,
-swapping with fewer than two rules, inserting a rule the list already
-contains) trigger a fresh operation draw, capped at 16 attempts before the
-proposal degenerates to the unchanged list.
+Every draw of a chain comes from one :class:`~crl.streams.Stream` seeded with
+the config's seed, so runs are bit-reproducible for a fixed seed: the initial
+list, then each proposal and acceptance, draw from it in turn. Edits that are
+impossible on the current list (removing from an empty list, swapping with
+fewer than two rules, inserting a rule the list already contains) trigger a
+fresh operation draw, capped at 16 attempts before the proposal degenerates to
+the unchanged list.
 
 Inside the loop a list is a tuple of indices into the candidate pool, whose
 rules are distinct, so membership is an integer test and no :class:`RuleList`
@@ -40,12 +35,9 @@ import math
 import os
 from contextlib import closing
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
 from typing import NamedTuple
 
-import numpy as np
-
-from .data import BinaryDataset, PredictionVector, _first_repeat, child_seeds
+from .data import BinaryDataset, PredictionVector, _first_repeat
 from .errors import SearchError
 from .mining import CandidatePool
 from .objective import (
@@ -59,6 +51,7 @@ from .objective import (
     sweep,
 )
 from .rules import RuleList
+from .streams import Stream, child_seeds
 
 ALPHA_CANDIDATES = (0.01, 0.005, 0.001, 0.0008, 0.0005, 0.0002, 0.0001)
 
@@ -67,9 +60,6 @@ SCORING_RULES_ONLY = "rules_only"
 
 # Operation draws :func:`propose` makes before it returns the identity.
 PROPOSE_ATTEMPTS = 16
-
-# Raw 64-bit outputs :class:`_RawSampler` pulls from the bit generator at once.
-RAW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -137,7 +127,7 @@ def temperature(n: int, c0: float) -> float:
     return c0 / math.log2(1 + n)
 
 
-def accept(delta: float, n: int, c0: float, rng: np.random.Generator) -> bool:
+def accept(delta: float, n: int, c0: float, rng: Stream) -> bool:
     """Annealing acceptance test; always draws one uniform.
 
     Non-negative objective changes are always accepted; a decrease passes with
@@ -149,7 +139,7 @@ def accept(delta: float, n: int, c0: float, rng: np.random.Generator) -> bool:
     return eps <= math.exp(delta / temperature(n, c0))
 
 
-def init_list(pool: CandidatePool, k: int, rng: np.random.Generator) -> tuple[int, ...]:
+def init_list(pool: CandidatePool, k: int, rng: Stream) -> tuple[int, ...]:
     """k distinct pool indices drawn uniformly without replacement, in draw order."""
     if len(pool) < k:
         raise SearchError(f"pool of {len(pool)} rules is smaller than init size {k}")
@@ -160,7 +150,7 @@ def init_list(pool: CandidatePool, k: int, rng: np.random.Generator) -> tuple[in
 def propose(
     state: tuple[int, ...],
     pool: CandidatePool,
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> tuple[tuple[int, ...], str, int]:
     """Draw one edit of a list of pool indices; returns (new state, operation, k).
 
@@ -205,72 +195,6 @@ def propose(
                 continue
             return state[:i] + (j,) + state[i + 1 :], "replace", i
     return state, "identity", m
-
-
-class _RawSampler:
-    """The draws of a PCG64 ``Generator``, rebuilt from its raw output in blocks.
-
-    ``random``, ``integers(high)`` and ``choice(m, size=2, replace=False)``
-    return exactly what the same calls on the ``Generator`` would, in the same
-    order, without a numpy call per draw:
-
-    * ``random`` is numpy's double, ``(x >> 11) * 2**-53`` of one raw output;
-    * ``integers`` is numpy's 32-bit Lemire draw on [0, high), fed by 32-bit
-      halves the way PCG64 hands them out: the low half of a fresh output
-      first, its upper half cached for the next 32-bit draw. A range of one
-      value draws nothing;
-    * ``choice`` is numpy's Floyd sampling of two values (a draw on [0, m-1)
-      and one on [0, m), where a repeat takes m-1) followed by its shuffle of
-      the pair, one draw on [0, 2).
-
-    The sampler starts from the generator's cached upper half, if any, and
-    then owns the stream: the generator must not be drawn from afterwards.
-    Ranges of 2**32 values or more take other numpy algorithms and are
-    refused; a candidate pool that size cannot be held in memory.
-    """
-
-    __slots__ = ("_next64", "_half")
-
-    def __init__(self, rng: np.random.Generator, block: int = RAW_BLOCK) -> None:
-        bit_generator = rng.bit_generator
-        state = bit_generator.state
-        self._half = state["uinteger"] if state["has_uint32"] else None
-        blocks = map(bit_generator.random_raw, repeat(block))
-        self._next64 = chain.from_iterable(map(np.ndarray.tolist, blocks)).__next__
-
-    def random(self) -> float:
-        return (self._next64() >> 11) * 2.0**-53
-
-    def _next32(self) -> int:
-        half = self._half
-        if half is None:
-            x = self._next64()
-            self._half = x >> 32
-            return x & 0xFFFFFFFF
-        self._half = None
-        return half
-
-    def integers(self, high: int) -> int:
-        if high == 1:
-            return 0
-        m = self._next32() * high
-        if (m & 0xFFFFFFFF) < high:
-            # Every range of 2**32 values or more reaches this branch.
-            if high > 0xFFFFFFFF:
-                raise ValueError(f"range of {high} values exceeds 32 bits")
-            threshold = (0x100000000 - high) % high
-            while (m & 0xFFFFFFFF) < threshold:
-                m = self._next32() * high
-        return m >> 32
-
-    def choice(self, m: int, size: int, replace: bool) -> tuple[int, int]:
-        if size != 2 or replace:
-            raise ValueError("only two draws without replacement are supported")
-        first = self.integers(m - 1)
-        second = self.integers(m)
-        if second == first:
-            second = m - 1
-        return (first, second) if self.integers(2) else (second, first)
 
 
 class _Scorer:
@@ -330,7 +254,7 @@ class _Scorer:
             return obj
         levels = self._sweep(state, k)
         self._scored = (state, levels)
-        _, _, _, _, _, accuracy, area = levels[-1]
+        _, _, _, _, accuracy, area = levels[-1]
         quality = accuracy if self.rules_only else 0.5 * area
         obj = self._memo[state] = quality - self.alpha * len(state)
         return obj
@@ -359,11 +283,10 @@ def run_search(
     _check_alignment(data, preds)
     if len(pool) == 0:
         raise SearchError("cannot search an empty candidate pool")
-    rng = np.random.default_rng(config.seed)
+    rng = Stream(config.seed)
     scorer = _Scorer(data, preds, pool, config.alpha, config.scoring)
 
     current = init_list(pool, config.init_size, rng)
-    rng = _RawSampler(rng)  # owns the stream from here on
     current_obj = scorer.score(current, 0)
     scorer.commit()
     best, best_obj = current, current_obj

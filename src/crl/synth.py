@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .companion import CompanionEvaluator
-from .data import BinaryDataset, PredictionVector, child_seeds, synth_oracle
+from .data import BinaryDataset, PredictionVector, synth_oracle
 from .rules import Rule, RuleList
+from .streams import Stream, child_seeds
 
 FEATURE_PROBS = (0.6, 0.6, 0.375, 0.3, 0.5, 0.7, 0.4, 0.55, 0.45, 0.5)
 ELSEWHERE_POSITIVE_RATE = 0.75
@@ -49,12 +50,10 @@ def planted_benchmark(
     """
     feature_seed, label_seed, covered_seed, elsewhere_seed = child_seeds(seed, 4)
 
-    rng = np.random.default_rng(feature_seed)
-    matrix = rng.random((n_rows, len(FEATURE_PROBS))) < np.array(FEATURE_PROBS)
+    matrix = Stream(feature_seed).random((n_rows, len(FEATURE_PROBS))) < np.array(FEATURE_PROBS)
     names = tuple(f"x{i}" for i in range(len(FEATURE_PROBS)))
 
-    label_rng = np.random.default_rng(label_seed)
-    labels = (label_rng.random(n_rows) < ELSEWHERE_POSITIVE_RATE).astype(np.uint8)
+    labels = (Stream(label_seed).random(n_rows) < ELSEWHERE_POSITIVE_RATE).astype(np.uint8)
     shell = BinaryDataset.from_bool_matrix(matrix, labels, names)
     # the planted list answers the rows it covers, the random labels the rest
     evaluator = CompanionEvaluator(PLANTED, shell, PredictionVector(labels))

@@ -32,9 +32,10 @@ from crl import (
 )
 from crl import cli, search
 from crl.cli import main
-from crl.data import child_seeds, synth_oracle
+from crl.data import synth_oracle
 from crl.errors import SearchError
 from crl.model_io import ModelDocument, save_model
+from crl.streams import child_seeds
 
 from oracles import read_curve_csv, simulate_first_match
 
@@ -398,6 +399,17 @@ class TestPredict:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("t", [-0.5, float("nan")])
+    def test_negative_or_nan_transparency_names_the_allowed_range(
+        self, bench_dir, trained_dir, tmp_path, capsys, t
+    ):
+        # neither value exceeds the list's coverage, so the message must not say so
+        coverage = load_model(trained_dir / "model.json").level_transparencies()[-1]
+        common = self.common(bench_dir, trained_dir)
+        capsys.readouterr()
+        assert run("predict", *common, f"--transparency={t}", "--out", tmp_path / "x.csv") == 3
+        line = one_error_line(capsys, "data error")
+        assert line == f"data error: transparency {t} is not in [0, {coverage}]", line
 
     def test_transparency_boundary_equals_level_on_held_out_data(
         self, heldout_dir, trained_dir, tmp_path

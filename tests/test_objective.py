@@ -117,7 +117,8 @@ class TestLevelForT:
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_raises(self, t):
-        with pytest.raises(DataError, match="exceeds list coverage"):
+        expected = "exceeds list coverage" if t > 0 else r"is not in \[0, 1.0\]"
+        with pytest.raises(DataError, match=expected):
             level_for_t(FIG_T, t)
 
     def test_duplicate_levels_skipped(self):
@@ -209,12 +210,12 @@ class TestInvariants:
         levels = sweep(cover_masks(rl, data, base_correct), base_correct, n)
         match = simulate_first_match(specs, matrix)
         assert len(levels) == len(specs) + 1
-        for m, (covered, correct, n_covered, n_correct, *_) in enumerate(levels):
+        for m, (covered, correct, n_covered, *_) in enumerate(levels):
             inside = (match != -1) & (match < m)
             rule_ok = np.array([j != -1 and specs[j][1] == y for j, y in zip(match, labels)])
             assert covered == pack_bool(inside)
             assert correct == pack_bool(np.where(inside, rule_ok, base_ok))
-            assert (n_covered, n_correct) == (covered.bit_count(), correct.bit_count())
+            assert n_covered == covered.bit_count()
         _, corrects, _, points = simulate_curve(specs, matrix, labels, bb)
         read = TradeoffCurve.from_sweep(levels)
         assert list(read.rule_correct_counts) == corrects

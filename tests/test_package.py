@@ -90,6 +90,59 @@ def test_every_function_reads_each_of_its_parameters():
     assert unread == []
 
 
+RANDOM_NAMES = {"default_rng", "SeedSequence", "PCG64", "random_raw"}
+
+
+def random_draws(source: str) -> list[str]:
+    """Each place ``source`` names numpy's random module, a seeding name or a bit generator's state."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            value = node.value
+            owner = value.id if isinstance(value, ast.Name) else getattr(value, "attr", "")
+            names = [f"{owner}.{node.attr}"]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if (
+                name.replace("np.", "numpy.", 1).startswith("numpy.random")
+                or parts[-1] in RANDOM_NAMES
+                or (parts[-1] == "state" and parts[0] == "bit_generator")
+            ):
+                found.append(f"{node.lineno}:{name}")
+    return found
+
+
+def test_random_draws_finds_every_spelling():
+    source = (
+        "import numpy.random\nfrom numpy import random\nfrom numpy.random import PCG64\n"
+        "rng = np.random.default_rng(0)\nx = rng.bit_generator.state\ny = bits.random_raw(4)\n"
+        "z = SeedSequence(1)\nw = rng.random()\n"
+    )
+    assert sorted(random_draws(source)) == [
+        "1:numpy.random", "2:numpy.random", "3:numpy.random.PCG64", "4:np.random",
+        "4:random.default_rng", "5:bit_generator.state", "6:bits.random_raw", "7:SeedSequence",
+    ]
+
+
+def test_only_streams_draws_random_numbers():
+    # crl.streams owns every seed and draw, so changing how they are made changes one module
+    drawing = {
+        path.name: random_draws(path.read_text())
+        for path in sorted((ROOT / "src" / "crl").glob("*.py"))
+        if path.name != "streams.py"
+    }
+    assert {name: found for name, found in drawing.items() if found} == {}
+
+
 def test_benchmark_tracer_patches_and_restores_every_traced_name():
     # perfbench/tracing.py wraps crl names by attribute; renaming one must fail here
     path = ROOT / "perfbench" / "tracing.py"

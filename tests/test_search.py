@@ -26,7 +26,6 @@ from crl import search
 from crl.mining import CandidatePool
 from crl.objective import cover_masks, sweep
 from crl.search import (
-    _RawSampler,
     _run_chains,
     _Scorer,
     accept,
@@ -242,59 +241,6 @@ class TestPropose:
             assert 0 <= k < len(old)  # a rule replaced by itself changes nothing
         else:
             assert k == first_difference(old, new)
-
-
-_DRAW = st.one_of(
-    st.just(("random",)),
-    st.tuples(st.just("integers"), st.sampled_from([1, 2, 3, 144, 380, 2**31 + 5])),
-    st.tuples(st.just("choice"), st.sampled_from([2, 3, 13])),
-)
-
-
-class TestRawSampler:
-    @given(
-        seed=st.integers(0, 2**63),
-        init_size=st.integers(0, 4),
-        block=st.integers(1, 9),
-        draws=st.lists(_DRAW, max_size=120),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_every_draw_equals_the_generator(self, seed, init_size, block, draws):
-        pool = pool_from_rules([Rule((i,), 1) for i in range(40)])
-        twin, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert init_list(pool, init_size, twin) == init_list(pool, init_size, rng)
-        sampler = _RawSampler(rng, block)
-        for draw in draws:
-            if draw[0] == "random":
-                assert sampler.random() == twin.random()
-            elif draw[0] == "integers":
-                got = sampler.integers(draw[1])
-                assert type(got) is int and got == twin.integers(draw[1])
-            else:
-                got = sampler.choice(draw[1], size=2, replace=False)
-                assert got == tuple(int(x) for x in twin.choice(draw[1], size=2, replace=False))
-
-    def test_init_list_leaves_both_half_states(self):
-        pool = pool_from_rules([Rule((i,), 1) for i in range(40)])
-        cached = set()
-        for k in range(5):
-            rng = np.random.default_rng(k)
-            init_list(pool, k, rng)
-            cached.add(rng.bit_generator.state["has_uint32"])
-        assert cached == {0, 1}
-
-    @pytest.mark.parametrize("high", [2**32, 2**32 + 1, 2**40])
-    def test_refuses_ranges_of_2_to_the_32_or_more(self, high):
-        sampler = _RawSampler(np.random.default_rng(0))
-        with pytest.raises(ValueError, match="32 bits"):
-            sampler.integers(high)
-
-    def test_choice_refuses_other_draws(self):
-        sampler = _RawSampler(np.random.default_rng(0))
-        with pytest.raises(ValueError, match="two draws"):
-            sampler.choice(5, size=3, replace=False)
-        with pytest.raises(ValueError, match="two draws"):
-            sampler.choice(5, size=2, replace=True)
 
 
 class TestRunSearch:
