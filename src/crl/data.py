@@ -410,11 +410,12 @@ def load_table(
     Feature cells stay strings; empty cells are missing values. The file is
     read by :func:`_read_rows`, so header names and cells are trimmed.
 
-    The label column is binarized: with ``positive_value`` given, rows equal to
-    it map to 1 and everything else to 0 (a column of two or more distinct
-    values none of which is ``positive_value`` is a :class:`DataError`);
-    without it the column must have exactly two distinct values (the
-    lexicographically larger one is positive), or already be 0/1.
+    The label column is binarized, and a blank cell in it is a
+    :class:`DataError`: with ``positive_value`` given, rows equal to it map
+    to 1 and everything else to 0 (a column of two or more distinct values
+    none of which is ``positive_value`` is a :class:`DataError`); without it
+    the column must have exactly two distinct values (the lexicographically
+    larger one is positive), or already be 0/1.
     """
     path = Path(path)
     header, columns = _read_rows(path, delimiter)
@@ -424,6 +425,10 @@ def load_table(
     label_cells = by_name.pop(label)
     if not label_cells:
         raise DataError(f"{path}: no data rows")
+    # a blank cell is a missing value everywhere else, so it is no class here
+    blank = label_cells.count("")
+    if blank:
+        raise DataError(f"{path}: label column {label!r} has {blank} blank cell(s)")
     labels, positive = _map_labels(label_cells, label, positive_value)
 
     return RawTable(
@@ -556,6 +561,8 @@ class ManifestColumn:
 def _manifest_column(c: dict) -> ManifestColumn:
     """A stored manifest column; numeric edges must be as :func:`quantile_edges` writes them.
 
+    A categorical column has null edges, as :meth:`ManifestColumn.fit` writes it.
+
     The name and every category must be strings: cells are strings, so a
     category of any other type could never match one and would set no bit.
     """
@@ -570,6 +577,10 @@ def _manifest_column(c: dict) -> ManifestColumn:
     edges = tuple(c["edges"]) if c["edges"] is not None else None
     if kind not in (_KIND_NUMERIC, _KIND_CATEGORICAL):
         raise DataError(f"manifest column {name!r}: unknown kind {kind!r}")
+    if kind == _KIND_CATEGORICAL and edges is not None:
+        raise DataError(
+            f"manifest column {name!r}: categorical edges must be null, not {c['edges']!r}"
+        )
     if kind == _KIND_NUMERIC and (
         edges is None
         or not all(map(json_number, edges))
@@ -739,7 +750,9 @@ def load_predictions(
     if column is None:
         with _decoding(path):
             text = path.read_text(encoding="utf-8-sig")
-        values = list(filter(None, map(str.strip, text.splitlines())))
+        # universal newlines leave "\n" the only line end, as in _read_rows;
+        # str.splitlines would also break at \f, \v, \x85, \u2028 and others
+        values = list(filter(None, map(str.strip, text.split("\n"))))
     else:
         header, columns = _read_rows(path, delimiter)
         if column not in header:

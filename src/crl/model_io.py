@@ -30,8 +30,9 @@ CURVE_FIELDS = (
     "rule_part_accuracy",
 )
 TRACE_FIELDS = ("iteration", "op", "proposed_objective", "accepted", "best_objective")
-# Training-time statistics of rule m: its exclusive support and accuracy on the
-# rows it answers, then curve point m (cumulative transparency and accuracy).
+# Training-time statistics of rule m, in the order TradeoffCurve.level_stats
+# gives them: its exclusive support and accuracy on the rows it answers, then
+# curve point m (cumulative transparency and accuracy).
 STATS_FIELDS = ("exclusive_support", "rule_accuracy", "transparency", "accuracy")
 
 
@@ -84,12 +85,11 @@ def model_from_training(
     """Bind a trained list to feature names and its training-time curve."""
     rules = []
     for m, rule in enumerate(rule_list, start=1):
-        stats = (curve.exclusive_counts[m], curve.rule_part_accuracy(m), *curve.points[m])
         rules.append(
             ModelRule(
                 conditions=tuple(feature_names[c] for c in rule.conditions),
                 output=rule.output,
-                stats=dict(zip(STATS_FIELDS, stats)),
+                stats=dict(zip(STATS_FIELDS, curve.level_stats(m))),
             )
         )
     return ModelDocument(rules=tuple(rules), training=training)
@@ -207,10 +207,10 @@ def save_pool(path, pool: CandidatePool, feature_names) -> None:
 
 def save_curve_csv(path, curve: TradeoffCurve) -> None:
     """Write the curve as CSV, one row per level, full float precision."""
-    rows = [
-        (m, t, a, exc, curve.rule_part_accuracy(m) if m else None)
-        for m, ((t, a), exc) in enumerate(zip(curve.points, curve.exclusive_counts))
-    ]
+    rows = []
+    for m in range(curve.n_levels + 1):
+        support, rule_accuracy, t, a = curve.level_stats(m)
+        rows.append((m, t, a, support, rule_accuracy))
     write_rows(path, CURVE_FIELDS, rows)
 
 

@@ -20,13 +20,11 @@ Inside the loop a list is a tuple of indices into the candidate pool, whose
 rules are distinct, so membership is an integer test and no :class:`RuleList`
 is built until the best list is returned. Each proposal also reports the first
 position its edit touches (the insertion slot, the removed or replaced
-position, the smaller swapped position, or the list length for identity), and
-the scorer re-sweeps the objective only from that level of the current list,
-resuming its per-level sweep tuples (each level's covered and correctly
-answered rows, so a level costs two popcounts). The objective of every list
-the chain scores is memoized for the whole chain, so a list the chain has
-already proposed, from this current list or an earlier one, is not swept
-again.
+position, the smaller swapped position, or the list length for identity).
+The chain's :class:`~crl.objective.ChainScorer` takes that position, scores
+the proposal from that level of the current list on, and memoizes every
+objective it computes for the whole chain; the loop only asks it for a
+score and tells it which list was accepted.
 """
 
 from __future__ import annotations
@@ -41,14 +39,13 @@ from .data import BinaryDataset, PredictionVector, _first_repeat
 from .errors import SearchError
 from .mining import CandidatePool
 from .objective import (
+    ChainScorer,
     ObjectiveValue,
     TradeoffCurve,
     _check_alignment,
     autac_hat,
     check_alpha,
-    cover_masks,
     curve,
-    sweep,
 )
 from .rules import RuleList
 from .streams import Stream, child_seeds
@@ -118,7 +115,7 @@ class SearchTrace:
 class SearchResult:
     best_list: RuleList
     curve: TradeoffCurve
-    trace: SearchTrace
+    trace: SearchTrace | None  # None in a tune report
     objective: ObjectiveValue
 
 
@@ -162,7 +159,7 @@ def propose(
     ``PROPOSE_ATTEMPTS`` failures the unchanged state is returned with operation
     "identity". ``k`` is the first position the edit touches (``len(state)``
     for identity): the two states share their first ``k`` indices, which is
-    what :meth:`_Scorer.score` resumes from.
+    what :meth:`~crl.objective.ChainScorer.score` resumes from.
     """
     m = len(state)
     n_pool = len(pool)
@@ -197,82 +194,6 @@ def propose(
     return state, "identity", m
 
 
-class _Scorer:
-    """Objective evaluation for the hot loop: :meth:`score` sweeps each state once a chain.
-
-    Each pool rule's raw cover and its flip mask (see :func:`cover_masks`)
-    are precomputed against the training data and its base, in a list indexed
-    like ``pool.rules``. The scorer keeps the per-level :func:`sweep` state of
-    the committed list (the last one scored before :meth:`commit`).
-    :meth:`score` takes a state of pool indices and the level ``k`` up to
-    which it agrees with the committed one, and sweeps only from there. Both
-    scorings read the same :func:`sweep` as the module-level curve and
-    objective functions, so results are bit-identical to them. Rules-only
-    scoring answers uncovered rows with the training majority class instead
-    of the black-box and reads only the sweep's last level.
-
-    The chain proposes the same few neighbours again and again, and returns
-    to lists it has left, so the objective of every state it scores is
-    memoized for the whole chain: an objective depends on the state alone,
-    and a resumed sweep is bit-identical to a full one. A hit sweeps nothing,
-    and :meth:`commit` sweeps a hit's levels only if it is the list being
-    committed. The memo holds one float per distinct state scored, keyed by
-    the state's tuple: at most one entry per iteration, of about 0.1-0.25 KB
-    as lists grow from 3 to 17 rules, the same order as the
-    :class:`SearchStep` the trace keeps per iteration. At the default 50k
-    iterations (``crl train``, alpha 0.001) it held 6.8k entries, 0.9 MB, on
-    a planted 20k-row table and 40k entries, 9.3 MB, on a mixed 10k-row one.
-    """
-
-    def __init__(
-        self,
-        data: BinaryDataset,
-        preds: PredictionVector,
-        pool: CandidatePool,
-        alpha: float,
-        scoring: str,
-    ) -> None:
-        self.n = data.n_rows
-        self.alpha = alpha
-        self.rules_only = scoring == SCORING_RULES_ONLY
-        if self.rules_only:
-            negative, positive = data.class_masks
-            self.base_correct = positive if 2 * positive.bit_count() >= self.n else negative
-        else:
-            self.base_correct = preds.correct_mask(data.labels)
-        self.masks = cover_masks(pool.rules, data, self.base_correct)
-        self.committed = ((), sweep((), self.base_correct, self.n))
-        # (state, its sweep levels), or (state, k) when the score was a memo hit
-        self._scored = self.committed
-        self._memo: dict[tuple[int, ...], float] = {}
-
-    def score(self, state: tuple[int, ...], k: int) -> float:
-        """Objective of ``state``, whose first ``k`` indices are the committed state's."""
-        obj = self._memo.get(state)
-        if obj is not None:
-            self._scored = (state, k)
-            return obj
-        levels = self._sweep(state, k)
-        self._scored = (state, levels)
-        _, _, _, _, accuracy, area = levels[-1]
-        quality = accuracy if self.rules_only else 0.5 * area
-        obj = self._memo[state] = quality - self.alpha * len(state)
-        return obj
-
-    def commit(self) -> None:
-        """Make the last scored list the one later proposals are swept against."""
-        state, levels = self._scored
-        if isinstance(levels, int):
-            levels = self._sweep(state, levels)
-        self.committed = self._scored = (state, levels)
-
-    def _sweep(self, state: tuple[int, ...], k: int):
-        masks = self.masks
-        return sweep(
-            [masks[i] for i in state[k:]], self.base_correct, self.n, self.committed[1], k
-        )
-
-
 def run_search(
     data: BinaryDataset,
     preds: PredictionVector,
@@ -284,7 +205,9 @@ def run_search(
     if len(pool) == 0:
         raise SearchError("cannot search an empty candidate pool")
     rng = Stream(config.seed)
-    scorer = _Scorer(data, preds, pool, config.alpha, config.scoring)
+    scorer = ChainScorer(
+        data, preds, pool.rules, config.alpha, config.scoring == SCORING_RULES_ONLY
+    )
 
     current = init_list(pool, config.init_size, rng)
     current_obj = scorer.score(current, 0)
@@ -338,7 +261,8 @@ class AlphaTuneReport:
     chosen alpha is the admissible one with maximal training curve area.
     Candidates are scanned in the given (descending) order with a strict
     improvement test, so on ties the larger alpha wins and the equal ones are
-    recorded in ``tied_alphas``.
+    recorded in ``tied_alphas``. ``chosen.trace`` is None: the chains' traces
+    are dropped where they run.
     """
 
     candidates: tuple[AlphaCandidate, ...]
@@ -435,8 +359,11 @@ def tune_alpha(
         replace(base, alpha=alpha, seed=seed)
         for alpha, seed in zip(candidates, child_seeds(base.seed, len(candidates)))
     ]
+    # a worker pickles each result to the parent, so the trace nothing reads stays behind
     chains = _run_chains(
-        lambda i: run_search(data, preds, pool, configs[i]), len(configs), "candidate"
+        lambda i: replace(run_search(data, preds, pool, configs[i]), trace=None),
+        len(configs),
+        "candidate",
     )
     records: list[AlphaCandidate] = []
     chosen: SearchResult | None = None

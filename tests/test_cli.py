@@ -1414,6 +1414,20 @@ def test_short_row_in_prediction_column_file_is_data_error(tmp_path, capsys):
     assert line.endswith("ragged row at line 3 (1 fields, expected 2)"), line
 
 
+@pytest.mark.parametrize("positive", [(), ("--positive-value", "1")], ids=["default", "declared"])
+def test_blank_label_cell_is_data_error(tmp_path, capsys, positive):
+    # a column of 1s and blanks has two distinct values, and each blank was read as class 0
+    data_path = tmp_path / "t.csv"
+    data_path.write_text("a,y\n1,1\n2,\n3, \n4,1\n")
+    code = run(
+        "train", "--data", data_path, "--label-column", "y", *positive,
+        "--oracle-accuracy", 0.8, "--iters", 10, "--out", tmp_path / "out",
+    )
+    assert code == 3
+    line = one_error_line(capsys, "data error")
+    assert line == f"data error: {data_path}: label column 'y' has 2 blank cell(s)"
+
+
 @pytest.mark.parametrize(
     "newline, last", [("\n", "4"), ("\r\n", "4"), ("\r\n", '"4"')], ids=["lf", "crlf", "quoted"]
 )
@@ -1452,6 +1466,11 @@ def first_column(obj):
         ("manifest.json", lambda m: first_column(m)["edges"].reverse(), "strictly ascending"),
         ("manifest.json", lambda m: first_column(m)["edges"].__setitem__(0, math.nan), "NaN"),
         ("manifest.json", lambda m: first_column(m).update(kind="text"), "unknown kind 'text'"),
+        (
+            "manifest.json",
+            lambda m: m["columns"][1].update(edges="xyz"),
+            "column 'b': categorical edges must be null, not 'xyz'",
+        ),
         ("model.json", lambda m: m["rules"][0]["stats"].update(accuracy=math.nan), "NaN"),
         ("config.json", lambda c: c.update(alpha=math.nan), "NaN"),
         # each was read as a valid model: evaluate exited 0, or raised OverflowError
@@ -1465,8 +1484,9 @@ def first_column(obj):
             "rule stats must be finite numbers",
         ),
     ],
-    ids=["descending-edges", "nan-edge", "unknown-kind", "nan-stat", "nan-config",
-         "bool-version", "float-version", "bool-output", "float-output", "400-digit-stat"],
+    ids=["descending-edges", "nan-edge", "unknown-kind", "categorical-edges", "nan-stat",
+         "nan-config", "bool-version", "float-version", "bool-output", "float-output",
+         "400-digit-stat"],
 )
 def test_corrupted_json_input_is_data_error(tmp_path, capsys, name, edit, message):
     data_path = tmp_path / "d.csv"

@@ -104,6 +104,14 @@ class TestLoadTable:
         with pytest.raises(DataError, match="non-binary label"):
             load_table(p, "y")
 
+    @pytest.mark.parametrize("positive_value", [None, "1", "0"])
+    def test_blank_label_cell_is_data_error(self, tmp_path, positive_value):
+        # a blank cell is missing everywhere else; as a label it became class 0
+        p = write(tmp_path, "t.csv", "x,y\n1,1\n2,\n3,1\n")
+        message = rf"^{re.escape(str(p))}: label column 'y' has 1 blank cell\(s\)$"
+        with pytest.raises(DataError, match=message):
+            load_table(p, "y", positive_value=positive_value)
+
     def test_alternate_delimiter(self, tmp_path):
         p = write(tmp_path, "t.tsv", "x\ty\n1\t0\n2\t1\n")
         assert load_table(p, "y", delimiter="\t").n_rows == 2
@@ -269,6 +277,18 @@ class TestManifest:
         assert obj["columns"][0]["edges"] == [2.333333333333333, 3.6666666666666665]
         obj["columns"][0].update(change)
         with pytest.raises(DataError, match=f"'v'.*{message}"):
+            BinarizationManifest.from_obj(obj)
+
+    @pytest.mark.parametrize("edges", ["xyz", [1.5], []])
+    def test_from_obj_refuses_edges_on_a_categorical_column(self, tmp_path, edges):
+        # only a numeric column reads its edges, so these loaded and were ignored
+        p = write(tmp_path, "t.csv", "c,y\nA,0\nB,1\n")
+        obj = binarize(load_table(p, "y"))[1].to_obj()
+        assert obj["columns"][0]["kind"] == "categorical"
+        obj["columns"][0]["edges"] = edges
+        stored = re.escape(repr(edges))
+        message = rf"^manifest column 'c': categorical edges must be null, not {stored}$"
+        with pytest.raises(DataError, match=message):
             BinarizationManifest.from_obj(obj)
 
     @pytest.mark.parametrize(
@@ -525,6 +545,18 @@ class TestLoadPredictions:
         message = rf"^{re.escape(str(p))}: non-binary prediction 'x' at entry 3$"
         with pytest.raises(DataError, match=message):
             load_predictions(p, 4, column=column)
+
+    @pytest.mark.parametrize(
+        "sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_a_line_end_splits_predictions(self, tmp_path, sep):
+        # str.splitlines breaks at these too, which read 3 lines as 4 predictions
+        p = tmp_path / "p.txt"
+        p.write_bytes(f"1\n0{sep}1\n0\n".encode())
+        bad = re.escape(repr(f"0{sep}1"))
+        message = rf"^{re.escape(str(p))}: non-binary prediction {bad} at entry 2$"
+        with pytest.raises(DataError, match=message):
+            load_predictions(p, 4)
 
     def test_csv_column(self, tmp_path):
         p = write(tmp_path, "p.csv", "id,pred\n0,1\n1,0\n")

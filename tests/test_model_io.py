@@ -60,7 +60,7 @@ class TestModelRoundTrip:
         for m, rule in enumerate(doc.rules, start=1):
             assert rule.stats["transparency"] == c.points[m][0]
             assert rule.stats["accuracy"] == c.points[m][1]
-            assert rule.stats["exclusive_support"] == c.exclusive_counts[m]
+            assert rule.stats["exclusive_support"] == c.level_stats(m)[0]
         assert doc.level_transparencies() == [p[0] for p in c.points]
 
     def test_unresolvable_name_is_reported(self, d4, tmp_path):
@@ -144,7 +144,8 @@ class TestCurveCsv:
         save_curve_csv(p, c)
         points, support = read_curve_csv(p)
         assert points == c.points
-        assert support == c.exclusive_counts
+        covered = c.covered_counts
+        assert support == (0, *(b - a for a, b in zip(covered, covered[1:])))
 
     def test_level_zero_has_blank_rule_accuracy(self, d4, tmp_path):
         data, preds, rl = d4

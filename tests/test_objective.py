@@ -193,6 +193,27 @@ class TestInvariants:
         assert c.points == tuple(points)
         assert autac_hat(c) == simulate_autac(points)
 
+    @given(seed=st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_level_stats_match_per_row_oracle(self, seed):
+        # rule m's support and accuracy are counted on the rows whose first match is rule m
+        rng = np.random.default_rng(seed)
+        matrix, labels, bb, specs = random_instance(rng)
+        names = tuple(f"f{j}" for j in range(matrix.shape[1]))
+        data = BinaryDataset.from_bool_matrix(matrix, labels, names)
+        c = curve(RuleList(tuple(Rule(cs, z) for cs, z in specs)), data, PredictionVector(bb))
+        match = simulate_first_match(specs, matrix)
+        assert c.level_stats(0) == (0, None, *c.points[0])
+        for m, (_, output) in enumerate(specs, start=1):
+            mine = match == m - 1
+            support = int(mine.sum())
+            right = int((mine & (labels == output)).sum())
+            expected = (support, right / support if support else None, *c.points[m])
+            assert c.level_stats(m) == expected
+        for m in (-1, len(specs) + 1):
+            with pytest.raises(IndexError):
+                c.level_stats(m)
+
     @given(seed=st.integers(0, 2**31), base=st.sampled_from(["blackbox", "majority"]))
     @settings(max_examples=60, deadline=None)
     def test_level_state_matches_per_row_oracle(self, seed, base):

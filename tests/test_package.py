@@ -143,6 +143,46 @@ def test_only_streams_draws_random_numbers():
     assert {name: found for name, found in drawing.items() if found} == {}
 
 
+SWEEP_NAMES = {"sweep", "cover_masks", "SweepLevels"}
+
+
+def sweep_readers(source: str) -> list[str]:
+    """Each place ``source`` names the prefix sweep, its cover masks or its level type."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        found += [f"{node.lineno}:{name}" for name in names if name in SWEEP_NAMES]
+    return found
+
+
+def test_sweep_readers_finds_every_spelling():
+    source = (
+        "from .objective import cover_masks, sweep as walk\nimport crl.objective.sweep\n"
+        "x = objective.sweep(m, b, n)\nlevels: SweepLevels = []\n"
+        "y = list_sweep(rl, d, p)\nz = sweeps + cover_mask\n"
+    )
+    assert sorted(sweep_readers(source)) == [
+        "1:cover_masks", "1:sweep", "2:sweep", "3:sweep", "4:SweepLevels",
+    ]
+
+
+def test_only_objective_reads_the_sweep():
+    # crl.objective owns the level tuples, so a change to a level changes one module
+    reading = {
+        path.name: sweep_readers(path.read_text())
+        for path in sorted((ROOT / "src" / "crl").glob("*.py"))
+        if path.name != "objective.py"
+    }
+    assert {name: found for name, found in reading.items() if found} == {}
+
+
 def test_benchmark_tracer_patches_and_restores_every_traced_name():
     # perfbench/tracing.py wraps crl names by attribute; renaming one must fail here
     path = ROOT / "perfbench" / "tracing.py"

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,9 @@ from crl import (
 )
 from crl import search
 from crl.mining import CandidatePool
-from crl.objective import cover_masks, sweep
+from crl.objective import ChainScorer, cover_masks, sweep
 from crl.search import (
     _run_chains,
-    _Scorer,
     accept,
     init_list,
     propose,
@@ -266,7 +266,7 @@ class TestRunSearch:
 
     def test_scorer_matches_objective_module_bitwise(self):
         data, preds, pool = small_problem(seed=8)
-        scorer = _Scorer(data, preds, pool, alpha=0.001, scoring="companion")
+        scorer = ChainScorer(data, preds, pool.rules, alpha=0.001, rules_only=False)
         rng = np.random.default_rng(0)
         current = init_list(pool, 3, rng)
         scorer.score(current, 0)
@@ -314,7 +314,7 @@ class TestRunSearch:
     def test_rules_only_scoring_matches_per_row_oracle_bitwise(self):
         data, preds, pool = small_problem(seed=13)
         alpha = 0.001
-        scorer = _Scorer(data, preds, pool, alpha=alpha, scoring="rules_only")
+        scorer = ChainScorer(data, preds, pool.rules, alpha=alpha, rules_only=True)
         rng = np.random.default_rng(4)
         current = init_list(pool, 3, rng)
         scorer.score(current, 0)
@@ -334,7 +334,8 @@ class TestRunSearch:
     def test_stateful_scorer_through_random_chains(self, seed, scoring, guard):
         data, preds, pool = small_problem(seed=seed % 7, n_rows=60)
         alpha = 0.001
-        scorer = _Scorer(data, preds, pool, alpha=alpha, scoring=scoring)
+        rules_only = scoring == "rules_only"
+        scorer = ChainScorer(data, preds, pool.rules, alpha=alpha, rules_only=rules_only)
         masks = cover_masks(pool.rules, data, scorer.base_correct)
 
         def full_sweep(state):
@@ -376,8 +377,9 @@ class TestRunSearch:
             swept.append(len(levels))
             return levels
 
-        monkeypatch.setattr("crl.search.sweep", recording_sweep)
-        scorer = _Scorer(data, preds, pool, alpha=0.001, scoring="companion")
+        # `crl.objective` names the objective function, so patch the module's globals
+        monkeypatch.setitem(ChainScorer.score.__globals__, "sweep", recording_sweep)
+        scorer = ChainScorer(data, preds, pool.rules, alpha=0.001, rules_only=False)
         rng = np.random.default_rng(3)
         current = init_list(pool, 3, rng)
         scorer.score(current, 0)
@@ -403,7 +405,7 @@ class TestRunSearch:
 
     def test_memo_hit_then_commit_sweeps_the_hit(self):
         data, preds, pool = small_problem()
-        scorer = _Scorer(data, preds, pool, alpha=0.001, scoring="companion")
+        scorer = ChainScorer(data, preds, pool.rules, alpha=0.001, rules_only=False)
         masks = cover_masks(pool.rules, data, scorer.base_correct)
 
         def full_sweep(state):
@@ -548,6 +550,20 @@ class TestTuneAlpha:
             c.train_autac for c in report.candidates if c.admissible
         )
 
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chosen_result_keeps_no_trace(self, monkeypatch, workers):
+        # nothing reads a candidate's trace, so no worker pickles it to the parent
+        monkeypatch.setattr(search, "_usable_cpus", lambda: workers)
+        data, preds, pool = small_problem(seed=14)
+        base = SearchConfig(alpha=0.0, n_iters=400, seed=9)
+        report = tune_alpha(data, preds, pool, candidates=(0.005, 0.001), base_config=base)
+        assert report.chosen.trace is None
+        config = replace(base, alpha=report.chosen_alpha)
+        seeds = dict(zip((0.005, 0.001), search.child_seeds(base.seed, 2)))
+        alone = run_search(data, preds, pool, replace(config, seed=seeds[config.alpha]))
+        assert report.chosen.best_list == alone.best_list
+        assert report.chosen.curve.points == alone.curve.points
 
 class TestRunChains:
     @pytest.mark.parametrize("workers", [1, 2])
