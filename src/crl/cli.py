@@ -21,8 +21,6 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from .companion import CompanionEvaluator
 from .data import (
     BinarizationManifest,
@@ -337,10 +335,9 @@ def cmd_predict(args) -> int:
             f"residual coverage: {evaluator.residual_fraction():.4f} of rows fall "
             "through to the black-box"
         )
-    # provenance k (-1 for the black-box) is written as names[k + 1]
-    names = ["blackbox", *range(1, evaluator.n_levels + 1)]
-    provenance = map(names.__getitem__, (prov + 1).tolist())
-    rows = zip(range(len(preds)), preds.tolist(), provenance)
+    # provenance k is written as names[k], and -1, the black-box, as names[-1]
+    names = [*range(1, evaluator.n_levels + 1), "blackbox"]
+    rows = zip(range(len(preds)), preds, map(names.__getitem__, prov))
     write_rows(args.out, ("row", "prediction", "provenance"), rows)
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
@@ -422,7 +419,7 @@ def cmd_cv(args) -> int:
                 }
             )
 
-    test_autacs = np.array([f["test_autac"] for f in fold_rows])
+    test_autacs = [f["test_autac"] for f in fold_rows]
     report = {
         "config": {
             "data": str(args.data),
@@ -436,17 +433,55 @@ def cmd_cv(args) -> int:
             "quantiles": args.quantiles,
         },
         "folds": fold_rows,
-        "autac_mean": float(np.mean(test_autacs)),
-        "autac_std": float(np.std(test_autacs, ddof=1)),
-        "blackbox_accuracy_mean": float(
-            np.mean([f["test_blackbox_accuracy"] for f in fold_rows])
-        ),
+        "autac_mean": _mean(test_autacs),
+        "autac_std": _sample_std(test_autacs),
+        "blackbox_accuracy_mean": _mean([f["test_blackbox_accuracy"] for f in fold_rows]),
     }
     write_json(out / "report.json", report)
     table = _cv_table(report)
     (out / "report.txt").write_text(table + "\n")
     print(table)
     return 0
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """numpy's float64 sum of ``values``, bit for bit: pairwise summation.
+
+    Below 8 values a plain loop; up to 128, eight running sums over the
+    values in steps of 8, combined pairwise, then the remainder added in
+    turn; above, the sums of two halves, the first a multiple of 8 long.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        r = list(values[:8])
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in values[tail:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _mean(values: list[float]) -> float:
+    """``numpy.mean`` of ``values``, bit for bit."""
+    return _pairwise_sum(values) / len(values)
+
+
+def _sample_std(values: list[float]) -> float:
+    """``numpy.std(values, ddof=1)``, bit for bit."""
+    mean = _mean(values)
+    squares = [(v - mean) * (v - mean) for v in values]
+    return math.sqrt(_pairwise_sum(squares) / (len(values) - 1))
 
 
 def _cv_table(report: dict) -> str:
@@ -475,12 +510,9 @@ def cmd_synth(args) -> int:
         )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    matrix = np.column_stack([bench.data.matrix, bench.data.labels])  # uint8
-    rows = (row.tolist() for row in matrix)
+    rows = map(tuple.__add__, bench.data.matrix, zip(bench.data.labels))
     write_rows(out / "data.csv", (*bench.data.feature_names, "label"), rows)
-    (out / "preds.txt").write_text(
-        "\n".join(str(int(p)) for p in bench.preds.preds) + "\n"
-    )
+    (out / "preds.txt").write_text("\n".join(map(str, bench.preds.preds)) + "\n")
 
     # Re-load through the standard pipeline so the shipped planted model uses
     # the one-hot feature names any `train`/`evaluate` run on data.csv will see.
@@ -492,8 +524,8 @@ def cmd_synth(args) -> int:
     for rule in bench.planted:
         for i in rule.conditions:
             col = manifest.columns[i]
-            k = col.indices(("1",))[0]
-            if k < 0:
+            k = int.from_bytes(col.codes(("1",)), "little")
+            if k == len(col.categories):
                 raise DataError(f"planted feature {col.name!r} is never 1 in {args.rows} rows")
             names[i] = col.feature_names()[k]
     planted_curve = curve(bench.planted, bench.data, bench.preds)

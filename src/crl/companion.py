@@ -19,14 +19,15 @@ row's own draw decide its answer; the other rows never do.
 
 from __future__ import annotations
 
-import numpy as np
+from functools import reduce
+from operator import or_
 
-from .data import BinaryDataset, PredictionVector
+from .data import BinaryDataset, PredictionVector, pack_bool, unpack_bool
 from .errors import DataError
 from .objective import (
+    FirstMatch,
     TradeoffCurve,
     autac_hat,
-    first_match_indices,
     level_for_t,
     list_sweep,
 )
@@ -37,10 +38,14 @@ from .streams import Stream
 class CompanionEvaluator:
     """Dataset-aligned evaluation: curve and every prediction mode.
 
-    One prefix sweep at construction gives the curve and each row's first-match
-    index; each prediction mode is then a few vector comparisons against that
-    index (level m adopts rows with ``0 <= index < m``, the stochastic band is
-    ``index == m``), which keeps Monte Carlo studies of the stochastic mode cheap.
+    One prefix sweep at construction gives the curve and each rule's exclusive
+    cover (the rows it matches first); each prediction mode is then a few
+    bitset operations on those covers (level m adopts the rows the first m
+    rules cover, the stochastic band is rule m's exclusive cover), which
+    keeps Monte Carlo studies of the stochastic mode cheap. A mode returns
+    its predictions as one 0/1 byte per row and its provenance as a list
+    holding, per row, the 0-based index of the answering rule, or -1 for the
+    black-box.
     """
 
     def __init__(
@@ -51,10 +56,12 @@ class CompanionEvaluator:
         self.preds = preds
         levels = list_sweep(rule_list, data, preds)
         self.curve = TradeoffCurve.from_sweep(levels)
-        self._first_idx = first_match_indices(levels, data.n_rows)
-        outputs = np.array([r.output for r in rule_list] + [0], dtype=np.uint8)
-        self._rule_preds = outputs[self._first_idx]  # arbitrary where uncovered
-        self._bb = preds.preds
+        self._first_match = FirstMatch.from_sweep(levels, data.n_rows)
+        self._covered = [level[0] for level in levels]  # S_m, the rows of the first m rules
+        exclusive = [after ^ before for before, after in zip(self._covered, self._covered[1:])]
+        self._exclusive = exclusive + [0]  # no rule after the last
+        # the rows whose first-match rule answers 1
+        self._rule_positive = reduce(or_, (e for e, r in zip(exclusive, rule_list) if r.output), 0)
 
     @property
     def n_levels(self) -> int:
@@ -68,16 +75,13 @@ class CompanionEvaluator:
         all-rules mode)."""
         return 1.0 - self.curve.coverage
 
-    def _adopted(self, m: int) -> np.ndarray:
-        """Rows answered by a rule at level m."""
-        return (self._first_idx >= 0) & (self._first_idx < m)
+    def _assemble(self, adopt: int) -> tuple[bytes, list[int]]:
+        """Predictions and provenance when the rows of bitset ``adopt`` take their rule."""
+        n = self.data.n_rows
+        preds = self._rule_positive & adopt | self.preds.bits & ~adopt
+        return unpack_bool(preds, n), self._first_match.indices(adopt)
 
-    def _assemble(self, adopt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        preds = np.where(adopt, self._rule_preds, self._bb).astype(np.uint8)
-        provenance = np.where(adopt, self._first_idx, np.int32(-1))
-        return preds, provenance
-
-    def level_predictions(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+    def level_predictions(self, m: int) -> tuple[bytes, list[int]]:
         """Predictions and provenance at transparency level m.
 
         Provenance holds the 0-based index of the answering rule, or -1 for the
@@ -85,11 +89,11 @@ class CompanionEvaluator:
         """
         if m < 0 or m > self.n_levels:
             raise DataError(f"level {m} out of range 0..{self.n_levels}")
-        return self._assemble(self._adopted(m))
+        return self._assemble(self._covered[m])
 
     def stochastic_predictions(
         self, t: float, rng: Stream, level_transparencies
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[bytes, list[int]]:
         """One draw of the stochastic companion at target transparency t.
 
         t is mapped to a level m and a fraction q through
@@ -97,10 +101,11 @@ class CompanionEvaluator:
         0..M (``ModelDocument.level_transparencies()`` or the training curve's
         ``transparency``), never through this dataset's curve. Row i takes the
         i-th of one batch of ``n_rows`` uniforms drawn by ``rng.random(n_rows)``
-        (a :class:`~crl.streams.Stream` or a numpy ``Generator``); rows
-        whose first match is rule index m adopt it when that draw is < q. On
-        the training rows the expected fraction of rule-answered rows equals
-        t; on any rows, t equal to level m's entry (q = 0) gives level m's
+        (a :class:`~crl.streams.Stream`, or any object whose ``random(n)``
+        returns n floats, such as a numpy ``Generator``); rows whose first
+        match is rule index m adopt it when that draw is < q. On the
+        training rows the expected fraction of rule-answered rows equals t;
+        on any rows, t equal to level m's entry (q = 0) gives level m's
         predictions for every seed. Levels whose transparencies are given
         out of ascending order are a :class:`DataError`.
         """
@@ -114,6 +119,5 @@ class CompanionEvaluator:
                 f"level transparencies must ascend, got {tuple(map(float, level_transparencies))}"
             )
         m, q = level_for_t(level_transparencies, t)
-        eps = rng.random(self.data.n_rows)
-        band = (self._first_idx == m) & (eps < q)
-        return self._assemble(self._adopted(m) | band)
+        drawn = pack_bool(bytes(map(float(q).__gt__, rng.random(self.data.n_rows))))
+        return self._assemble(self._covered[m] | self._exclusive[m] & drawn)

@@ -30,14 +30,14 @@ import csv
 import json
 import math
 import warnings
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import chain, repeat
-from operator import eq, itemgetter
+from functools import cached_property, partial, reduce
+from itertools import accumulate, chain, compress, repeat
+from operator import and_, eq, itemgetter
 from pathlib import Path
-
-import numpy as np
 
 from .errors import DataError
 from .streams import Stream, permutations
@@ -48,18 +48,55 @@ _KIND_NUMERIC = "numeric"
 _KIND_CATEGORICAL = "categorical"
 MANIFEST_VERSION = 1
 
+# Row vectors are bytes, one value a row. A bitset is read from and written to
+# binary digits, most significant first, so a vector is reversed on the way.
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+# _HAS_BIT[j] translates a byte to the digit 1 when its bit j is set, else 0
+_HAS_BIT = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 
-def pack_bool(column: np.ndarray) -> int:
-    """Pack a boolean row vector into an int bitset (bit i = row i)."""
-    packed = np.packbits(np.asarray(column, dtype=bool), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+
+def _equal_to(k: int) -> bytes:
+    """The table translating byte ``k`` to the digit 1 and every other byte to 0."""
+    return b"0" * k + b"1" + b"0" * (255 - k)
 
 
-def unpack_bool(bits: int, n_rows: int) -> np.ndarray:
-    """Inverse of :func:`pack_bool` for the first ``n_rows`` bits."""
-    n_bytes = max(1, (n_rows + 7) // 8)
-    raw = np.frombuffer(bits.to_bytes(n_bytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n_rows].astype(bool)
+def _from_digits(digits: bytes) -> int:
+    """The int of binary ``digits`` (b"0"/b"1"), most significant first; 0 for none."""
+    return int(digits, 2) if digits else 0
+
+
+def pack_bool(flags) -> int:
+    """Pack a row vector into an int bitset (bit i = row i).
+
+    ``flags`` is a bytes of 0/1 values, or any sequence of truth values.
+    """
+    if not isinstance(flags, bytes):
+        flags = bytes(map(bool, flags))
+    return _from_digits(flags[::-1].translate(_TO_DIGITS))
+
+
+def unpack_bool(bits: int, n_rows: int) -> bytes:
+    """Inverse of :func:`pack_bool`: the first ``n_rows`` bits, one 0/1 byte per row."""
+    return format(bits, f"0{n_rows}b").encode()[::-1][:n_rows].translate(_FROM_DIGITS)
+
+
+def spread_bool(bits: int, n_rows: int, width: int = 1) -> int:
+    """``bits`` with row i's bit moved to the lowest bit of byte ``width * i``."""
+    spaced = bytearray(n_rows * width)
+    spaced[::width] = unpack_bool(bits, n_rows)
+    return int.from_bytes(spaced, "little")
+
+
+def _flags(values, what: str) -> bytes:
+    """A row vector of 0/1 values as bytes; any other value is a DataError naming ``what``."""
+    if isinstance(values, bytes):
+        if values.translate(None, b"\x00\x01"):
+            raise DataError(f"{what} must be 0/1")
+        return values
+    if not set(values) <= {0, 1}:
+        raise DataError(f"{what} must be 0/1")
+    return bytes(map(bool, values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +110,7 @@ class RawTable:
 
     columns: dict[str, tuple[str, ...]]
     label_column: str
-    labels: np.ndarray  # uint8 in {0, 1}
+    labels: bytes  # one 0/1 byte per row
     positive_value: str
 
     @property
@@ -93,12 +130,14 @@ class BinaryDataset:
 
     Features are stored column-major as int bitsets (bit i = row i), which is
     what makes cover computation and all downstream counting cheap; counts
-    come from ``int.bit_count`` and so stay exact integers.
+    come from ``int.bit_count`` and so stay exact integers. ``labels`` holds
+    one 0/1 byte per row; any other sequence of 0/1 values given is stored
+    as such bytes.
     """
 
     feature_bits: tuple[int, ...]
     feature_names: tuple[str, ...]
-    labels: np.ndarray  # uint8 in {0, 1}
+    labels: bytes
     n_rows: int
 
     def __post_init__(self) -> None:
@@ -113,8 +152,7 @@ class BinaryDataset:
             raise DataError(f"two features are named {repeated!r}")
         if len(self.labels) != self.n_rows:
             raise DataError("label vector length does not match row count")
-        if not np.isin(self.labels, (0, 1)).all():
-            raise DataError("labels must be 0/1")
+        object.__setattr__(self, "labels", _flags(self.labels, "labels"))
 
     @property
     def n_features(self) -> int:
@@ -127,58 +165,98 @@ class BinaryDataset:
     @cached_property
     def class_masks(self) -> tuple[int, int]:
         """The rows labelled 0 and the rows labelled 1, indexed by class."""
-        positive = pack_bool(self.labels.astype(bool))
+        positive = pack_bool(self.labels)
         return ~positive & self.full_mask, positive
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        cols = [unpack_bool(b, self.n_rows) for b in self.feature_bits]
-        return np.column_stack(cols)
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The rows, each a tuple of one 0/1 value per feature."""
+        return tuple(zip(*(unpack_bool(b, self.n_rows) for b in self.feature_bits)))
 
     @cached_property
     def name_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.feature_names)}
 
+    @cached_property
+    def _records(self) -> list[bytes]:
+        """Each row as bytes: its features eight to a byte (feature 8g + j is
+        bit j of byte g), then its label."""
+        n, width = self.n_rows, (self.n_features + 7) // 8 + 1
+        packed = bytearray(n * width)
+        for g in range(0, self.n_features, 8):
+            group = 0
+            for j, bits in enumerate(self.feature_bits[g : g + 8]):
+                group |= spread_bool(bits, n) << j
+            packed[g // 8 :: width] = group.to_bytes(n, "little")
+        packed[width - 1 :: width] = self.labels
+        packed = bytes(packed)
+        return [packed[i : i + width] for i in range(0, n * width, width)]
+
     def subset(self, rows) -> "BinaryDataset":
-        idx = np.asarray(rows, dtype=int)
-        return BinaryDataset.from_bool_matrix(
-            self.matrix[idx], self.labels[idx], self.feature_names
+        """The dataset of ``rows`` (row indices), in the order given.
+
+        The rows are selected once, as whole records of packed features, and
+        each feature's bitset is read back off its byte of the records.
+        """
+        records = self._records
+        picked = b"".join(map(records.__getitem__, rows))
+        width = len(records[0])
+        feature_bits = []
+        for g in range(width - 1):
+            group = picked[g::width][::-1]
+            n_bits = min(8, self.n_features - 8 * g)
+            feature_bits += [_from_digits(group.translate(_HAS_BIT[j])) for j in range(n_bits)]
+        return BinaryDataset(
+            feature_bits=tuple(feature_bits),
+            feature_names=self.feature_names,
+            labels=picked[width - 1 :: width],
+            n_rows=len(picked) // width,
         )
 
     @classmethod
     def from_bool_matrix(cls, matrix, labels, feature_names) -> "BinaryDataset":
-        mat = np.asarray(matrix, dtype=bool)
-        if mat.ndim != 2:
-            raise DataError("feature matrix must be two-dimensional")
-        bits = tuple(pack_bool(mat[:, j]) for j in range(mat.shape[1]))
+        """The dataset of a row-major matrix (a sequence of rows of truth values)."""
+        try:
+            rows = [bytes(map(bool, row)) for row in matrix]
+        except TypeError:
+            raise DataError("feature matrix must be two-dimensional") from None
+        if len(set(map(len, rows))) > 1:
+            raise DataError("feature matrix rows differ in length")
         return cls(
-            feature_bits=bits,
+            feature_bits=tuple(pack_bool(bytes(column)) for column in zip(*rows)),
             feature_names=tuple(feature_names),
-            labels=np.asarray(labels, dtype=np.uint8),
-            n_rows=mat.shape[0],
+            labels=labels,
+            n_rows=len(rows),
         )
 
 
 @dataclass(frozen=True, eq=False)
 class PredictionVector:
-    """Row-aligned 0/1 predictions of a black-box classifier."""
+    """Row-aligned 0/1 predictions of a black-box classifier.
 
-    preds: np.ndarray  # uint8 in {0, 1}
+    ``preds`` holds one 0/1 byte per row; any other sequence of 0/1 values
+    given is stored as such bytes.
+    """
+
+    preds: bytes
 
     def __post_init__(self) -> None:
-        if not np.isin(self.preds, (0, 1)).all():
-            raise DataError("predictions must be 0/1")
+        object.__setattr__(self, "preds", _flags(self.preds, "predictions"))
 
     def __len__(self) -> int:
         return len(self.preds)
 
-    def correct_mask(self, labels: np.ndarray) -> int:
+    @cached_property
+    def bits(self) -> int:
+        """The rows predicted 1, as a bitset."""
+        return pack_bool(self.preds)
+
+    def correct_mask(self, labels: bytes) -> int:
         """Bitset of rows where the black-box prediction equals the label."""
-        return pack_bool(np.equal(self.preds, labels))
+        return ~(self.bits ^ pack_bool(labels)) & ((1 << len(self.preds)) - 1)
 
     def subset(self, rows) -> "PredictionVector":
-        idx = np.asarray(rows, dtype=int)
-        return PredictionVector(self.preds[idx])
+        return PredictionVector(bytes(map(self.preds.__getitem__, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +534,7 @@ def _map_labels(values, label, positive_value):
             f"label column {label!r} never takes the positive value {positive_value!r}"
         )
     # operator.eq, unlike str.__eq__, compares a non-string positive value as unequal
-    is_positive = map(eq, values, repeat(positive_value))
-    return np.fromiter(is_positive, dtype=np.uint8, count=len(values)), positive_value
+    return bytes(map(eq, values, repeat(positive_value))), positive_value
 
 
 # ---------------------------------------------------------------------------
@@ -465,75 +542,143 @@ def _map_labels(values, label, positive_value):
 # ---------------------------------------------------------------------------
 
 
-def quantile_edges(values, q: int = 7) -> list[float]:
-    """Empirical (k/q)-quantiles for k = 1..q-1, with duplicate edges merged."""
+def quantile_edges(value_counts, q: int = 7) -> list[float]:
+    """Empirical (k/q)-quantiles for k = 1..q-1, with duplicate edges merged.
+
+    ``value_counts`` holds (value, number of cells) pairs of a column; a
+    value may come in more than one pair. The quantiles are numpy's
+    ``np.quantile(values, [k / q, ...])`` (method "linear") of the cells,
+    bit for bit: the quantile at k/q sits at the virtual index
+    v = (n - 1) * (k / q) of the sorted cells, between the cells a and b at
+    floor(v) and floor(v) + 1, or both at the last cell when v >= n - 1.
+    With g the distance of v past a's index (v + 1 for the last cell, as
+    numpy indexes it -1), it is ``a + (b - a) * g``, or
+    ``b - (b - a) * (1 - g)`` when g >= 0.5. A zero edge is always +0.0:
+    numpy's partial sort places equal zeros of either sign in no fixed
+    order.
+    """
     if q < 2:
         raise ValueError("q must be >= 2")
-    vals = np.asarray(values, dtype=float)
-    if vals.size == 0:
+    pairs = sorted(value_counts, key=itemgetter(0))
+    if not pairs:
         raise ValueError("column must be nonempty")
-    raw = np.quantile(vals, [k / q for k in range(1, q)])
+    values = [value for value, _ in pairs]
+    ends = list(accumulate(count for _, count in pairs))  # the cells up to each pair
+    n = ends[-1]
     edges: list[float] = []
-    for e in raw:
-        e = float(e)
+    for k in range(1, q):
+        virtual = (n - 1) * (k / q)
+        if virtual >= n - 1:  # numpy's index -1: the last cell, and g past 1
+            below = above = n - 1
+            gamma = virtual + 1
+        else:
+            below = int(virtual)
+            above = below + 1
+            gamma = virtual - below
+        a = values[bisect_right(ends, below)]
+        b = values[bisect_right(ends, above)]
+        diff = b - a
+        e = (b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma) + 0.0
         if not edges or e > edges[-1]:
             edges.append(e)
     return edges
 
 
-def _numeric_cells(name: str, values) -> tuple[np.ndarray, np.ndarray]:
-    """Presence mask and float values of the non-blank cells of a column.
+def _numbers(name: str, cells, distinct) -> tuple[list[str], list[float]]:
+    """The non-blank cells in ``distinct``, the distinct ``cells`` of a column, and their floats.
 
-    A cell that is not a number raises ``ValueError``; a non-finite one
-    (``nan``, ``inf``) is a :class:`DataError`.
+    A cell that is not a number raises ``ValueError``, and a non-finite one
+    (``nan``, ``inf``) is a :class:`DataError` once every cell has parsed;
+    either names the first such cell in the row order of ``cells``.
     """
-    present = np.fromiter(map(bool, values), dtype=bool, count=len(values))
-    n_cells = int(np.count_nonzero(present))
-    floats = np.fromiter(map(float, filter(None, values)), dtype=float, count=n_cells)
-    finite = np.isfinite(floats)
-    if not finite.all():
-        bad = [v for v in values if v][int(np.argmin(finite))]
+    present = [cell for cell in distinct if cell]
+    try:
+        floats = list(map(float, present))
+    except ValueError:
+        for cell in filter(None, cells):
+            float(cell)  # raises at the first cell that is not a number
+        raise
+    if not all(map(math.isfinite, floats)):
+        bad = next(cell for cell in filter(None, cells) if not math.isfinite(float(cell)))
         raise DataError(f"numeric column {name!r}: non-finite value {bad!r}")
     return present, floats
 
 
 @dataclass(frozen=True)
 class ManifestColumn:
+    """One source column's categories, in feature order, and a numeric column's edges.
+
+    A column is coded a row at a time: a row's code is the index of its
+    category, or ``len(categories)`` for a cell in none, in :attr:`width`
+    little-endian bytes. Each distinct cell is coded once.
+    """
+
     name: str
     kind: str
     categories: tuple[str, ...]
     edges: tuple[float, ...] | None  # quantile edges for numeric columns
 
-    def indices(self, values) -> np.ndarray:
-        """Index into ``categories`` of each raw cell; -1 for a category unseen at fit.
+    @property
+    def width(self) -> int:
+        """The bytes of a row's code: enough for the codes 0..len(categories)."""
+        return max(1, (len(self.categories).bit_length() + 7) // 8)
+
+    def _code_bytes(self) -> tuple[dict[str, bytes], bytes]:
+        """Each category's code, and the code of a cell in none."""
+        width = self.width
+        codes = [k.to_bytes(width, "little") for k in range(len(self.categories) + 1)]
+        return dict(zip(self.categories, codes)), codes[-1]
+
+    def codes(self, cells) -> bytes:
+        """The row codes of a column's raw cells.
 
         Numeric cells are labelled ``bin{k}`` with k the number of edges
-        strictly below the value; blank cells are ``<missing>``.
+        strictly below the value, each distinct cell parsed once; blank cells
+        are ``<missing>``. A non-numeric or non-finite cell under a numeric
+        column is a :class:`DataError`.
         """
-        if self.kind != _KIND_NUMERIC:
-            pos = {c: j for j, c in enumerate(self.categories)}
-            pos[""] = pos.get(MISSING_CATEGORY, -1)
-            return np.fromiter(map(pos.get, values, repeat(-1)), dtype=np.intp, count=len(values))
-        try:
-            present, floats = _numeric_cells(self.name, values)
-        except ValueError as exc:
-            raise DataError(f"numeric column {self.name!r}: {exc}") from None
-        edges = np.asarray(self.edges, dtype=float)
-        return self._bin_indices(present, np.searchsorted(edges, floats, side="left"))
+        if self.kind == _KIND_NUMERIC:
+            distinct = set(cells)
+            try:
+                present, floats = _numbers(self.name, cells, distinct)
+            except ValueError as exc:
+                raise DataError(f"numeric column {self.name!r}: {exc}") from None
+            code_of = self._bin_codes(present, floats, "" in distinct)
+            return b"".join(map(code_of.__getitem__, cells))
+        code_of, unseen = self._code_bytes()
+        code_of[""] = code_of.get(MISSING_CATEGORY, unseen)
+        return b"".join(map(code_of.get, cells, repeat(unseen)))
 
-    def _bin_indices(self, present: np.ndarray, bins: np.ndarray) -> np.ndarray:
-        """:meth:`indices` of a numeric column from the bin of each non-blank cell."""
-        pos = {c: j for j, c in enumerate(self.categories)}
-        bin_index = np.array([pos.get(f"bin{k}", -1) for k in range(len(self.edges) + 1)])
-        idx = np.full(len(present), pos.get(MISSING_CATEGORY, -1), dtype=np.intp)
-        idx[present] = bin_index[bins]
-        return idx
+    def _bin_codes(self, present: list[str], floats: list[float], blank: bool) -> dict[str, bytes]:
+        """The code of each distinct cell of a numeric column, from each non-blank one's float."""
+        pos, unseen = self._code_bytes()
+        bins = [pos.get(f"bin{k}", unseen) for k in range(len(self.edges) + 1)]
+        in_bin = map(bisect_left, repeat(self.edges), floats)
+        codes = dict(zip(present, map(bins.__getitem__, in_bin)))
+        if blank:
+            codes[""] = pos.get(MISSING_CATEGORY, unseen)
+        return codes
+
+    def one_hot(self, codes: bytes) -> list[int]:
+        """The bitset of each category's rows, from the row codes: one per feature."""
+        width = self.width
+        planes = [codes[i::width][::-1] for i in range(width)]  # reversed: row 0 is bit 0
+        return [
+            reduce(
+                and_,
+                [
+                    _from_digits(plane.translate(_equal_to(digit)))
+                    for plane, digit in zip(planes, k.to_bytes(width, "little"))
+                ],
+            )
+            for k in range(len(self.categories))
+        ]
 
     def feature_names(self) -> list[str]:
         return [f"{self.name}={cat}" for cat in self.categories]
 
     @classmethod
-    def fit(cls, name: str, values, quantiles: int) -> tuple["ManifestColumn", np.ndarray]:
+    def fit(cls, name: str, values, quantiles: int) -> tuple["ManifestColumn", bytes]:
         """The kind, categories (and numeric edges) seen in ``values``, in feature order.
 
         A column is numeric when it has a non-blank cell and every non-blank
@@ -541,21 +686,23 @@ class ManifestColumn:
         ``bin{k}`` by ascending k with ``<missing>`` last; categorical columns
         list their values sorted by code point, with blank cells as
         ``<missing>`` sorted in. Returns the fitted column and the
-        :meth:`indices` of the cells, labelled from the same parse.
+        :meth:`codes` of the cells, labelled from the same parse.
         """
+        counts = Counter(values)
         try:
-            present, floats = _numeric_cells(name, values)
+            present, floats = _numbers(name, values, counts)
         except ValueError:
-            floats = None
-        if floats is None or not floats.size:
-            cats = sorted({v or MISSING_CATEGORY for v in values})
+            present = None
+        if not present:
+            cats = sorted({v or MISSING_CATEGORY for v in counts})
             fitted = cls(name, _KIND_CATEGORICAL, tuple(cats), None)
-            return fitted, fitted.indices(values)
-        edges = tuple(quantile_edges(floats, quantiles))
-        bins = np.searchsorted(edges, floats, side="left")
-        cats = [f"bin{k}" for k in np.unique(bins)] + [MISSING_CATEGORY] * (not present.all())
+            return fitted, fitted.codes(values)
+        edges = tuple(quantile_edges(zip(floats, map(counts.__getitem__, present)), quantiles))
+        bins = sorted(set(map(bisect_left, repeat(edges), floats)))
+        cats = [f"bin{k}" for k in bins] + [MISSING_CATEGORY] * ("" in counts)
         fitted = cls(name, _KIND_NUMERIC, tuple(cats), edges)
-        return fitted, fitted._bin_indices(present, bins)
+        code_of = fitted._bin_codes(present, floats, "" in counts)
+        return fitted, b"".join(map(code_of.__getitem__, values))
 
 
 def _manifest_column(c: dict) -> ManifestColumn:
@@ -574,13 +721,14 @@ def _manifest_column(c: dict) -> ManifestColumn:
     repeated = _first_repeat(categories)
     if repeated is not None:
         raise DataError(f"manifest column {name!r}: category {repeated!r} is listed twice")
-    edges = tuple(c["edges"]) if c["edges"] is not None else None
     if kind not in (_KIND_NUMERIC, _KIND_CATEGORICAL):
         raise DataError(f"manifest column {name!r}: unknown kind {kind!r}")
+    edges = c["edges"]
     if kind == _KIND_CATEGORICAL and edges is not None:
-        raise DataError(
-            f"manifest column {name!r}: categorical edges must be null, not {c['edges']!r}"
-        )
+        raise DataError(f"manifest column {name!r}: categorical edges must be null, not {edges!r}")
+    if edges is not None and not isinstance(edges, list):
+        raise DataError(f"manifest column {name!r}: edges must be a list or null, not {edges!r}")
+    edges = tuple(edges) if edges is not None else None
     if kind == _KIND_NUMERIC and (
         edges is None
         or not all(map(json_number, edges))
@@ -680,7 +828,7 @@ def binarize(
         positive_value=table.positive_value,
         quantiles=quantiles,
     )
-    return _one_hot(table, manifest, [idx for _, idx in fitted]), manifest
+    return _dataset(table, manifest, [mcol.one_hot(codes) for mcol, codes in fitted]), manifest
 
 
 def apply_manifest(table: RawTable, manifest: BinarizationManifest) -> BinaryDataset:
@@ -692,36 +840,32 @@ def apply_manifest(table: RawTable, manifest: BinarizationManifest) -> BinaryDat
     fell in, a blank where training had none) set no bit in that column group;
     one ``UserWarning`` counts them per column, in manifest order.
     """
-    column_indices = [mcol.indices(table.column(mcol.name)) for mcol in manifest.columns]
+    columns = [mcol.one_hot(mcol.codes(table.column(mcol.name))) for mcol in manifest.columns]
     unseen = [
         f"{mcol.name} {n}"
-        for mcol, idx in zip(manifest.columns, column_indices)
-        if (n := int(np.count_nonzero(idx < 0)))
+        for mcol, bits in zip(manifest.columns, columns)
+        if (n := table.n_rows - sum(map(int.bit_count, bits)))
     ]
     if unseen:
         warnings.warn(
             f"cells in a category unseen at fit set no bit: {', '.join(unseen)}", stacklevel=2
         )
-    return _one_hot(table, manifest, column_indices)
+    return _dataset(table, manifest, columns)
 
 
-def _one_hot(table: RawTable, manifest: BinarizationManifest, column_indices) -> BinaryDataset:
-    """One bit column per manifest category, from each column's :meth:`ManifestColumn.indices`."""
+def _dataset(table: RawTable, manifest: BinarizationManifest, columns) -> BinaryDataset:
+    """The dataset of each manifest column's bit columns, from :meth:`ManifestColumn.one_hot`."""
     # a value holding "=" can spell another column's feature: a's b=c and a=b's c
     names = manifest.feature_names()
     repeated = _first_repeat(names)
     if repeated is not None:
         first, second = [c.name for c in manifest.columns if repeated in c.feature_names()][:2]
         raise DataError(f"columns {first!r} and {second!r} both give a feature named {repeated!r}")
-    feature_bits = [
-        pack_bool(idx == k)
-        for mcol, idx in zip(manifest.columns, column_indices)
-        for k in range(len(mcol.categories))
-    ]
+    feature_bits = tuple(chain.from_iterable(columns))
     if not feature_bits:
         raise DataError("zero usable feature columns after binarization")
     return BinaryDataset(
-        feature_bits=tuple(feature_bits),
+        feature_bits=feature_bits,
         feature_names=tuple(names),
         labels=table.labels,
         n_rows=table.n_rows,
@@ -761,7 +905,7 @@ def load_predictions(
     if not set(values) <= {"0", "1"}:
         i, bad = next((i, v) for i, v in enumerate(values) if v not in ("0", "1"))
         raise DataError(f"{path}: non-binary prediction {bad!r} at entry {i + 1}")
-    preds = np.fromiter(map(eq, values, repeat("1")), dtype=np.uint8, count=len(values))
+    preds = bytes(map(eq, values, repeat("1")))
     if len(preds) != n:
         raise DataError(
             f"{path}: length mismatch: {len(preds)} predictions for {n} dataset rows"
@@ -769,18 +913,20 @@ def load_predictions(
     return PredictionVector(preds)
 
 
-def synth_oracle(labels: np.ndarray, accuracy: float, seed: int) -> PredictionVector:
+def synth_oracle(labels, accuracy: float, seed: int) -> PredictionVector:
     """Synthesize a black-box that agrees with each label with given probability.
 
     Deterministic given (labels, accuracy, seed); accuracy 1.0 reproduces the
-    labels bit-exactly and 0.0 flips every one.
+    labels bit-exactly and 0.0 flips every one. Row i keeps its label when
+    the i-th of ``len(labels)`` uniforms of the seed's stream is below
+    ``accuracy``.
     """
     if not 0.0 <= accuracy <= 1.0:
         raise ValueError("accuracy must be in [0, 1]")
-    labels = np.asarray(labels, dtype=np.uint8)
-    keep = Stream(seed).random(len(labels)) < accuracy
-    preds = np.where(keep, labels, 1 - labels).astype(np.uint8)
-    return PredictionVector(preds)
+    labels = _flags(labels, "labels")
+    n = len(labels)
+    keep = pack_bool(bytes(map(float(accuracy).__gt__, Stream(seed).random(n))))
+    return PredictionVector(unpack_bool(pack_bool(labels) ^ ~keep & ((1 << n) - 1), n))
 
 
 # ---------------------------------------------------------------------------
@@ -788,36 +934,37 @@ def synth_oracle(labels: np.ndarray, accuracy: float, seed: int) -> PredictionVe
 # ---------------------------------------------------------------------------
 
 
-def split_folds(data: BinaryDataset, k: int = 5, seed: int = 0) -> list[np.ndarray]:
+def split_folds(data: BinaryDataset, k: int = 5, seed: int = 0) -> list[list[int]]:
     """Partition row indices into k folds, stratified by label.
 
-    Folds are pairwise disjoint, their union covers every row, per-class fold
-    sizes differ by at most one, and the split is repeatable under a fixed
-    seed. If some label class has fewer than k members the split falls back to
+    Each fold is an ascending list of row indices. Folds are pairwise
+    disjoint, their union covers every row, per-class fold sizes differ by
+    at most one, and the split is repeatable under a fixed seed. If some
+    label class has fewer than k members the split falls back to
     unstratified (with a warning).
     """
     if k < 2:
         raise ValueError("fold count must be >= 2")
     if data.n_rows < k:
         raise ValueError("dataset has fewer rows than folds")
-    labels = data.labels
-    classes, counts = np.unique(labels, return_counts=True)
-    groups = [np.flatnonzero(labels == c) for c in classes]
-    if (counts < k).any():
+    n = data.n_rows
+    groups = [
+        list(compress(range(n), unpack_bool(rows, n))) for rows in data.class_masks if rows
+    ]
+    if any(len(group) < k for group in groups):
         warnings.warn(
             "a label class has fewer members than folds; falling back to an "
             "unstratified split",
             stacklevel=2,
         )
-        groups = [np.arange(data.n_rows)]
+        groups = [range(n)]
     folds: list[list[int]] = [[] for _ in range(k)]
     for perm in permutations(seed, groups):
         for f in range(k):
-            folds[f].extend(perm[f::k].tolist())
-    return [np.array(sorted(f), dtype=int) for f in folds]
+            folds[f].extend(perm[f::k])
+    return [sorted(f) for f in folds]
 
 
-def train_indices(folds: list[np.ndarray], test_fold: int) -> np.ndarray:
+def train_indices(folds: list[list[int]], test_fold: int) -> list[int]:
     """All row indices outside the given test fold, in ascending order."""
-    rest = [f for i, f in enumerate(folds) if i != test_fold]
-    return np.array(sorted(np.concatenate(rest).tolist()), dtype=int)
+    return sorted(chain.from_iterable(f for i, f in enumerate(folds) if i != test_fold))

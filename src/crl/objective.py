@@ -23,12 +23,12 @@ estimates are exact and invariant under row permutations.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
-from .data import BinaryDataset, PredictionVector, unpack_bool
+from .data import BinaryDataset, PredictionVector, spread_bool
 from .errors import DataError
 from .rules import RuleList, raw_cover
 
@@ -204,17 +204,44 @@ def curve(
     return TradeoffCurve.from_sweep(list_sweep(rule_list, data, preds))
 
 
-def first_match_indices(levels: SweepLevels, n_rows: int) -> np.ndarray:
-    """Per-row 0-based index of the first matching rule, -1 when uncovered.
+@dataclass(frozen=True, eq=False)
+class FirstMatch:
+    """Each row's first-match rule, read off one :func:`sweep`.
 
-    Read off a :func:`sweep`'s covered masks: rule m's exclusive cover is
-    ``S_m ^ S_{m-1}``, and its rows get index m - 1.
+    Rule m's exclusive cover is ``S_m ^ S_{m-1}``, and its rows get the
+    0-based index m - 1; rows no rule covers get -1. The covers are
+    disjoint, so the one int ``digits`` holds every row's index as a signed
+    little-endian digit of ``array(typecode).itemsize`` bytes, all ones for
+    -1, and :meth:`indices` reads them out at once.
     """
-    idx = np.full(n_rows, -1, dtype=np.int32)
-    masks = [level[0] for level in levels]
-    for k, (before, after) in enumerate(zip(masks, masks[1:])):
-        idx[unpack_bool(after ^ before, n_rows)] = k
-    return idx
+
+    digits: int
+    typecode: str
+    n_rows: int
+
+    @classmethod
+    def from_sweep(cls, levels: SweepLevels, n_rows: int) -> "FirstMatch":
+        covered = [level[0] for level in levels]
+        # the narrowest signed array type that holds -1..M-1
+        typecode = next(t for t in "bhiq" if len(covered) <= 1 << 8 * array(t).itemsize - 1)
+        width = array(typecode).itemsize
+        uncovered = ~covered[-1] & ((1 << n_rows) - 1)
+        digits = spread_bool(uncovered, n_rows, width) * ((1 << 8 * width) - 1)
+        for k, (before, after) in enumerate(zip(covered[1:], covered[2:]), start=1):
+            digits += k * spread_bool(after ^ before, n_rows, width)
+        return cls(digits, typecode, n_rows)
+
+    def indices(self, rows: int | None = None) -> list[int]:
+        """Each row's index; with ``rows``, a bitset, -1 for every other row as well."""
+        out = array(self.typecode)
+        width, n = out.itemsize, self.n_rows
+        digits = self.digits
+        if rows is not None:  # all ones on every other row
+            digits |= spread_bool(~rows & ((1 << n) - 1), n, width) * ((1 << 8 * width) - 1)
+        out.frombytes(digits.to_bytes(n * width, "little"))
+        if sys.byteorder == "big":
+            out.byteswap()
+        return out.tolist()
 
 
 def autac_hat(curve_or_points) -> float:

@@ -4,7 +4,7 @@ A rule pairs an antecedent (a conjunction of binary-feature conditions, each
 "feature j is set") with an output class. An ordered rule list predicts by
 first match. A rule's raw cover is the bitset of rows satisfying its
 antecedent; each row's first match, and each rule's exclusive cover, are read
-off the prefix sweep in :mod:`crl.objective` (``first_match_indices``), the
+off the prefix sweep in :mod:`crl.objective` (``FirstMatch``), the
 only first-match routine.
 """
 

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .companion import CompanionEvaluator
-from .data import BinaryDataset, PredictionVector, synth_oracle
+from .data import BinaryDataset, PredictionVector, pack_bool, synth_oracle
 from .rules import Rule, RuleList
 from .streams import Stream, child_seeds
 
@@ -44,24 +42,29 @@ def planted_benchmark(
 ) -> PlantedBenchmark:
     """Generate the benchmark dataset, oracle predictions, and the true list.
 
-    Deterministic given its arguments. The black-box is stitched from two
-    seeded oracles: per-row accuracy ``covered_oracle_accuracy`` on rows the
-    planted list covers and ``oracle_accuracy`` elsewhere.
+    Deterministic given its arguments. Row i's features are the i-th row of
+    an ``n_rows`` x 10 row-major batch of uniforms, each below its feature's
+    probability. The black-box is stitched from two seeded oracles: per-row
+    accuracy ``covered_oracle_accuracy`` on rows the planted list covers and
+    ``oracle_accuracy`` elsewhere.
     """
     feature_seed, label_seed, covered_seed, elsewhere_seed = child_seeds(seed, 4)
 
-    matrix = Stream(feature_seed).random((n_rows, len(FEATURE_PROBS))) < np.array(FEATURE_PROBS)
-    names = tuple(f"x{i}" for i in range(len(FEATURE_PROBS)))
+    d = len(FEATURE_PROBS)
+    uniforms = Stream(feature_seed).random(n_rows * d)
+    feature_bits = tuple(
+        pack_bool(bytes(map(p.__gt__, uniforms[j::d]))) for j, p in enumerate(FEATURE_PROBS)
+    )
+    names = tuple(f"x{i}" for i in range(d))
 
-    labels = (Stream(label_seed).random(n_rows) < ELSEWHERE_POSITIVE_RATE).astype(np.uint8)
-    shell = BinaryDataset.from_bool_matrix(matrix, labels, names)
+    labels = bytes(map(ELSEWHERE_POSITIVE_RATE.__gt__, Stream(label_seed).random(n_rows)))
+    shell = BinaryDataset(feature_bits, names, labels, n_rows)
     # the planted list answers the rows it covers, the random labels the rest
     evaluator = CompanionEvaluator(PLANTED, shell, PredictionVector(labels))
     labels, provenance = evaluator.level_predictions(len(PLANTED))
-    data = BinaryDataset.from_bool_matrix(matrix, labels, names)
+    data = BinaryDataset(feature_bits, names, labels, n_rows)
 
-    covered = provenance >= 0
     on_rules = synth_oracle(labels, covered_oracle_accuracy, covered_seed).preds
     elsewhere = synth_oracle(labels, oracle_accuracy, elsewhere_seed).preds
-    preds = PredictionVector(np.where(covered, on_rules, elsewhere).astype(np.uint8))
-    return PlantedBenchmark(data=data, preds=preds, planted=PLANTED)
+    preds = bytes(a if k >= 0 else b for a, b, k in zip(on_rules, elsewhere, provenance))
+    return PlantedBenchmark(data=data, preds=PredictionVector(preds), planted=PLANTED)

@@ -35,5 +35,6 @@ def make_random_dataset(seed, n_rows=40, n_features=6, p=0.5, label_rate=0.5):
 def make_random_preds(seed, data, accuracy=0.7):
     rng = np.random.default_rng(seed)
     keep = rng.random(data.n_rows) < accuracy
-    preds = np.where(keep, data.labels, 1 - data.labels).astype(np.uint8)
+    labels = np.frombuffer(data.labels, dtype=np.uint8)
+    preds = np.where(keep, labels, 1 - labels).astype(np.uint8)
     return PredictionVector(preds)

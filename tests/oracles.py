@@ -13,11 +13,20 @@ from itertools import combinations
 import numpy as np
 
 
-def simulate_first_match(rule_specs, matrix: np.ndarray) -> np.ndarray:
+def as_array(values) -> np.ndarray:
+    """A package row vector (bytes, one value a row) or matrix (a tuple of
+    rows) as a numpy array; any other sequence through ``np.asarray``."""
+    if isinstance(values, bytes):
+        return np.frombuffer(values, dtype=np.uint8)
+    return np.asarray(values)
+
+
+def simulate_first_match(rule_specs, matrix) -> np.ndarray:
     """Per-row index of the first rule whose conditions all hold, else -1.
 
     ``rule_specs`` is a sequence of (condition_indices, output) pairs.
     """
+    matrix = np.asarray(matrix, dtype=bool)
     n = matrix.shape[0]
     out = np.full(n, -1, dtype=int)
     for i in range(n):
@@ -34,6 +43,7 @@ def simulate_curve(rule_specs, matrix, labels, bb_preds):
     Returns (covered_counts, rule_correct_counts, bb_rest_counts, points),
     each indexed by level m = 0..M.
     """
+    matrix = np.asarray(matrix, dtype=bool)
     n = matrix.shape[0]
     match = simulate_first_match(rule_specs, matrix)
     m_levels = len(rule_specs)
@@ -83,7 +93,7 @@ def brute_force_pool(matrix, labels, gamma: float, max_cardinality: int):
     compared with >= gamma exactly as the miner does.
     """
     matrix = np.asarray(matrix, dtype=bool)
-    labels = np.asarray(labels)
+    labels = as_array(labels)
     d = matrix.shape[1]
     out = {}
     for z in (0, 1):
@@ -107,8 +117,8 @@ def exhaustive_best_autac(pool_rules, matrix, labels, bb_preds, max_len=3):
     module and never touches the package's scorer.
     """
     matrix = np.asarray(matrix, dtype=bool)
-    labels = np.asarray(labels).astype(bool)
-    bb_ok = np.asarray(bb_preds).astype(bool) == labels
+    labels = as_array(labels).astype(bool)
+    bb_ok = as_array(bb_preds).astype(bool) == labels
     n = matrix.shape[0]
     covers = []
     hits = []

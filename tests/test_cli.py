@@ -13,6 +13,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crl import (
     BinarizationManifest,
@@ -1483,10 +1485,16 @@ def first_column(obj):
             lambda m: m["rules"][0]["stats"].update(accuracy=int("9" * 400)),
             "rule stats must be finite numbers",
         ),
+        # exited 3 with a Python message naming neither the column nor the field
+        (
+            "manifest.json",
+            lambda m: first_column(m).update(edges=5),
+            "manifest column 'a': edges must be a list or null, not 5",
+        ),
     ],
     ids=["descending-edges", "nan-edge", "unknown-kind", "categorical-edges", "nan-stat",
          "nan-config", "bool-version", "float-version", "bool-output", "float-output",
-         "400-digit-stat"],
+         "400-digit-stat", "int-edges"],
 )
 def test_corrupted_json_input_is_data_error(tmp_path, capsys, name, edit, message):
     data_path = tmp_path / "d.csv"
@@ -1580,3 +1588,16 @@ def test_input_file_that_is_not_utf8_is_data_error(bench_dir, trained_dir, tmp_p
     assert code == 3
     line = one_error_line(capsys, "data error")
     assert f"{bad}: not valid UTF-8" in line
+
+
+@given(
+    values=st.lists(
+        st.one_of(st.floats(0, 1), st.floats(-1e6, 1e6, allow_nan=False)), min_size=2, max_size=300
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_cv_mean_and_std_equal_numpy(values):
+    # numpy sums float64 pairwise: a loop below 8 values, 8 partial sums up
+    # to 128, halves above; the report's mean and std must match it bit for bit
+    assert cli._mean(values).hex() == float(np.mean(values)).hex()
+    assert cli._sample_std(values).hex() == float(np.std(values, ddof=1)).hex()

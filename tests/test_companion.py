@@ -14,7 +14,7 @@ from crl import (
 from crl.objective import level_for_t
 
 from conftest import make_random_dataset, make_random_preds
-from oracles import random_instance, simulate_first_match
+from oracles import as_array, random_instance, simulate_first_match
 
 
 def fixed_model(seed=11, n_rows=240):
@@ -38,36 +38,37 @@ class TestLevelPredictions:
         data, preds, rl = d4
         ev = CompanionEvaluator(rl, data, preds)
         out, prov = ev.level_predictions(0)
-        assert out.tolist() == preds.preds.tolist()
-        assert (prov == -1).all()
+        assert out == preds.preds
+        assert prov == [-1] * data.n_rows
 
     def test_full_level_uses_rules_with_fallback(self, d4):
         data, preds, rl = d4
         ev = CompanionEvaluator(rl, data, preds)
         out, prov = ev.level_predictions(2)
         # rows 0,1 match rule 0; row 2 matches rule 1; row 3 falls back
-        assert prov.tolist() == [0, 0, 1, -1]
-        assert out.tolist() == [1, 1, 1, 1]
+        assert prov == [0, 0, 1, -1]
+        assert list(out) == [1, 1, 1, 1]
 
     def test_level_accuracy_matches_curve(self):
         ev = fixed_model()
-        labels = ev.data.labels
+        labels = as_array(ev.data.labels)
         for m in range(ev.n_levels + 1):
             out, _ = ev.level_predictions(m)
-            assert (out == labels).sum() / len(labels) == ev.curve.points[m][1]
+            assert (as_array(out) == labels).sum() / len(labels) == ev.curve.points[m][1]
 
     def test_provenance_counts_match_exclusive_covers(self):
         ev = fixed_model()
         specs = [(r.conditions, r.output) for r in ev.rule_list]
         match = simulate_first_match(specs, ev.data.matrix)
         _, prov = ev.level_predictions(ev.n_levels)
+        prov = np.array(prov)
         for k in range(ev.n_levels):
             assert int((prov == k).sum()) == int((match == k).sum())
 
     def test_residual_fraction(self):
         ev = fixed_model()
         _, prov = ev.level_predictions(ev.n_levels)
-        assert float((prov == -1).mean()) == pytest.approx(ev.residual_fraction())
+        assert float((np.array(prov) == -1).mean()) == pytest.approx(ev.residual_fraction())
 
     def test_level_out_of_range(self):
         ev = fixed_model()
@@ -88,7 +89,7 @@ class TestLevelPredictions:
         for m in range(len(specs) + 1):
             out, prov = ev.level_predictions(m)
             expected = np.where((match >= 0) & (match < m), match, -1)
-            assert prov.tolist() == expected.tolist()
+            assert prov == expected.tolist()
             for i in range(len(bb)):
                 want = bb[i] if expected[i] == -1 else specs[expected[i]][1]
                 assert out[i] == want
@@ -102,8 +103,8 @@ class TestStochasticPredictions:
             lvl_out, lvl_prov = ev.level_predictions(m)
             for seed in (0, 1, 99):
                 out, prov = ev.stochastic_predictions(ts[m], np.random.default_rng(seed), ts)
-                assert out.tolist() == lvl_out.tolist()
-                assert prov.tolist() == lvl_prov.tolist()
+                assert out == lvl_out
+                assert prov == lvl_prov
 
     def test_beyond_coverage_raises(self):
         ev = fixed_model()
@@ -133,7 +134,7 @@ class TestStochasticPredictions:
         ts = ev.curve.transparency
         tied = (ts[0], ts[1], ts[1], *ts[3:])
         out, _ = ev.stochastic_predictions(ts[1], np.random.default_rng(0), tied)
-        assert out.tolist() == ev.level_predictions(2)[0].tolist()
+        assert out == ev.level_predictions(2)[0]
 
     def test_expected_transparency_midpoint(self):
         ev = fixed_model()
@@ -144,7 +145,7 @@ class TestStochasticPredictions:
         total = 0.0
         for _ in range(draws):
             _, prov = ev.stochastic_predictions(t, rng, ts)
-            total += (prov >= 0).mean()
+            total += (np.array(prov) >= 0).mean()
         assert abs(total / draws - t) <= 0.01
 
     def test_matches_per_instance_reference(self):
@@ -172,12 +173,12 @@ class TestStochasticPredictions:
         ts = ev.curve.transparency
         t = (ts[2] + ts[3]) / 2
         full_out, full_prov = ev.stochastic_predictions(t, np.random.default_rng(3), ts)
-        rows = np.arange(ev.data.n_rows // 3)
+        rows = range(ev.data.n_rows // 3)
         head = CompanionEvaluator(ev.rule_list, ev.data.subset(rows), ev.preds.subset(rows))
         assert head.curve.transparency != ts
         out, prov = head.stochastic_predictions(t, np.random.default_rng(3), ts)
-        assert out.tolist() == full_out[rows].tolist()
-        assert prov.tolist() == full_prov[rows].tolist()
+        assert out == full_out[: len(rows)]
+        assert prov == full_prov[: len(rows)]
 
 
 class TestCompanionModel:
@@ -216,8 +217,9 @@ class TestAlignment:
         ev = CompanionEvaluator(rl, data, preds)
         for m in range(len(rl) + 1):
             out, prov = ev.level_predictions(m)
-            rule_part = int(((prov >= 0) & (out == data.labels)).sum())
-            bb_part = int(((prov == -1) & (out == data.labels)).sum())
+            out, prov, labels = as_array(out), np.array(prov), as_array(data.labels)
+            rule_part = int(((prov >= 0) & (out == labels)).sum())
+            bb_part = int(((prov == -1) & (out == labels)).sum())
             assert rule_part == ev.curve.rule_correct_counts[m]
             total = ev.curve.points[m][1] * data.n_rows
             assert rule_part + bb_part == round(total)

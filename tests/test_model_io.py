@@ -53,7 +53,7 @@ class TestModelRoundTrip:
         for m in range(len(rl) + 1):
             a, pa = ev1.level_predictions(m)
             b, pb = ev2.level_predictions(m)
-            assert a.tolist() == b.tolist() and pa.tolist() == pb.tolist()
+            assert a == b and pa == pb
 
     def test_stats_carry_curve_values(self, d4):
         doc, c = trained_doc(d4)

@@ -17,7 +17,7 @@ from crl.data import pack_bool
 from crl.objective import TradeoffCurve, cover_masks, level_for_t, sweep
 
 from conftest import make_random_dataset, make_random_preds
-from oracles import random_instance, simulate_autac, simulate_curve, simulate_first_match
+from oracles import as_array, random_instance, simulate_autac, simulate_curve, simulate_first_match
 
 FIG_POINTS = ((0.0, 0.92), (0.4, 0.90), (0.7, 0.84), (1.0, 0.75))
 FIG_T = tuple(t for t, _ in FIG_POINTS)
@@ -157,9 +157,9 @@ class TestInvariants:
         c1 = curve(rl, data, preds)
         perm = np.random.default_rng(seed).permutation(data.n_rows)
         data2 = BinaryDataset.from_bool_matrix(
-            data.matrix[perm], data.labels[perm], data.feature_names
+            np.array(data.matrix)[perm], as_array(data.labels)[perm], data.feature_names
         )
-        preds2 = PredictionVector(preds.preds[perm])
+        preds2 = PredictionVector(as_array(preds.preds)[perm])
         c2 = curve(rl, data2, preds2)
         assert c1.points == c2.points
         assert autac_hat(c1) == autac_hat(c2)

@@ -143,6 +143,46 @@ def test_only_streams_draws_random_numbers():
     assert {name: found for name, found in drawing.items() if found} == {}
 
 
+def numpy_imports(source: str) -> list[str]:
+    """Each place ``source`` imports numpy or one of its submodules, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.level == 0 else []
+        elif isinstance(node, ast.Call) and node.args:
+            func, arg = node.func, node.args[0]
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            dynamic = called in ("import_module", "__import__") and isinstance(arg, ast.Constant)
+            names = [arg.value] if dynamic else []
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.split(".")[0] == "numpy"]
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
+def test_numpy_imports_finds_every_spelling():
+    source = (
+        "import numpy\nimport numpy.random as r\nfrom numpy import array\n"
+        "from numpy.linalg import norm\nimport os, numpy as np\nfrom . import numpy\n"
+        "import numpyish\nm = importlib.import_module('numpy')\nn = __import__('numpy.fft')\n"
+    )
+    assert numpy_imports(source) == [
+        "1:numpy", "2:numpy.random", "3:numpy", "4:numpy.linalg", "5:numpy", "8:numpy",
+        "9:numpy.fft",
+    ]
+
+
+def test_no_module_imports_numpy():
+    # no crl process pays for importing numpy; the tests alone use it, as an oracle
+    importing = {
+        path.name: numpy_imports(path.read_text())
+        for path in sorted((ROOT / "src" / "crl").glob("*.py"))
+    }
+    assert {name: found for name, found in importing.items() if found} == {}
+
+
 SWEEP_NAMES = {"sweep", "cover_masks", "SweepLevels"}
 
 
@@ -224,6 +264,69 @@ def test_cli_import_leaves_multiprocessing_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+# Runs one crl command with a given usable-CPU count, then prints whether
+# numpy was imported by the time the command returned.
+NUMPY_DRIVER = (
+    "import sys\n"
+    "from crl import cli, search\n"
+    "search._usable_cpus = lambda: int(sys.argv[1])\n"
+    "code = cli.main(sys.argv[2:])\n"
+    "print('numpy' in sys.modules)\n"
+    "sys.exit(code)\n"
+)
+PLANTED = ("--data", "bench/data.csv", "--label-column", "label", "--preds", "bench/preds.txt")
+MODEL = ("--model", "run/model.json", "--manifest", "run/manifest.json")
+
+
+def run_numpy_free(cwd: Path, workers: int, *argv: str) -> None:
+    """Run ``crl argv`` in a fresh process; it must succeed without importing numpy."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_DRIVER, str(workers), *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "False", f"crl {argv[0]} imported numpy"
+
+
+@pytest.fixture(scope="module")
+def planted_run(tmp_path_factory):
+    """A planted benchmark and a model trained on it, made by numpy-free runs."""
+    work = tmp_path_factory.mktemp("numpy_free")
+    run_numpy_free(work, 1, "synth", "--rows", "300", "--out", "bench")
+    run_numpy_free(work, 1, "train", *PLANTED, "--iters", "200", "--out", "run")
+    return work
+
+
+@pytest.mark.parametrize(
+    "workers, argv",
+    [
+        (1, ("synth", "--rows", "300", "--seed", "1", "--out", "bench1")),
+        (1, ("train", *PLANTED, "--iters", "200", "--out", "run1")),
+        (1, ("evaluate", *PLANTED, *MODEL)),
+        (1, ("predict", *PLANTED, *MODEL, "--level", "1", "--out", "level.csv")),
+        (1, ("predict", *PLANTED, *MODEL, "--transparency", "0.2", "--out", "t.csv")),
+        (1, ("predict", *PLANTED, *MODEL, "--all-blackbox", "--out", "blackbox.csv")),
+        (1, ("predict", *PLANTED, *MODEL, "--all-rules", "--out", "rules.csv")),
+        (1, ("cv", *PLANTED, "--folds", "3", "--iters", "100", "--out", "cv1")),
+        (2, ("cv", *PLANTED, "--folds", "3", "--iters", "100", "--out", "cv2")),
+        (1, ("tune", *PLANTED, "--iters", "100", "--candidates", "0.001,0.01", "--out", "t.json")),
+        (1, ("mine", "--data", "bench/data.csv", "--label-column", "label", "--out", "pool.json")),
+    ],
+    ids=[
+        "synth", "train", "evaluate", "predict-level", "predict-transparency",
+        "predict-all-blackbox", "predict-all-rules", "cv-1-worker", "cv-2-workers", "tune",
+        "mine",
+    ],
+)
+def test_command_runs_without_numpy(planted_run, workers, argv):
+    run_numpy_free(planted_run, workers, *argv)
+
 
 @pytest.mark.parametrize(
     "script, args",

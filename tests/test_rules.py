@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from crl import BinaryDataset, Rule, RuleList
 from crl.data import pack_bool
-from crl.objective import cover_masks, first_match_indices, sweep
+from crl.objective import FirstMatch, cover_masks, sweep
 from crl.rules import raw_cover
 
 from conftest import make_random_dataset
@@ -19,7 +19,7 @@ def to_indices(bits):
 def match_of(rule_list, data):
     """Per-row first-match index, read off the list's prefix sweep."""
     levels = sweep(cover_masks(rule_list, data, 0), 0, data.n_rows)
-    return first_match_indices(levels, data.n_rows)
+    return FirstMatch.from_sweep(levels, data.n_rows).indices()
 
 
 def dataset_from_columns(columns, n_rows):
@@ -63,17 +63,17 @@ class TestExclusiveCovers:
     def test_hand_example(self):
         data = dataset_from_columns([{0, 1}, {1, 2}], 4)
         rl = RuleList((Rule((0,), 1), Rule((1,), 1)))
-        assert match_of(rl, data).tolist() == [0, 0, 1, -1]
+        assert match_of(rl, data) == [0, 0, 1, -1]
 
     def test_first_rule_keeps_raw_cover(self):
         data = dataset_from_columns([{0, 3}, {1}], 4)
         rl = RuleList((Rule((0,), 1), Rule((1,), 0)))
-        assert pack_bool(match_of(rl, data) == 0) == raw_cover(rl[0], data)
+        assert pack_bool(k == 0 for k in match_of(rl, data)) == raw_cover(rl[0], data)
 
     def test_shadowed_rule_empty(self):
         data = dataset_from_columns([{0, 1}], 4)
         rl = RuleList((Rule((0,), 1), Rule((0,), 0)))
-        assert match_of(rl, data).tolist() == [0, 0, -1, -1]
+        assert match_of(rl, data) == [0, 0, -1, -1]
 
     @given(
         seed=st.integers(0, 2**31),
@@ -99,21 +99,31 @@ class TestExclusiveCovers:
             specs.append(shadowed)
         rl = RuleList(tuple(Rule(c, z) for c, z in specs))
         idx = match_of(rl, data)
-        assert idx.dtype == np.int32
-        assert idx.tolist() == simulate_first_match(specs, data.matrix).tolist()
+        assert all(type(k) is int for k in idx)
+        assert idx == simulate_first_match(specs, data.matrix).tolist()
         raw_union = 0
         for r in rl:
             raw_union |= raw_cover(r, data)
-        assert pack_bool(idx >= 0) == raw_union
+        assert pack_bool(k >= 0 for k in idx) == raw_union
         if shadow:
-            assert not (idx == len(rl) - 1).any()
+            assert len(rl) - 1 not in idx
+
+
+@pytest.mark.parametrize("n_rules", [127, 128, 300])
+def test_first_match_of_long_lists(n_rules):
+    # an index takes two bytes once the list has 128 rules or more
+    data = make_random_dataset(5, n_rows=200, n_features=30, p=0.1)
+    pairs = [(i, j) for i in range(30) for j in range(i + 1, 30)]
+    specs = [(pair, k % 2) for k, pair in enumerate(pairs[:n_rules])]
+    rl = RuleList(tuple(Rule(c, z) for c, z in specs))
+    assert match_of(rl, data) == simulate_first_match(specs, data.matrix).tolist()
 
 
 def first_match_output(rule_list, instance):
     """The first matching rule's output for one instance; None when no rule fires."""
     names = tuple(f"f{j}" for j in range(len(instance)))
     data = BinaryDataset.from_bool_matrix([instance], np.zeros(1, np.uint8), names)
-    k = int(match_of(rule_list, data)[0])
+    k = match_of(rule_list, data)[0]
     return None if k < 0 else rule_list[k].output
 
 

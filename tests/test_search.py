@@ -35,7 +35,7 @@ from crl.search import (
 )
 
 from conftest import make_random_dataset, make_random_preds
-from oracles import simulate_first_match
+from oracles import as_array, simulate_first_match
 
 
 def small_problem(seed=0, n_rows=120):
@@ -47,7 +47,7 @@ def small_problem(seed=0, n_rows=120):
 
 def rules_only_oracle(data, rule_list, alpha):
     """Rules-only objective by per-row first match; the majority class answers the rest."""
-    labels = data.labels.astype(int)
+    labels = as_array(data.labels).astype(int)
     majority = 1 if 2 * int(labels.sum()) >= data.n_rows else 0
     specs = [(r.conditions, r.output) for r in rule_list]
     match = simulate_first_match(specs, data.matrix)
@@ -301,7 +301,7 @@ class TestRunSearch:
 
     def test_perfect_rule_is_kept(self):
         data = make_random_dataset(21, n_rows=100, n_features=4, p=0.5)
-        labels = data.matrix[:, 0].astype(np.uint8)  # label equals feature 0
+        labels = np.array(data.matrix)[:, 0].astype(np.uint8)  # label equals feature 0
         import crl
 
         data = crl.BinaryDataset.from_bool_matrix(data.matrix, labels, data.feature_names)
