@@ -26,28 +26,43 @@ from crl.objective import cover_masks, sweep
 
 
 def exhaustive_best(pool, data, preds, max_len=3):
-    """Brute-force AUTAC maximum over ordered lists of length <= max_len.
+    """Exact AUTAC maximum over ordered lists of length <= max_len.
 
     A depth-first walk over list prefixes: each node resumes its parent's
-    per-level :func:`sweep` state and sweeps one more rule.
+    per-level :func:`sweep` state and sweeps one more rule. Two prefix bounds
+    in the manner of CORELS (Angelino et al. 2018) cut the walk without
+    changing its answer:
+
+    * a rule that covers no new row adds no area, and the list without it is
+      walked too, so it is skipped (so is every rule already in the prefix);
+    * the rows a prefix covers keep their answers in every extension, so an
+      extension adds at most (1 - t) * a_max, where t is the prefix's
+      transparency and a_max its accuracy with every uncovered row counted
+      correct. A prefix whose area plus that bound falls short of the best
+      list found is not extended; the margin of 1e-12 keeps float rounding
+      from ever cutting the optimum.
     """
     n = data.n_rows
     bb = preds.correct_mask(data.labels)
     masks = cover_masks(pool.rules, data, bb)
     best = 0.0
 
-    def extend(prefix_ids, levels):
+    def extend(levels):
         nonlocal best
-        depth = len(prefix_ids)
-        for j, mask in enumerate(masks):
-            if j in prefix_ids:
+        covered, correct, count, t, _, area = levels[-1]
+        a_max = ((covered & correct).bit_count() + n - count) / n
+        if 0.5 * area + (1 - t) * a_max + 1e-12 < best:
+            return
+        depth = len(levels) - 1
+        for mask in masks:
+            if not mask[0] & ~covered:
                 continue
             child = sweep((mask,), bb, n, levels, depth)
             best = max(best, 0.5 * child[-1][-1])
             if depth + 1 < max_len:
-                extend(prefix_ids | {j}, child)
+                extend(child)
 
-    extend(frozenset(), sweep((), bb, n))
+    extend(sweep((), bb, n))
     return best
 
 

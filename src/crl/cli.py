@@ -296,10 +296,30 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _refuse_fresh_bins(doc: ModelDocument, manifest: BinarizationManifest) -> None:
+    """Refuse a model that names a feature of a numeric column of ``manifest``.
+
+    ``manifest`` was fitted on the rows being scored, so its quantile bins
+    need not cover the ranges the training bins of the same names covered.
+    """
+    binned = {
+        name for c in manifest.columns if c.edges is not None for name in c.feature_names()
+    }
+    for r in doc.rules:
+        for name in r.conditions:
+            if name in binned:
+                raise UsageError(
+                    f"model names {name!r}, a quantile bin fitted on the rows being "
+                    "scored; pass the training --manifest"
+                )
+
+
 def _evaluate_model(args) -> tuple[CompanionEvaluator, ModelDocument]:
-    data, _ = _load_dataset(args)
+    data, manifest = _load_dataset(args)
     preds = _load_preds(args, data)
     doc = load_model(args.model)
+    if not args.manifest:
+        _refuse_fresh_bins(doc, manifest)
     rules = resolve_rules(doc, data)
     return CompanionEvaluator(rules, data, preds), doc
 

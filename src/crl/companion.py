@@ -20,9 +20,10 @@ row's own draw decide its answer; the other rows never do.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from operator import or_
 
-from .data import BinaryDataset, PredictionVector, pack_bool, unpack_bool
+from .data import BinaryDataset, PredictionVector, unpack_bool
 from .errors import DataError
 from .objective import (
     FirstMatch,
@@ -60,6 +61,7 @@ class CompanionEvaluator:
         self._covered = [level[0] for level in levels]  # S_m, the rows of the first m rules
         exclusive = [after ^ before for before, after in zip(self._covered, self._covered[1:])]
         self._exclusive = exclusive + [0]  # no rule after the last
+        self._bands: dict[int, list[int]] = {}  # see _band_rows
         # the rows whose first-match rule answers 1
         self._rule_positive = reduce(or_, (e for e, r in zip(exclusive, rule_list) if r.output), 0)
 
@@ -103,7 +105,8 @@ class CompanionEvaluator:
         i-th of one batch of ``n_rows`` uniforms drawn by ``rng.random(n_rows)``
         (a :class:`~crl.streams.Stream`, or any object whose ``random(n)``
         returns n floats, such as a numpy ``Generator``); rows whose first
-        match is rule index m adopt it when that draw is < q. On the
+        match is rule index m adopt it when that draw is < q. Only those
+        rows' draws are compared: the others never read theirs. On the
         training rows the expected fraction of rule-answered rows equals t;
         on any rows, t equal to level m's entry (q = 0) gives level m's
         predictions for every seed. Levels whose transparencies are given
@@ -119,5 +122,16 @@ class CompanionEvaluator:
                 f"level transparencies must ascend, got {tuple(map(float, level_transparencies))}"
             )
         m, q = level_for_t(level_transparencies, t)
-        drawn = pack_bool(bytes(map(float(q).__gt__, rng.random(self.data.n_rows))))
-        return self._assemble(self._covered[m] | self._exclusive[m] & drawn)
+        draws = rng.random(self.data.n_rows)
+        band = self._band_rows(m)
+        # float's own comparison, which takes a numpy float64 as a float, too
+        adopted = compress(band, map(float(q).__gt__, map(draws.__getitem__, band)))
+        return self._assemble(self._covered[m] | sum(map((1).__lshift__, adopted)))
+
+    def _band_rows(self, m: int) -> list[int]:
+        """The rows of rule index m's exclusive cover, ascending; made once per m."""
+        rows = self._bands.get(m)
+        if rows is None:
+            n = self.data.n_rows
+            rows = self._bands[m] = list(compress(range(n), unpack_bool(self._exclusive[m], n)))
+        return rows

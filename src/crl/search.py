@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass, field, replace
+from itertools import cycle, islice
 from typing import NamedTuple
 
 from .data import BinaryDataset, PredictionVector, _first_repeat
@@ -287,15 +288,31 @@ def _call_job(i: int):
     return None if _stop.is_set() else _job(i)
 
 
+def _move_worker(cpus) -> None:
+    """Move this worker to the next CPU in ``cpus``, then let it run on its whole mask again.
+
+    A forked worker starts on its parent's CPU and tends to stay there, so the
+    chains would share one core. Once moved, the worker stays where it was
+    put until the kernel has a reason to move it. A move that fails (a CPU
+    taken offline since the parent read its mask) leaves the worker where it
+    is: an initializer that raises would break the whole pool.
+    """
+    mask = os.sched_getaffinity(0)
+    with suppress(OSError):
+        os.sched_setaffinity(0, {cpus.get()})
+        os.sched_setaffinity(0, mask)
+
+
 def _run_chains(job, n: int, noun: str):
     """``job(i)`` for each ``i`` in ``range(n)``, in order.
 
     On more than one usable CPU the chains run in up to that many forked worker
-    processes. Closing the generator, which a failed chain does too, sets a
-    stop event: a chain a worker has not started yet is skipped, and the ones
-    running are waited for, so no healthy worker is killed mid-write. A dead
-    worker breaks the pool: every pending chain fails with it, so the error
-    names the chain the run was waiting on, not necessarily the dead one.
+    processes, each first moved to a CPU of its own by :func:`_move_worker`.
+    Closing the generator, which a failed chain does too, sets a stop event: a
+    chain a worker has not started yet is skipped, and the ones running are
+    waited for, so no healthy worker is killed mid-write. A dead worker breaks
+    the pool: every pending chain fails with it, so the error names the chain
+    the run was waiting on, not necessarily the dead one.
     """
     global _job, _stop
     workers = min(n, _usable_cpus())
@@ -308,7 +325,14 @@ def _run_chains(job, n: int, noun: str):
 
     context = get_context("fork")
     _job, _stop = job, context.Event()
-    ex = ProcessPoolExecutor(workers, mp_context=context)
+    # one CPU for each worker, in mask order; cycled, so that no worker waits
+    # on an empty queue should there be more workers than CPUs in the mask
+    cpus = context.SimpleQueue()
+    for cpu in islice(cycle(sorted(os.sched_getaffinity(0))), workers):
+        cpus.put(cpu)
+    ex = ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_move_worker, initargs=(cpus,)
+    )
     try:
         results = ex.map(_call_job, range(n))  # drops each future as it yields its result
         for i in range(n):

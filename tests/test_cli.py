@@ -36,7 +36,7 @@ from crl import cli, search
 from crl.cli import main
 from crl.data import synth_oracle
 from crl.errors import SearchError
-from crl.model_io import ModelDocument, save_model
+from crl.model_io import ModelDocument, ModelRule, save_model
 from crl.streams import child_seeds
 
 from oracles import read_curve_csv, simulate_first_match
@@ -872,6 +872,61 @@ def one_error_line(capsys, kind):
     return err[0]
 
 
+class TestModelWithoutManifest:
+    # Without --manifest a held-out table is binarized on its own rows. Its
+    # ages are shifted by +15, so "age=binK" would name another range of ages
+    # there: the run exited 0 with a wrong curve before it was refused.
+    @pytest.fixture
+    def shifted_age(self, tmp_path):
+        rng = np.random.default_rng(12)
+
+        def write(path, shift):
+            age = rng.normal(40, 10, 600)
+            color = rng.choice(["red", "green", "blue"], 600)
+            y = (age > 45) ^ (rng.random(600) < 0.1)
+            path.write_text(
+                "age,color,y\n"
+                + "".join(f"{a + shift:.1f},{c},{int(v)}\n" for a, c, v in zip(age, color, y))
+            )
+
+        write(tmp_path / "train.csv", 0)
+        write(tmp_path / "held_out.csv", 15)
+        common = ("--label-column", "y", "--oracle-accuracy", 0.8)
+        out = tmp_path / "run"
+        assert run("train", "--data", tmp_path / "train.csv", *common, "--out", out) == 0
+        conditions = {c for r in load_model(out / "model.json").rules for c in r.conditions}
+        assert any(c.startswith("age=bin") for c in conditions)
+        return ("--data", tmp_path / "held_out.csv", *common), out
+
+    @pytest.mark.parametrize(
+        "command, mode",
+        [("evaluate", ()), ("pair", ()), ("predict", ("--level", 1, "--out", "p.csv"))],
+    )
+    def test_binned_model_is_refused_without_the_training_manifest(
+        self, shifted_age, tmp_path, capsys, command, mode
+    ):
+        common, out = shifted_age
+        mode = tuple(tmp_path / m if m == "p.csv" else m for m in mode)
+        argv = (command, *common, "--model", out / "model.json", *mode)
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert re.fullmatch(
+            r"usage error: model names 'age=bin\d+', a quantile bin fitted on the rows "
+            r"being scored; pass the training --manifest",
+            one_error_line(capsys, "usage error"),
+        )
+        assert not (tmp_path / "p.csv").exists()
+        assert run(*argv, "--manifest", out / "manifest.json") == 0
+
+    def test_categorical_model_runs_without_a_manifest(self, shifted_age, tmp_path, capsys):
+        common, _ = shifted_age
+        model = tmp_path / "red.json"
+        save_model(model, ModelDocument((ModelRule(("color=red",), 1, None),), None))
+        capsys.readouterr()
+        assert run("evaluate", *common, "--model", model) == 0
+        assert capsys.readouterr().out.startswith("autac=")
+
+
 class TestManifestReuse:
     @pytest.fixture
     def yes_no_run(self, tmp_path):
@@ -1126,7 +1181,10 @@ def test_out_of_range_knob_exit_code(tmp_path, capsys, command, knob, value, cod
     elif command == "predict":
         assert run("train", *common, "--iters", 20, "--out", tmp_path / "model") == 0
         capsys.readouterr()
-        extra = ("--model", tmp_path / "model" / "model.json", "--transparency", 0)
+        model = tmp_path / "model"
+        # the model names quantile bins, so it is scored with its training manifest
+        extra = ("--model", model / "model.json", "--manifest", model / "manifest.json")
+        extra = (*extra, "--transparency", 0)
     else:
         extra = ("--iters", 20, *extra)
     got = run(command, *common, *extra, knob, value, "--out", tmp_path / "out")

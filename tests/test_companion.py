@@ -12,6 +12,7 @@ from crl import (
     RuleList,
 )
 from crl.objective import level_for_t
+from crl.streams import Stream
 
 from conftest import make_random_dataset, make_random_preds
 from oracles import as_array, random_instance, simulate_first_match
@@ -179,6 +180,37 @@ class TestStochasticPredictions:
         out, prov = head.stochastic_predictions(t, np.random.default_rng(3), ts)
         assert out == full_out[: len(rows)]
         assert prov == full_prov[: len(rows)]
+
+    @given(
+        seed=st.integers(0, 2**31),
+        n_rows=st.integers(1, 60),
+        where=st.floats(0.0, 1.0),
+        draw_seed=st.integers(0, 2**63),
+        kind=st.sampled_from(["stream", "numpy"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_band_only_equals_comparing_every_row(self, seed, n_rows, where, draw_seed, kind):
+        # only the band's draws are compared; comparing every row's draw and
+        # keeping the band's answers must give the same predictions
+        data = make_random_dataset(seed, n_rows=n_rows, n_features=6, p=0.4)
+        preds = make_random_preds(seed + 1, data)
+        rl = RuleList((Rule((0,), 1), Rule((1, 2), 0), Rule((3,), 1), Rule((4,), 0)))
+        ev = CompanionEvaluator(rl, data, preds)
+        ts = ev.curve.transparency
+        t = where * ts[-1]
+
+        def rng():
+            return Stream(draw_seed) if kind == "stream" else np.random.default_rng(draw_seed)
+
+        out, prov = ev.stochastic_predictions(t, rng(), ts)
+        m, q = level_for_t(ts, t)
+        below = [q > e for e in rng().random(n_rows)]  # every row's draw compared
+        _, match = ev.level_predictions(ev.n_levels)
+        want_prov = [k if 0 <= k < m or (k == m and b) else -1 for k, b in zip(match, below)]
+        want_out = bytes(
+            preds.preds[i] if k == -1 else rl[k].output for i, k in enumerate(want_prov)
+        )
+        assert (out, prov) == (want_out, want_prov)
 
 
 class TestCompanionModel:

@@ -9,9 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import crl
 from crl import RuleList, autac_hat, curve, mine_rules, planted_benchmark
+
+from conftest import make_random_dataset, make_random_preds
+from oracles import exhaustive_best_autac
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -360,3 +365,22 @@ def test_planted_benchmark_script_optimum_is_the_package_autac_maximum(seed):
     expected = max(autac_hat(curve(RuleList(rules), bench.data, bench.preds)) for rules in lists)
     got = script["exhaustive_best"](pool, bench.data, bench.preds, max_len=2)
     assert got == expected
+
+
+@given(
+    seed=st.integers(0, 2**31),
+    n_rows=st.integers(4, 60),
+    gamma=st.sampled_from([0.1, 0.2, 0.3]),
+    max_len=st.integers(2, 3),  # the lengths the oracle walks
+)
+@settings(max_examples=40, deadline=None)
+def test_planted_benchmark_script_bounds_keep_the_oracle_optimum(seed, n_rows, gamma, max_len):
+    # the script's pruned walk against the row-by-row brute force of tests/oracles.py
+    script = runpy.run_path(str(ROOT / "scripts" / "run_planted_benchmark.py"))
+    data = make_random_dataset(seed, n_rows=n_rows, n_features=5, p=0.4)
+    preds = make_random_preds(seed + 1, data)
+    assume(all(data.class_masks))  # mining needs both classes
+    pool = mine_rules(data, gamma=gamma, max_cardinality=2)
+    specs = [(r.conditions, r.output) for r in pool.rules]
+    expected = exhaustive_best_autac(specs, data.matrix, data.labels, preds.preds, max_len)
+    assert script["exhaustive_best"](pool, data, preds, max_len=max_len) == expected

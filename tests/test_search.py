@@ -1,5 +1,6 @@
 import hashlib
 import math
+import multiprocessing
 import os
 import time
 from dataclasses import replace
@@ -600,3 +601,45 @@ class TestRunChains:
     def test_usable_cpus_is_one_without_an_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert search._usable_cpus() == 1
+
+    @staticmethod
+    def _affinity_calls(monkeypatch, fail: bool):
+        """Fake the affinity calls of every process forked from here on.
+
+        The parent's mask reads as CPUs 2, 5 and 7 whatever the host has; each
+        process records its ``sched_setaffinity`` calls, and with ``fail``
+        every call raises ``OSError`` as for a CPU taken offline. A job
+        returns its worker's pid and calls; the two jobs wait for each other,
+        so each runs in its own worker.
+        """
+        calls = []
+
+        def setaffinity(pid, mask):
+            calls.append((pid, set(mask)))
+            if fail:
+                raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7, 2, 5})
+        monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+        both_running = multiprocessing.get_context("fork").Barrier(2)
+
+        def job(i):
+            both_running.wait(timeout=30)
+            return os.getpid(), list(calls)
+
+        return job
+
+    def test_each_worker_moves_to_its_own_cpu_then_gets_its_mask_back(self, monkeypatch):
+        job = self._affinity_calls(monkeypatch, fail=False)
+        records = dict(_run_chains(job, 2, "chain"))
+        # the first two CPUs of the parent's mask, one to each worker, then the whole mask
+        calls = sorted(records.values(), key=lambda c: min(c[0][1]))
+        assert calls == [[(0, {2}), (0, {2, 5, 7})], [(0, {5}), (0, {2, 5, 7})]]
+
+    def test_a_failed_move_leaves_the_worker_running(self, monkeypatch):
+        job = self._affinity_calls(monkeypatch, fail=True)
+        results = list(_run_chains(lambda i: (i, job(i)), 2, "chain"))
+        assert [i for i, _ in results] == [0, 1]
+        # the first call failed, so the worker kept the mask it inherited
+        assert all(len(calls) == 1 for _, (_, calls) in results)
