@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from contextlib import closing, suppress
 from dataclasses import dataclass, field, replace
 from itertools import cycle, islice
@@ -277,73 +278,140 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-# The job `_run_chains` is running, and the event that tells a worker to skip
-# it. Workers inherit both through the fork, so no task pickles the data the
-# job reads.
-_job = None
-_stop = None
-
-
-def _call_job(i: int):
-    return None if _stop.is_set() else _job(i)
-
-
-def _move_worker(cpus) -> None:
-    """Move this worker to the next CPU in ``cpus``, then let it run on its whole mask again.
+def _move_worker(cpu: int) -> None:
+    """Move this worker to ``cpu``, then let it run on its whole mask again.
 
     A forked worker starts on its parent's CPU and tends to stay there, so the
     chains would share one core. Once moved, the worker stays where it was
     put until the kernel has a reason to move it. A move that fails (a CPU
     taken offline since the parent read its mask) leaves the worker where it
-    is: an initializer that raises would break the whole pool.
+    is.
     """
     mask = os.sched_getaffinity(0)
     with suppress(OSError):
-        os.sched_setaffinity(0, {cpus.get()})
+        os.sched_setaffinity(0, {cpu})
         os.sched_setaffinity(0, mask)
+
+
+def _serve(job, cpu: int, tasks: int, results: int, others) -> None:
+    """A forked worker: ``job(i)`` for each chain index ``i`` read from ``tasks``.
+
+    The worker first closes ``others``, the parent's ends of every worker's
+    pipes, so that a pipe the parent closes reads as closed. Each reply,
+    ``(True, value)`` or ``(False, exception)``, goes to ``results`` as one
+    pickle behind its 8-byte length. The worker ends when ``tasks`` is
+    closed, when ``results`` is closed under a reply, or when a reply does
+    not pickle, and leaves through ``os._exit``: no ``atexit`` hook runs, and
+    nothing that the parent buffered before the fork is written again.
+    """
+    try:
+        import pickle
+
+        for fd in others:
+            os.close(fd)
+        _move_worker(cpu)
+        with open(results, "wb") as out:
+            while index := os.read(tasks, 4):
+                try:
+                    reply = True, job(int.from_bytes(index, "little"))
+                except Exception as exc:
+                    reply = False, exc
+                payload = pickle.dumps(reply)
+                out.write(len(payload).to_bytes(8, "little"))
+                out.write(payload)
+                out.flush()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(0)
 
 
 def _run_chains(job, n: int, noun: str):
     """``job(i)`` for each ``i`` in ``range(n)``, in order.
 
-    On more than one usable CPU the chains run in up to that many forked worker
-    processes, each first moved to a CPU of its own by :func:`_move_worker`.
-    Closing the generator, which a failed chain does too, sets a stop event: a
-    chain a worker has not started yet is skipped, and the ones running are
-    waited for, so no healthy worker is killed mid-write. A dead worker breaks
-    the pool: every pending chain fails with it, so the error names the chain
-    the run was waiting on, not necessarily the dead one.
+    On more than one usable CPU the chains run in up to that many worker
+    processes, forked here and each first moved to a CPU of its own by
+    :func:`_move_worker`; they inherit ``job`` through the fork, so no chain
+    pickles the data it reads. The parent writes the next chain index to
+    whichever worker has just replied, reads every busy worker's replies as
+    they arrive, and yields them in chain order. A chain's exception is
+    raised when the run reaches that chain; a worker that ends before it
+    replies fails the chain it held. After the first failure no chain
+    starts. Closing the generator, which a failure does too, closes every
+    worker's pipes, so each worker ends after the chain it is running, and
+    waits for them all: no worker is killed mid-write.
     """
-    global _job, _stop
     workers = min(n, _usable_cpus())
     if workers < 2:
         yield from map(job, range(n))
         return
     # imported here: a one-CPU run and every other command never pay for them
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    from multiprocessing import get_context
+    import pickle
+    import select
 
-    context = get_context("fork")
-    _job, _stop = job, context.Event()
-    # one CPU for each worker, in mask order; cycled, so that no worker waits
-    # on an empty queue should there be more workers than CPUs in the mask
-    cpus = context.SimpleQueue()
-    for cpu in islice(cycle(sorted(os.sched_getaffinity(0))), workers):
-        cpus.put(cpu)
-    ex = ProcessPoolExecutor(
-        workers, mp_context=context, initializer=_move_worker, initargs=(cpus,)
-    )
+    # a buffer flushed now is not written again by a worker
+    sys.stdout.flush()
+    sys.stderr.flush()
+    tasks = {}  # each worker's results pipe -> its tasks pipe, the parent's ends
+    pids = []
     try:
-        results = ex.map(_call_job, range(n))  # drops each future as it yields its result
+        # one CPU for each worker, in mask order; cycled should there be more
+        # workers than CPUs in the mask
+        for cpu in islice(cycle(sorted(os.sched_getaffinity(0))), workers):
+            task_read, task_write = os.pipe()
+            result_read, result_write = os.pipe()
+            tasks[result_read] = task_write
+            pid = os.fork()
+            if pid == 0:
+                _serve(job, cpu, task_read, result_write, (*tasks, *tasks.values()))
+            pids.append(pid)
+            os.close(task_read)
+            os.close(result_write)
+
+        idle = list(tasks)
+        held = {}  # a busy worker's results pipe -> the chain it runs
+        received = {fd: bytearray() for fd in tasks}
+        replies = {}  # chain -> (ok, value), kept until the run reaches it
+        started, failed = 0, False
         for i in range(n):
-            try:
-                yield next(results)
-            except BrokenProcessPool:
-                raise SearchError(f"a worker process ended before {noun} {i} returned") from None
+            while True:
+                # a worker that has replied gets its next chain before the run yields
+                while idle and started < n and not failed:
+                    fd = idle.pop()
+                    with suppress(BrokenPipeError):  # a dead worker reads as one below
+                        os.write(tasks[fd], started.to_bytes(4, "little"))
+                    held[fd] = started
+                    started += 1
+                if i in replies:
+                    break
+                for fd in select.select(list(held), [], [])[0]:
+                    data = os.read(fd, 1 << 16)
+                    buf = received[fd]
+                    buf += data
+                    if len(buf) >= 8 and len(buf) == 8 + int.from_bytes(buf[:8], "little"):
+                        reply = pickle.loads(memoryview(buf)[8:])
+                        received[fd] = bytearray()
+                        idle.append(fd)
+                    elif data:
+                        continue
+                    else:
+                        reply = False, SearchError(
+                            f"a worker process ended before {noun} {held[fd]} returned"
+                        )
+                    replies[held.pop(fd)] = reply
+                    failed = failed or not reply[0]
+            ok, value = replies.pop(i)
+            if not ok:
+                raise value
+            yield value
     finally:
-        _stop.set()
-        ex.shutdown(cancel_futures=True)
-        _job = _stop = None
+        for fd, task_write in tasks.items():
+            os.close(fd)
+            os.close(task_write)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def check_candidates(candidates) -> tuple[float, ...]:

@@ -114,8 +114,10 @@ def exhaustive_best_autac(pool_rules, matrix, labels, bb_preds, max_len=3):
 
     ``pool_rules`` is a sequence of (condition_indices, output) pairs. Scoring
     reuses prefix sums so the triple loop stays fast, but it is local to this
-    module and never touches the package's scorer.
+    module and never touches the package's scorer. ``max_len`` is 1, 2 or 3.
     """
+    if max_len not in (1, 2, 3):
+        raise ValueError(f"max_len must be 1, 2 or 3, not {max_len!r}")
     matrix = np.asarray(matrix, dtype=bool)
     labels = as_array(labels).astype(bool)
     bb_ok = as_array(bb_preds).astype(bool) == labels
@@ -139,6 +141,8 @@ def exhaustive_best_autac(pool_rules, matrix, labels, bb_preds, max_len=3):
         a1 = (rc1 + int((bb_ok & ~cov1).sum())) / n
         s1 = (a1 + a0) * t1
         best = max(best, 0.5 * s1)
+        if max_len < 2:
+            continue
         for j2 in j_all:
             if j2 == j1:
                 continue

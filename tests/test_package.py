@@ -333,6 +333,52 @@ def test_command_runs_without_numpy(planted_run, workers, argv):
     run_numpy_free(planted_run, workers, *argv)
 
 
+# Runs one crl command on two usable CPUs, then prints which of the pool
+# modules were imported by the time the command returned.
+POOL_DRIVER = (
+    "import sys\n"
+    "from crl import cli, search\n"
+    "search._usable_cpus = lambda: 2\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cv", *PLANTED, "--folds", "3", "--iters", "100", "--out", "cv-pool"),
+        ("tune", *PLANTED, "--iters", "100", "--candidates", "0.001,0.01", "--out", "t2.json"),
+    ],
+    ids=["cv", "tune"],
+)
+def test_chain_workers_run_without_a_pool_module(planted_run, argv):
+    # the workers are forked on plain pipes: no executor or multiprocessing import
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_DRIVER, *argv],
+        cwd=planted_run,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_import_leaves_the_runner_modules_out():
+    # only a run that forks chain workers imports pickle and select
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, crl.cli; print([m for m in ('pickle', 'select') if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
@@ -371,7 +417,7 @@ def test_planted_benchmark_script_optimum_is_the_package_autac_maximum(seed):
     seed=st.integers(0, 2**31),
     n_rows=st.integers(4, 60),
     gamma=st.sampled_from([0.1, 0.2, 0.3]),
-    max_len=st.integers(2, 3),  # the lengths the oracle walks
+    max_len=st.integers(1, 3),
 )
 @settings(max_examples=40, deadline=None)
 def test_planted_benchmark_script_bounds_keep_the_oracle_optimum(seed, n_rows, gamma, max_len):
@@ -384,3 +430,10 @@ def test_planted_benchmark_script_bounds_keep_the_oracle_optimum(seed, n_rows, g
     specs = [(r.conditions, r.output) for r in pool.rules]
     expected = exhaustive_best_autac(specs, data.matrix, data.labels, preds.preds, max_len)
     assert script["exhaustive_best"](pool, data, preds, max_len=max_len) == expected
+
+
+@pytest.mark.parametrize("max_len", [0, 4])
+def test_oracle_refuses_a_length_it_does_not_walk(max_len):
+    # it walks lists of 1 to 3 rules; any other length would be answered for another one
+    with pytest.raises(ValueError, match="max_len must be 1, 2 or 3"):
+        exhaustive_best_autac([((0,), 1)], [[True]], [1], [1], max_len)

@@ -2,8 +2,12 @@ import hashlib
 import math
 import multiprocessing
 import os
+import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -566,6 +570,13 @@ class TestTuneAlpha:
         assert report.chosen.best_list == alone.best_list
         assert report.chosen.curve.points == alone.curve.points
 
+
+def assert_every_child_reaped():
+    """The run left no child of this process behind, running or a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestRunChains:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_yields_each_job_result_in_order(self, monkeypatch, workers):
@@ -573,7 +584,7 @@ class TestRunChains:
         offset = 10
         # a closure does not pickle: workers inherit the job through the fork
         assert list(_run_chains(lambda i: i * i + offset, 5, "chain")) == [10, 11, 14, 19, 26]
-        assert search._job is None
+        assert_every_child_reaped()
 
     def test_a_dead_worker_names_the_chain_waited_on(self, monkeypatch):
         monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
@@ -596,7 +607,62 @@ class TestRunChains:
         with pytest.raises(ValueError, match="chain 0 failed"):
             list(_run_chains(job, 8, "chain"))
         assert len(list(tmp_path.iterdir())) <= 2
-        assert search._job is None and search._stop is None
+        assert_every_child_reaped()
+
+    def test_chains_go_to_whichever_worker_is_free(self, monkeypatch, tmp_path):
+        # chain 0 runs until chains 1 and 2 have both run. Split up front over
+        # 2 workers, chain 1 or chain 2 would wait behind chain 0 (0,1 | 2 or
+        # 0,2 | 1) and the run would time out; handed out as workers free up,
+        # chains 1 and 2 both run on the worker that chain 0 does not hold.
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+
+        def job(i):
+            if i:
+                (tmp_path / str(i)).touch()
+                return i
+            deadline = time.monotonic() + 30
+            while not ((tmp_path / "1").exists() and (tmp_path / "2").exists()):
+                if time.monotonic() > deadline:
+                    raise TimeoutError("chains 1 and 2 did not run beside chain 0")
+                time.sleep(0.01)
+            return i
+
+        assert list(_run_chains(job, 3, "chain")) == [0, 1, 2]
+        assert_every_child_reaped()
+
+    def test_large_results_arrive_whole_and_in_order(self, monkeypatch):
+        # each result is many times a pipe's 64 KB, so each reply takes many reads
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+
+        def result(i):
+            return random.Random(i).randbytes((1 << 20) + i)
+
+        assert list(_run_chains(result, 4, "chain")) == [result(i) for i in range(4)]
+
+    def test_forked_workers_write_each_line_once(self):
+        # stdout is a pipe and buffered, so the parent's line sits unflushed
+        # in its buffer when the workers are forked
+        driver = (
+            "import sys\n"
+            "from crl import search\n"
+            "search._usable_cpus = lambda: 2\n"
+            "sys.stdout.write('parent line\\n')\n"
+            "for _ in search._run_chains(lambda i: print(f'chain {i}'), 2, 'chain'):\n"
+            "    pass\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(search.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", driver],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "parent line"
+        assert sorted(lines[1:]) == ["chain 0", "chain 1"]
 
     def test_usable_cpus_is_one_without_an_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
