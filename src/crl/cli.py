@@ -50,6 +50,8 @@ from .model_io import (
     save_model,
     save_pool,
     save_trace_csv,
+    save_trace_text,
+    trace_csv,
 )
 from .objective import autac_hat, curve
 from .search import ALPHA_CANDIDATES, SearchConfig, _run_chains, check_candidates
@@ -396,14 +398,19 @@ def cmd_tune(args) -> int:
 
 
 def _cv_fold(args, data, preds, folds, fold_seeds, i: int):
-    """Fit fold ``i`` on the other folds; score it on its own rows."""
+    """Fit fold ``i`` on the other folds; score it on its own rows.
+
+    Returns the result without its trace, the test curve and the trace
+    rendered as ``trace.csv`` text, so a worker sends the parent text, not
+    one step object per iteration.
+    """
     try:
         tr_idx = train_indices(folds, i)
         result = _fit(args, data.subset(tr_idx), preds.subset(tr_idx), fold_seeds[i])
         test_curve = curve(result.best_list, data.subset(folds[i]), preds.subset(folds[i]))
     except (DataError, SearchError) as exc:  # a UsageError is the run's, not the fold's
         raise type(exc)(f"fold {i}: {exc}") from exc
-    return result, test_curve
+    return replace(result, trace=None), test_curve, trace_csv(result.trace)
 
 
 def cmd_cv(args) -> int:
@@ -418,14 +425,14 @@ def cmd_cv(args) -> int:
     fold = partial(_cv_fold, args, data, preds, folds, child_seeds(args.seed, len(folds)))
     fold_rows: list[dict] = []
     with closing(_run_chains(fold, len(folds), "fold")) as fitted:
-        for i, (result, test_curve) in enumerate(fitted):
+        for i, (result, test_curve, trace_text) in enumerate(fitted):
             fold_dir = out / f"fold_{i}"
             fold_dir.mkdir(exist_ok=True)
             doc = model_from_training(result.best_list, data.feature_names, result.curve)
             save_model(fold_dir / "model.json", doc)
             save_curve_csv(fold_dir / "curve_train.csv", result.curve)
             save_curve_csv(fold_dir / "curve_test.csv", test_curve)
-            save_trace_csv(fold_dir / "trace.csv", result.trace)
+            save_trace_text(fold_dir / "trace.csv", trace_text)
             fold_rows.append(
                 {
                     "fold": i,

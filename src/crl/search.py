@@ -117,7 +117,7 @@ class SearchTrace:
 class SearchResult:
     best_list: RuleList
     curve: TradeoffCurve
-    trace: SearchTrace | None  # None in a tune report
+    trace: SearchTrace | None  # None in a tune report and in a cv fold's reply
     objective: ObjectiveValue
 
 

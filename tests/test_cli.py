@@ -10,6 +10,7 @@ import os
 import re
 import signal
 import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -546,7 +547,8 @@ def planted_search_error():
 def dead_worker(written):
     """End this worker with exit code 9 once the parent has written ``written``.
 
-    Waiting keeps the chains before this one from being failed with it; the
+    The run fails only the chain a dead worker held, so waiting fixes the
+    point of the run at which the worker dies, not which chains finish; the
     wait is bounded, so a parent that never writes the file still sees the
     worker die.
     """
@@ -667,12 +669,33 @@ class TestCv:
         assert trees[0] == trees[1]
         assert len(trees[0]) == 3 + 4 * 5  # manifest, report.json/txt; 4 files per fold
 
+    def test_a_fold_reply_holds_its_trace_as_text(self, worker_runs, monkeypatch):
+        # a reply crosses a worker's pipe: it carries trace.csv's text, not a
+        # SearchTrace of one step object per iteration
+        replies = []
+        real = cli._run_chains
+
+        def recording(job, n, noun):
+            with closing(real(job, n, noun)) as chains:
+                for reply in chains:
+                    replies.append(reply)
+                    yield reply
+
+        monkeypatch.setattr(cli, "_run_chains", recording)
+        code, _, _, out = worker_runs(2)
+        assert code == 0
+        assert len(replies) == 5
+        for i, (result, _, trace_text) in enumerate(replies):
+            assert result.trace is None
+            assert trace_text.encode() == (out / f"fold_{i}" / "trace.csv").read_bytes()
+
     @pytest.mark.parametrize(
         "workers, fail, message",
         [
             (1, planted_search_error, "fold 2: planted failure"),
             (2, planted_search_error, "fold 2: planted failure"),
-            # a dead worker fails every pending fold: fold 2's waits until fold 1 is written
+            # a dead worker fails only the fold it held, and no later fold starts;
+            # fold 2's worker ends once fold 1 is written
             (2, dead_worker, "a worker process ended before fold 2 returned"),
         ],
         ids=["one-worker", "two-workers", "dead-worker"],

@@ -2,6 +2,8 @@ import copy
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,15 @@ from crl import (
     resolve_rules,
     save_model,
 )
-from crl.model_io import model_from_obj, save_curve_csv, save_pool, save_trace_csv
+from crl.data import write_rows
+from crl.model_io import (
+    TRACE_FIELDS,
+    model_from_obj,
+    save_curve_csv,
+    save_pool,
+    save_trace_csv,
+    trace_csv,
+)
 from crl.search import SearchStep, SearchTrace
 
 from oracles import read_curve_csv
@@ -179,6 +189,53 @@ class TestTraceCsv:
         assert lines[0] == "iteration,op,proposed_objective,accepted,best_objective"
         assert lines[1] == "1,add,0.5,1,0.5"
         assert lines[2] == "2,swap,0.4,0,0.5"
+
+
+# every op name propose returns, and floats whose reprs are easy to get wrong:
+# both zeros (equal, but with different reprs), subnormals, exponents of
+# +-300, the infinities and NaN
+OPS = ("add", "remove", "swap", "replace", "identity")
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -2.2250738585072014e-309, 1.5e300, -7.25e-300,
+    0.1, float("inf"), float("-inf"), float("nan"),
+)
+
+
+@st.composite
+def search_traces(draw):
+    # steps draw their objectives from a few values, so most values repeat
+    values = draw(
+        st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(), min_size=1, max_size=6)
+    )
+    value = st.sampled_from(values)
+    step = st.builds(
+        SearchStep, st.integers(0, 10**9), st.sampled_from(OPS), value, st.booleans(), value
+    )
+    return SearchTrace(draw(st.lists(step, max_size=30)))
+
+
+@given(trace=search_traces())
+@example(trace=SearchTrace([]))  # the header alone
+@example(
+    trace=SearchTrace(
+        [
+            SearchStep(n, OPS[n % 5], proposed, n % 2 == 0, best)
+            for n, (proposed, best) in enumerate(zip(EDGE_FLOATS * 2, EDGE_FLOATS[::-1] * 2))
+        ]
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_trace_csv_is_byte_identical_to_write_rows(trace):
+    rows = (
+        (s.iteration, s.op, s.proposed_objective, int(s.accepted), s.best_objective)
+        for s in trace.steps
+    )
+    with tempfile.TemporaryDirectory() as d:
+        twin, saved = Path(d) / "twin.csv", Path(d) / "trace.csv"
+        write_rows(twin, TRACE_FIELDS, rows)
+        save_trace_csv(saved, trace)
+        assert saved.read_bytes() == twin.read_bytes()
+        assert trace_csv(trace).encode() == twin.read_bytes()
 
 
 class TestPoolJson:

@@ -587,15 +587,16 @@ class TestRunChains:
         assert_every_child_reaped()
 
     def test_a_dead_worker_names_the_chain_waited_on(self, monkeypatch):
+        # every chain ends its worker: the line names chain 0, the chain its
+        # worker held when it ended and the first the run waits on
         monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
         with pytest.raises(SearchError, match="^a worker process ended before chain 0 returned$"):
             list(_run_chains(lambda i: os._exit(9), 3, "chain"))
 
     def test_a_failed_chain_stops_the_chains_not_yet_started(self, monkeypatch, tmp_path):
-        # chain 0 fails at once; the others take 0.5 s each. Without the stop
-        # event the workers went on through the executor's queue (chains 1-4
-        # or more finished); with it, only the chain each worker had started
-        # before the failure reached the run may finish.
+        # chain 0 fails at once; the others take 0.5 s each. No chain starts
+        # after the parent reads a failure, so only the chain each worker had
+        # been handed before then may finish.
         monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
 
         def job(i):
