@@ -28,6 +28,7 @@ from .data import (
     PredictionVector,
     apply_manifest,
     binarize,
+    encode_cells,
     json_int,
     json_number,
     load_predictions,
@@ -551,7 +552,7 @@ def cmd_synth(args) -> int:
     for rule in bench.planted:
         for i in rule.conditions:
             col = manifest.columns[i]
-            k = int.from_bytes(col.codes(("1",)), "little")
+            k = int.from_bytes(col.codes(encode_cells(("1",))), "little")
             if k == len(col.categories):
                 raise DataError(f"planted feature {col.name!r} is never 1 in {args.rows} rows")
             names[i] = col.feature_names()[k]

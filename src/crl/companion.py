@@ -10,7 +10,7 @@ black-box prediction. The prediction modes are:
   expectation by letting the rows covered exactly by the next rule adopt it
   with probability q, where q is the fractional position of t between the two
   surrounding levels of the training-time curve (each row draws its own
-  uniform epsilon).
+  uniform epsilon, and only those rows' draws are made).
 
 Each row's first-match rule is read off one prefix sweep of the evaluated
 rows. That rule, the row's black-box value and, in the stochastic mode, the
@@ -102,11 +102,11 @@ class CompanionEvaluator:
         ``level_transparencies``, the training-time transparency of levels
         0..M (``ModelDocument.level_transparencies()`` or the training curve's
         ``transparency``), never through this dataset's curve. Row i takes the
-        i-th of one batch of ``n_rows`` uniforms drawn by ``rng.random(n_rows)``
-        (a :class:`~crl.streams.Stream`, or any object whose ``random(n)``
-        returns n floats, such as a numpy ``Generator``); rows whose first
-        match is rule index m adopt it when that draw is < q. Only those
-        rows' draws are compared: the others never read theirs. On the
+        i-th of one batch of ``n_rows`` uniforms; rows whose first match is
+        rule index m adopt it when that draw is < q. Only those rows' draws
+        are made, by ``rng.random_at(rows, n_rows)`` (a
+        :class:`~crl.streams.Stream`, or any object with that method); the
+        other rows' draws only move the stream on. On the
         training rows the expected fraction of rule-answered rows equals t;
         on any rows, t equal to level m's entry (q = 0) gives level m's
         predictions for every seed. Levels whose transparencies are given
@@ -122,10 +122,8 @@ class CompanionEvaluator:
                 f"level transparencies must ascend, got {tuple(map(float, level_transparencies))}"
             )
         m, q = level_for_t(level_transparencies, t)
-        draws = rng.random(self.data.n_rows)
         band = self._band_rows(m)
-        # float's own comparison, which takes a numpy float64 as a float, too
-        adopted = compress(band, map(float(q).__gt__, map(draws.__getitem__, band)))
+        adopted = compress(band, map(float(q).__gt__, rng.random_at(band, self.data.n_rows)))
         return self._assemble(self._covered[m] | sum(map((1).__lshift__, adopted)))
 
     def _band_rows(self, m: int) -> list[int]:

@@ -13,8 +13,8 @@ from a file or synthesized by :func:`synth_oracle` for experiments.
 
 Each file format has one reader and one writer here: every delimited text
 file (a table, or a prediction file read by column) is read by
-:func:`_read_rows`, which returns it as columns of stripped cells, so that
-labels, categories and numbers are mapped a column at a time. A file with
+:func:`_read_rows`, which returns each column dictionary-encoded, so that
+labels, categories and numbers are mapped once per distinct cell. A file with
 no quote (and no NUL) is split on its line ends and delimiter a block at a
 time, and any other goes through ``csv.reader``, which quoted fields need;
 both give the same columns and the same errors. Every CSV
@@ -29,14 +29,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import warnings
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, compress, repeat
-from operator import and_, eq, itemgetter
+from operator import and_, itemgetter
 from pathlib import Path
 
 from .errors import DataError
@@ -103,12 +105,12 @@ def _flags(values, what: str) -> bytes:
 class RawTable:
     """A parsed table: feature columns plus an already-binarized label vector.
 
-    ``columns`` maps each feature column's name to its raw string cells, in
-    file order. A column's kind (numeric or categorical) is decided when a
-    manifest is fitted to it, see :meth:`ManifestColumn.fit`.
+    ``columns`` maps each feature column's name to its cells, encoded as by
+    :func:`encode_cells`. A column's kind (numeric or categorical) is decided
+    when a manifest is fitted to it, see :meth:`ManifestColumn.fit`.
     """
 
-    columns: dict[str, tuple[str, ...]]
+    columns: dict[str, tuple[tuple[str, ...], array]]
     label_column: str
     labels: bytes  # one 0/1 byte per row
     positive_value: str
@@ -117,7 +119,7 @@ class RawTable:
     def n_rows(self) -> int:
         return len(self.labels)
 
-    def column(self, name: str) -> tuple[str, ...]:
+    def column(self, name: str) -> tuple[tuple[str, ...], array]:
         try:
             return self.columns[name]
         except KeyError:
@@ -342,15 +344,14 @@ def _first_repeat(values):
 _BLOCK = 32768
 
 
-def _read_rows(path: Path, delimiter: str) -> tuple[list[str], list[tuple[str, ...]]]:
+def _read_rows(path: Path, delimiter: str) -> tuple[list[str], list[tuple[tuple[str, ...], array]]]:
     """The stripped header and cell columns of a UTF-8 delimited text file.
 
     Blank lines are skipped. An empty file, a repeated column name, a row
     whose field count differs from the header's and a cell longer than
     ``csv.field_size_limit()`` are each a :class:`DataError`; a line in a
-    message counts records, blank ones included. Each column is a tuple of
-    stripped cells in file order; a header with no data rows gives one empty
-    tuple per column.
+    message counts records, blank ones included. Each column is encoded as by
+    :func:`encode_cells`; a header with no data rows gives empty columns.
 
     Unless the delimiter is ``"``, ``\\r`` or ``\\n``, the text is first
     scanned a block at a time. When it holds no ``"`` (no field can be
@@ -417,8 +418,8 @@ def _csv_columns(path: Path, lines, delimiter: str):
             raise _too_long(path, lineno + 1) from None
         raise DataError(f"{path}: unreadable line {lineno + 1}: {exc}") from None
     # one C-level pass over the rows per column: zip(*rows) would hold an
-    # iterator per row and every unstripped column at once, a higher peak
-    return header, [tuple(map(str.strip, map(itemgetter(j), rows))) for j in range(width)]
+    # iterator per row and every column's cells at once, a higher peak
+    return header, [encode_cells(map(itemgetter(j), rows)) for j in range(width)]
 
 
 def _split_columns(path: Path, fh, delimiter: str):
@@ -450,7 +451,7 @@ def _split_columns(path: Path, fh, delimiter: str):
             if too_long == 1:
                 raise _too_long(path, 1)
             header = _header(path, lines[0].split(delimiter) if lines[0] else [])
-            width, columns = len(header), [[] for _ in header]  # a column's cells per block
+            width, columns = len(header), [(_Coder(), array("I")) for _ in header]
             lines[0] = ""  # still counted as a record, and skipped as a blank one
         rows = list(filter(None, lines))
         if not set(map(str.count, rows, repeat(delimiter))) <= {width - 1}:
@@ -465,15 +466,44 @@ def _split_columns(path: Path, fh, delimiter: str):
             raise _too_long(path, too_long)
         lineno += len(lines)
         if rows:
-            joined = delimiter.join(rows)
-            # str.strip takes nothing off ASCII cells with no whitespace in
-            # them, so such a block's cells are kept as split
-            bare = joined.isascii() and not any(map(joined.__contains__, " \t\v\f\x1c\x1d\x1e\x1f"))
-            cells = joined.split(delimiter)  # row i's cell j is cells[i * width + j]
-            for j, pieces in enumerate(columns):
-                pieces.append(cells[j::width] if bare else list(map(str.strip, cells[j::width])))
+            cells = delimiter.join(rows).split(delimiter)  # row i's cell j is cells[i * width + j]
+            for j, (coder, index) in enumerate(columns):  # coded while the cells are in cache
+                index.extend(map(coder.__getitem__, cells[j::width]))
         if not block:
-            return header, [tuple(chain.from_iterable(pieces)) for pieces in columns]
+            return header, [(tuple(coder.values), index) for coder, index in columns]
+
+
+class _Coder(dict):
+    """Each raw spelling's index into ``values``: the distinct stripped cells, first seen first."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.values: list[str] = []
+
+    def __missing__(self, raw: str) -> int:  # stripped once; " a" and "a" share an index
+        cell = raw.strip()
+        if cell == raw:
+            self.values.append(cell)
+        k = self[raw] = len(self.values) - 1 if cell == raw else self[cell]
+        return k
+
+
+def encode_cells(cells) -> tuple[tuple[str, ...], array]:
+    """Raw ``cells`` as :func:`_read_rows` encodes a column: its distinct
+    stripped cells, in first-seen order, and each row's index into them."""
+    coder = _Coder()
+    index = array("I", map(coder.__getitem__, cells))
+    return tuple(coder.values), index
+
+
+def _gather(codes: list[bytes], index: array) -> bytes:
+    """Each row's code, ``codes[k]`` for its index k, concatenated: up to 256
+    one-byte codes, one ``bytes.translate`` of the indices' low bytes."""
+    table = b"".join(codes)
+    if len(codes) > 256 or len(table) != len(codes):
+        return b"".join(map(codes.__getitem__, index))
+    low = index.tobytes()[0 if sys.byteorder == "little" else index.itemsize - 1 :: index.itemsize]
+    return low.translate(table.ljust(256))
 
 
 def load_table(
@@ -500,14 +530,14 @@ def load_table(
     if label not in header:
         raise DataError(f"{path}: missing label column {label!r}")
     by_name = dict(zip(header, columns))
-    label_cells = by_name.pop(label)
-    if not label_cells:
+    values, index = by_name.pop(label)
+    if not index:
         raise DataError(f"{path}: no data rows")
     # a blank cell is a missing value everywhere else, so it is no class here
-    blank = label_cells.count("")
-    if blank:
+    if "" in values:
+        blank = index.count(values.index(""))
         raise DataError(f"{path}: label column {label!r} has {blank} blank cell(s)")
-    labels, positive = _map_labels(label_cells, label, positive_value)
+    labels, positive = _map_labels(values, index, label, positive_value)
 
     return RawTable(
         columns=by_name,
@@ -517,8 +547,8 @@ def load_table(
     )
 
 
-def _map_labels(values, label, positive_value):
-    distinct = sorted(set(values))
+def _map_labels(values, index, label, positive_value):
+    distinct = sorted(values)
     if positive_value is None:
         if set(distinct) <= {"0", "1"}:
             positive_value = "1"
@@ -533,8 +563,7 @@ def _map_labels(values, label, positive_value):
         raise DataError(
             f"label column {label!r} never takes the positive value {positive_value!r}"
         )
-    # operator.eq, unlike str.__eq__, compares a non-string positive value as unequal
-    return bytes(map(eq, values, repeat(positive_value))), positive_value
+    return _gather([bytes((v == positive_value,)) for v in values], index), positive_value
 
 
 # ---------------------------------------------------------------------------
@@ -584,24 +613,19 @@ def quantile_edges(value_counts, q: int = 7) -> list[float]:
     return edges
 
 
-def _numbers(name: str, cells, distinct) -> tuple[list[str], list[float]]:
-    """The non-blank cells in ``distinct``, the distinct ``cells`` of a column, and their floats.
+def _numbers(name: str, values) -> list[float]:
+    """The floats of the non-blank ``values``, a column's distinct cells in first-seen order.
 
-    A cell that is not a number raises ``ValueError``, and a non-finite one
-    (``nan``, ``inf``) is a :class:`DataError` once every cell has parsed;
-    either names the first such cell in the row order of ``cells``.
+    A value that is not a number raises ``ValueError``, and a non-finite one
+    (``nan``, ``inf``) is a :class:`DataError` once every value has parsed;
+    either names the first such value: the first such cell in row order.
     """
-    present = [cell for cell in distinct if cell]
-    try:
-        floats = list(map(float, present))
-    except ValueError:
-        for cell in filter(None, cells):
-            float(cell)  # raises at the first cell that is not a number
-        raise
+    present = list(filter(None, values))
+    floats = list(map(float, present))
     if not all(map(math.isfinite, floats)):
-        bad = next(cell for cell in filter(None, cells) if not math.isfinite(float(cell)))
+        bad = next(compress(present, [not math.isfinite(x) for x in floats]))
         raise DataError(f"numeric column {name!r}: non-finite value {bad!r}")
-    return present, floats
+    return floats
 
 
 @dataclass(frozen=True)
@@ -610,7 +634,7 @@ class ManifestColumn:
 
     A column is coded a row at a time: a row's code is the index of its
     category, or ``len(categories)`` for a cell in none, in :attr:`width`
-    little-endian bytes. Each distinct cell is coded once.
+    little-endian bytes. Each distinct cell is coded once, then every row.
     """
 
     name: str
@@ -629,34 +653,32 @@ class ManifestColumn:
         codes = [k.to_bytes(width, "little") for k in range(len(self.categories) + 1)]
         return dict(zip(self.categories, codes)), codes[-1]
 
-    def codes(self, cells) -> bytes:
-        """The row codes of a column's raw cells.
+    def codes(self, column) -> bytes:
+        """The row codes of a column encoded as :func:`encode_cells` gives it.
 
         Numeric cells are labelled ``bin{k}`` with k the number of edges
         strictly below the value, each distinct cell parsed once; blank cells
         are ``<missing>``. A non-numeric or non-finite cell under a numeric
         column is a :class:`DataError`.
         """
+        values, index = column
         if self.kind == _KIND_NUMERIC:
-            distinct = set(cells)
             try:
-                present, floats = _numbers(self.name, cells, distinct)
+                floats = _numbers(self.name, values)
             except ValueError as exc:
                 raise DataError(f"numeric column {self.name!r}: {exc}") from None
-            code_of = self._bin_codes(present, floats, "" in distinct)
-            return b"".join(map(code_of.__getitem__, cells))
+            return _gather(self._bin_codes(values, floats), index)
         code_of, unseen = self._code_bytes()
         code_of[""] = code_of.get(MISSING_CATEGORY, unseen)
-        return b"".join(map(code_of.get, cells, repeat(unseen)))
+        return _gather(list(map(code_of.get, values, repeat(unseen))), index)
 
-    def _bin_codes(self, present: list[str], floats: list[float], blank: bool) -> dict[str, bytes]:
-        """The code of each distinct cell of a numeric column, from each non-blank one's float."""
+    def _bin_codes(self, values, floats: list[float]) -> list[bytes]:
+        """The code of each of a numeric column's distinct ``values``, from non-blank ones' floats."""
         pos, unseen = self._code_bytes()
         bins = [pos.get(f"bin{k}", unseen) for k in range(len(self.edges) + 1)]
-        in_bin = map(bisect_left, repeat(self.edges), floats)
-        codes = dict(zip(present, map(bins.__getitem__, in_bin)))
-        if blank:
-            codes[""] = pos.get(MISSING_CATEGORY, unseen)
+        codes = list(map(bins.__getitem__, map(bisect_left, repeat(self.edges), floats)))
+        if "" in values:
+            codes.insert(values.index(""), pos.get(MISSING_CATEGORY, unseen))
         return codes
 
     def one_hot(self, codes: bytes) -> list[int]:
@@ -678,8 +700,8 @@ class ManifestColumn:
         return [f"{self.name}={cat}" for cat in self.categories]
 
     @classmethod
-    def fit(cls, name: str, values, quantiles: int) -> tuple["ManifestColumn", bytes]:
-        """The kind, categories (and numeric edges) seen in ``values``, in feature order.
+    def fit(cls, name: str, column, quantiles: int) -> tuple["ManifestColumn", bytes]:
+        """The kind, categories (and numeric edges) seen in an encoded ``column``, in feature order.
 
         A column is numeric when it has a non-blank cell and every non-blank
         cell parses as a float, categorical otherwise. Numeric columns list
@@ -688,21 +710,21 @@ class ManifestColumn:
         ``<missing>`` sorted in. Returns the fitted column and the
         :meth:`codes` of the cells, labelled from the same parse.
         """
-        counts = Counter(values)
+        values, index = column
         try:
-            present, floats = _numbers(name, values, counts)
+            floats = _numbers(name, values)
         except ValueError:
-            present = None
-        if not present:
-            cats = sorted({v or MISSING_CATEGORY for v in counts})
+            floats = None
+        if not floats:
+            cats = sorted({v or MISSING_CATEGORY for v in values})
             fitted = cls(name, _KIND_CATEGORICAL, tuple(cats), None)
-            return fitted, fitted.codes(values)
-        edges = tuple(quantile_edges(zip(floats, map(counts.__getitem__, present)), quantiles))
+            return fitted, fitted.codes(column)
+        counts = compress(map(Counter(index).__getitem__, range(len(values))), values)
+        edges = tuple(quantile_edges(zip(floats, counts), quantiles))
         bins = sorted(set(map(bisect_left, repeat(edges), floats)))
-        cats = [f"bin{k}" for k in bins] + [MISSING_CATEGORY] * ("" in counts)
+        cats = [f"bin{k}" for k in bins] + [MISSING_CATEGORY] * ("" in values)
         fitted = cls(name, _KIND_NUMERIC, tuple(cats), edges)
-        code_of = fitted._bin_codes(present, floats, "" in counts)
-        return fitted, b"".join(map(code_of.__getitem__, values))
+        return fitted, _gather(fitted._bin_codes(values, floats), index)
 
 
 def _manifest_column(c: dict) -> ManifestColumn:
@@ -820,7 +842,7 @@ def binarize(
     if quantiles < 2:  # checked here too when no column is numeric: the manifest records it
         raise ValueError("quantiles must be >= 2")
     fitted = [
-        ManifestColumn.fit(name, values, quantiles) for name, values in table.columns.items()
+        ManifestColumn.fit(name, column, quantiles) for name, column in table.columns.items()
     ]
     manifest = BinarizationManifest(
         columns=tuple(mcol for mcol, _ in fitted),
@@ -896,16 +918,16 @@ def load_predictions(
             text = path.read_text(encoding="utf-8-sig")
         # universal newlines leave "\n" the only line end, as in _read_rows;
         # str.splitlines would also break at \f, \v, \x85, \u2028 and others
-        values = list(filter(None, map(str.strip, text.split("\n"))))
+        values, index = encode_cells(filter(None, map(str.strip, text.split("\n"))))
     else:
         header, columns = _read_rows(path, delimiter)
         if column not in header:
             raise DataError(f"{path}: missing prediction column {column!r}")
-        values = columns[header.index(column)]
-    if not set(values) <= {"0", "1"}:
-        i, bad = next((i, v) for i, v in enumerate(values) if v not in ("0", "1"))
-        raise DataError(f"{path}: non-binary prediction {bad!r} at entry {i + 1}")
-    preds = bytes(map(eq, values, repeat("1")))
+        values, index = columns[header.index(column)]
+    for k, v in enumerate(values):  # the first bad distinct value is the first bad entry
+        if v not in ("0", "1"):
+            raise DataError(f"{path}: non-binary prediction {v!r} at entry {index.index(k) + 1}")
+    preds = _gather([bytes((v == "1",)) for v in values], index)
     if len(preds) != n:
         raise DataError(
             f"{path}: length mismatch: {len(preds)} predictions for {n} dataset rows"

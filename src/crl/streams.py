@@ -14,7 +14,8 @@ independent chains.
 
 from __future__ import annotations
 
-from itertools import cycle, islice
+from itertools import cycle, islice, repeat
+from operator import sub
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
@@ -105,17 +106,27 @@ def _raw_outputs(seed: int):
     The seed's ``SeedSequence`` gives four 64-bit words, each two 32-bit
     words low first: the first two are the initial state, the last two the
     stream selector. Each step advances the LCG and outputs the XOR of its
-    halves rotated right by its top 6 bits.
+    halves rotated right by its top 6 bits; ``send(k)`` first takes k steps.
     """
     w = SeedSequence(seed).generate_state(8)
     initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
     inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _M128 | 1
     state = ((inc + initstate) * _PCG_MULT + inc) & _M128  # numpy's seeding: two steps from 0
+    outputs = _outputs(state, inc)
+    next(outputs)  # to its first yield: now its first call may send a skip
+    return outputs
+
+
+def _outputs(state: int, inc: int):  # first yields None, then each output
     mult, m64, m128, twice = _PCG_MULT, _M64, _M128, (1 << 64) + 1
+    skip = yield None
     while True:
+        if skip:
+            for _ in repeat(None, skip):
+                state = (state * mult + inc) & m128
         state = (state * mult + inc) & m128
         # x * (2**64 + 1) holds x twice, so a right shift by r is x rotated by r
-        yield ((state >> 64 ^ state) & m64) * twice >> (state >> 122) & m64
+        skip = yield ((state >> 64 ^ state) & m64) * twice >> (state >> 122) & m64
 
 
 class Stream:
@@ -126,7 +137,7 @@ class Stream:
     would, in the same order:
 
     * ``random`` is numpy's double, ``(x >> 11) * 2**-53`` of one raw output;
-      ``random(n)`` is a list of n of them;
+      ``random(n)`` is a list of n of them, ``random_at(rows, n)`` its ``rows``;
     * ``integers`` is numpy's 32-bit Lemire draw on [0, high), fed by 32-bit
       halves the way PCG64 hands them out: the low half of a fresh output
       first, its upper half cached for the next 32-bit draw. A range of one
@@ -156,6 +167,14 @@ class Stream:
         if size is None:
             return (self._next64() >> 11) * 2.0**-53
         return [(x >> 11) * 2.0**-53 for x in islice(self._raw, size)]
+
+    def random_at(self, rows, size: int) -> list[float]:
+        """``random(size)`` at ``rows``, an ascending list; a draw at no row only steps the LCG."""
+        after = [0, *(row + 1 for row in rows)]  # each row's skip is row - after[i]
+        draws = [(x >> 11) * 2.0**-53 for x in map(self._raw.send, map(sub, rows, after))]
+        if after[-1] < size:
+            self._raw.send(size - after[-1] - 1)
+        return draws
 
     def _next32(self) -> int:
         half = self._half

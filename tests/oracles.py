@@ -8,6 +8,8 @@ meaningful.
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from itertools import combinations
 
 import numpy as np
@@ -256,3 +258,88 @@ def reference_binarize(columns, quantiles: int):
     """One-hot matrix and feature names of ``columns`` fitted on themselves;
     see :func:`reference_apply`."""
     return reference_apply(columns, columns, quantiles)
+
+
+def decode(column) -> tuple[str, ...]:
+    """The cells of a column as the package's reader encodes it, one per row."""
+    values, index = column
+    return tuple(values[k] for k in index)
+
+
+def decoded(read):
+    """The header and decoded cell columns of what the package's reader returns."""
+    header, columns = read
+    return header, list(map(decode, columns))
+
+
+def raw_columns(table) -> list[tuple[str, tuple[str, ...]]]:
+    """Each (name, cells) pair of a ``RawTable``, its columns decoded."""
+    return [(name, decode(column)) for name, column in table.columns.items()]
+
+
+def encode(cells):
+    """``cells`` as the package's reader encodes a column: the distinct
+    stripped cells, first seen first, and an array of each row's index."""
+    stripped = [c.strip() for c in cells]
+    values = list(dict.fromkeys(stripped))
+    return tuple(values), array("I", [values.index(c) for c in stripped])
+
+
+def reference_read(path, delimiter: str = ","):
+    """The header and cell columns of a UTF-8 delimited file: ``csv.reader``,
+    then ``str.strip`` on every cell; blank records are skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
+    header = [h.strip() for h in rows[0]]
+    return header, [[row[j].strip() for row in rows[1:]] for j in range(len(header))]
+
+
+def reference_labels(path, cells, label: str, positive_value=None):
+    """Each row's 0/1 label and the positive value, or the message of the
+    DataError ``load_table`` raises for the label ``cells``."""
+    if not cells:
+        return f"{path}: no data rows"
+    blank = sum(c == "" for c in cells)
+    if blank:
+        return f"{path}: label column {label!r} has {blank} blank cell(s)"
+    distinct = sorted(set(cells))
+    if positive_value is None:
+        if set(distinct) <= {"0", "1"}:
+            positive_value = "1"
+        elif len(distinct) == 2:
+            positive_value = distinct[-1]
+        else:
+            return (
+                f"non-binary label: column {label!r} has {len(distinct)} distinct "
+                "values; declare the positive class explicitly"
+            )
+    elif len(distinct) > 1 and positive_value not in distinct:
+        return f"label column {label!r} never takes the positive value {positive_value!r}"
+    return [int(c == positive_value) for c in cells], positive_value
+
+
+def reference_numeric_error(name, cells):
+    """The message of the DataError a column read as numeric raises, cell by
+    cell in row order: the first non-blank cell that is not a number, else the
+    first non-finite one; None when every non-blank cell is a finite number."""
+    for c in cells:
+        if c:
+            try:
+                float(c)
+            except ValueError as exc:
+                return f"numeric column {name!r}: {exc}"
+    for c in cells:
+        if c and not math.isfinite(float(c)):
+            return f"numeric column {name!r}: non-finite value {c!r}"
+    return None
+
+
+def reference_fit_error(columns):
+    """The message of the DataError binarizing ``columns``, (name, cells)
+    pairs, raises: the first numeric column's non-finite cell; else None."""
+    for name, cells in columns:
+        if _is_numeric(cells):
+            message = reference_numeric_error(name, cells)
+            if message is not None:
+                return message
+    return None

@@ -34,7 +34,19 @@ from crl.data import (
     write_json,
     write_rows,
 )
-from oracles import reference_apply, reference_binarize, reference_edges
+from oracles import (
+    decode,
+    decoded,
+    encode,
+    raw_columns,
+    reference_apply,
+    reference_binarize,
+    reference_edges,
+    reference_fit_error,
+    reference_labels,
+    reference_numeric_error,
+    reference_read,
+)
 
 
 def write(tmp_path, name, text):
@@ -119,7 +131,7 @@ class TestLoadTable:
 
 def bin_indices(values, q):
     """Each value's bin index under a numeric manifest column fitted on the values."""
-    cells = tuple(map(repr, values))
+    cells = encode(map(repr, values))
     mcol, fitted = ManifestColumn.fit("v", cells, q)
     codes = mcol.codes(cells)
     assert fitted == codes
@@ -177,7 +189,7 @@ class TestQuantileBin:
         for x in floats:
             counts[x] = counts.get(x, 0) + 1
         assert list(map(repr, quantile_edges(counts.items(), q))) == list(map(repr, want))
-        fitted, _ = ManifestColumn.fit("v", tuple(cells), q)
+        fitted, _ = ManifestColumn.fit("v", encode(cells), q)
         assert list(map(repr, fitted.edges)) == list(map(repr, want))
 
     @given(
@@ -255,7 +267,7 @@ class TestBinarize:
         )
         cell = st.sampled_from(["", "b", "c", "b=c", "=c", "1", "2"])
         columns = {
-            name: tuple(data_strategy.draw(st.lists(cell, min_size=n, max_size=n)))
+            name: encode(data_strategy.draw(st.lists(cell, min_size=n, max_size=n)))
             for name in names
         }
         table = RawTable(columns, "y", np.arange(n, dtype=np.uint8) % 2, "1")
@@ -430,7 +442,7 @@ class TestBinarizationPath:
         table = load_columns(columns, [str(i % 2) for i in range(n)])
         data, manifest = binarize(table, quantiles=quantiles)
 
-        matrix, names = reference_binarize(list(table.columns.items()), quantiles)
+        matrix, names = reference_binarize(raw_columns(table), quantiles)
         assert data.feature_names == tuple(names)
         assert (data.matrix == matrix).all()
 
@@ -469,7 +481,7 @@ class TestBinarizationPath:
 
         names = list(table.columns)
         matrix, ref_names = reference_apply(
-            list(fit_table.columns.items()), list(zip(names, held_out)), quantiles
+            raw_columns(fit_table), list(zip(names, held_out)), quantiles
         )
         assert data.feature_names == tuple(ref_names)
         assert (data.matrix == matrix).all()
@@ -487,7 +499,7 @@ class TestBinarizationPath:
         table = load_columns(fit, [str(i % 2) for i in range(n)])
         data, manifest = binarize(table, quantiles=900)
         assert [c.width for c in manifest.columns] == [2, 2]
-        matrix, names = reference_binarize(list(table.columns.items()), 900)
+        matrix, names = reference_binarize(raw_columns(table), 900)
         assert data.feature_names == tuple(names)
         assert (np.array(data.matrix) == matrix).all()
         rows = sorted(rng.choice(n, size=700, replace=False).tolist())
@@ -497,7 +509,7 @@ class TestBinarizationPath:
         with pytest.warns(UserWarning, match="unseen at fit"):
             again = apply_manifest(load_columns(held_out, ["0", "1", "0", "1"]), manifest)
         matrix, _ = reference_apply(
-            list(table.columns.items()), list(zip(table.columns, held_out)), 900
+            raw_columns(table), list(zip(table.columns, held_out)), 900
         )
         assert (np.array(again.matrix) == matrix).all()
 
@@ -571,6 +583,176 @@ class TestInputHardening:
         p = write(tmp_path, "t.csv", "a,a,b,y\n1,2,3,0\n")
         with pytest.raises(DataError, match="duplicate column name 'a'"):
             load_table(p, "y")
+
+
+class TestDistinctCellEdgeCases:
+    """Each column is coded once per distinct stripped cell; these pin what a
+    cell-by-cell reading gave before."""
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+    def test_padded_bad_numeric_cell_before_its_bare_spelling_is_named(self, tmp_path, quote):
+        _, manifest = binarize(load_table(write(tmp_path, "a.csv", "a,y\n1,0\n2,1\n"), "y"))
+        text = f"a,y\n2,0\n{quote} foo{quote},1\nbar,0\nfoo,1\n"
+        held_out = load_table(write(tmp_path, "b.csv", text), "y")
+        message = r"^numeric column 'a': could not convert string to float: 'foo'$"
+        with pytest.raises(DataError, match=message):
+            apply_manifest(held_out, manifest)
+
+    @pytest.mark.parametrize("blank", [" ", "\t", "  "])
+    def test_whitespace_only_label_cell_is_blank(self, tmp_path, blank):
+        p = write(tmp_path, "t.csv", f"x,y\n1,1\n2,{blank}\n3,\n4,0\n")
+        message = rf"^{re.escape(str(p))}: label column 'y' has 2 blank cell\(s\)$"
+        with pytest.raises(DataError, match=message):
+            load_table(p, "y")
+
+    def test_padded_prediction_cells_read_as_their_values(self, tmp_path):
+        p = write(tmp_path, "p.csv", "id,p\n1, 1\n2,0\n3,1 \n4,\t0\n")
+        assert list(load_predictions(p, 4, column="p").preds) == [1, 0, 1, 0]
+
+    def test_unseen_cell_warning_is_unchanged_on_padded_spellings(self, tmp_path):
+        # the rows of test_cli's one-warning example; the new category is
+        # spelled three ways that strip to one cell, and the blank n is "  "
+        rng = np.random.default_rng(8)
+        rows = [(f"{rng.random():.4f}", "xyz"[rng.integers(3)], i % 2) for i in range(120)]
+        fit = write(tmp_path, "d.csv", "n,a,y\n" + "".join(f"{n},{a},{y}\n" for n, a, y in rows))
+        _, manifest = binarize(load_table(fit, "y"))
+        new = {1: " w", 2: "w ", 40: "w"}
+        held_out = [("  " if i == 5 else n, new.get(i, a), y) for i, (n, a, y) in enumerate(rows)]
+        text = "n,a,y\n" + "".join(f"{n},{a},{y}\n" for n, a, y in held_out)
+        table = load_table(write(tmp_path, "h.csv", text), "y")
+        message = r"^cells in a category unseen at fit set no bit: n 1, a 3$"
+        with pytest.warns(UserWarning, match=message):
+            apply_manifest(table, manifest)
+
+
+NUMERIC_CELLS = ["", " ", "0", "1", " 1", "1 ", "\t1", "-2.5", "1e3", "007", "3.25"]
+BAD_NUMERIC_CELLS = ["inf", " nan", "foo", " foo", "1,5", 'x"']
+CATEGORICAL_CELLS = AROUND_MISSING + [" A", "A ", "\tA", "x y", "é", " ", 'q"u', "c,d"]
+LABEL_CELLS = ["0", "1", " 1", "0 ", "1"]
+BAD_LABEL_CELLS = ["", " ", "yes", "2"]
+
+
+@st.composite
+def coded_tables(draw):
+    """Two tables A and B of the same columns, each its cell columns and its labels.
+
+    A column draws from numbers, categories or both, with blanks,
+    whitespace-only cells and padded spellings that strip to one cell, some
+    of them quoted by ``csv.writer``; a large table may have a column of more
+    than 256 distinct cells and an all-distinct one. Some cells are not
+    finite numbers, and some labels are blank or not binary.
+    """
+    rnd = draw(st.randoms(use_true_random=False))
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical", "mixed", "many", "distinct"]),
+                          min_size=1, max_size=4))
+    bad = draw(st.sampled_from([0.0, 0.0, 0.02]))
+
+    def cell(kind, i):
+        if kind == "distinct":
+            return rnd.choice(["", " ", "k"]) + str(i)
+        if kind == "many":
+            return rnd.choice(["", " "]) + str(rnd.randrange(5000)) + rnd.choice(["", "\t"])
+        if rnd.random() < bad:
+            return rnd.choice(BAD_NUMERIC_CELLS)
+        pool = {"numeric": NUMERIC_CELLS, "categorical": CATEGORICAL_CELLS}
+        return rnd.choice(pool.get(kind, NUMERIC_CELLS + CATEGORICAL_CELLS))
+
+    def table():
+        n = rnd.choice([rnd.randint(1, 12)] * 3 + [rnd.randint(300, 330)])
+        columns = [[cell(kind, i) for i in range(n)] for kind in kinds]
+        labels = [rnd.choice(BAD_LABEL_CELLS if rnd.random() < bad else LABEL_CELLS) for _ in range(n)]
+        return columns, labels
+
+    return table(), table()
+
+
+def write_table(path, columns, labels, quoting):
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=quoting)
+        writer.writerow([f"c{j}" for j in range(len(columns))] + ["y"])
+        writer.writerows(zip(*columns, labels))
+
+
+def load_or_message(path, positive_value=None):
+    """The table and the oracle's cell columns, or None once the label
+    column's DataError is checked against the oracle's message."""
+    header, cells = reference_read(path)
+    expected = reference_labels(path, cells[-1], "y", positive_value)
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as raised:
+            load_table(path, "y", positive_value=positive_value)
+        assert str(raised.value) == expected
+        return None
+    table = load_table(path, "y", positive_value=positive_value)
+    columns = list(zip(header[:-1], map(tuple, cells[:-1])))
+    assert raw_columns(table) == columns
+    assert (list(table.labels), table.positive_value) == expected
+    return table, columns
+
+
+@given(case=coded_tables())
+# an all-distinct numeric column, and 280 then 290 distinct categories, ten unseen
+@example(
+    case=(
+        ([[f" {i}" for i in range(300)], [f"k{i % 280}" for i in range(300)]], ["0", "1"] * 150),
+        ([[str(i) for i in range(290)], [f"k{i}" for i in range(290)]], ["1", "0"] * 145),
+    )
+)
+# the first of two non-finite cells is named, at fit and on a held-out table
+@example(case=(([["1", " nan", "2", "inf"]], ["0", "1", "0", "1"]), ([["1"]], ["0"])))
+@example(case=(([["1", "2", "3"]], ["0", "1", "0"]), ([["2", "inf", " nan"]], ["0", "1", "1"])))
+@settings(max_examples=100, deadline=None)
+def test_reader_and_coder_match_the_per_cell_oracle(case):
+    # the decoded columns, labels, binarize, apply_manifest and their error
+    # texts, on both reader branches: QUOTE_ALL sends a table to csv.reader
+    (a_columns, a_labels), (b_columns, b_labels) = case
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        with tempfile.TemporaryDirectory() as d:
+            a_path, b_path = Path(d) / "a.csv", Path(d) / "b.csv"
+            write_table(a_path, a_columns, a_labels, quoting)
+            write_table(b_path, b_columns, b_labels, quoting)
+            fit = load_or_message(a_path)
+            if fit is None:
+                continue
+            a_table, a_cells = fit
+            error = reference_fit_error(a_cells)
+            if error is not None:
+                with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+                    binarize(a_table)
+                continue
+            data, manifest = binarize(a_table)
+            matrix, names = reference_binarize(a_cells, 7)
+            assert data.feature_names == tuple(names)
+            assert (np.array(data.matrix) == matrix).all()
+
+            held_out = load_or_message(b_path, manifest.positive_value)
+            if held_out is None:
+                continue
+            b_table, b_cells = held_out
+            errors = (
+                reference_numeric_error(name, cells)
+                for (name, fit_cells), (_, cells) in zip(a_cells, b_cells)
+                if reference_edges(fit_cells, 7) is not None
+            )
+            error = next(filter(None, errors), None)
+            if error is not None:
+                with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+                    apply_manifest(b_table, manifest)
+                continue
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                again = apply_manifest(b_table, manifest)
+            matrix, names = reference_apply(a_cells, b_cells, 7)
+            assert again.feature_names == tuple(names)
+            assert (np.array(again.matrix).reshape(matrix.shape) == matrix).all()
+            groups = [name.split("=")[0] for name in names]
+            unseen = [
+                f"{name} {n}"
+                for name, _ in a_cells
+                if (n := int((matrix[:, [g == name for g in groups]].sum(axis=1) == 0).sum()))
+            ]
+            want = [f"cells in a category unseen at fit set no bit: {', '.join(unseen)}"]
+            assert [str(w.message) for w in caught] == (want if unseen else [])
 
 
 class TestLoadPredictions:
@@ -691,7 +873,7 @@ def test_read_rows_inverts_write_rows(table):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "t.csv"
         write_rows(path, header, iter(rows))
-        assert _read_rows(path, ",") == (header, columns)
+        assert decoded(_read_rows(path, ",")) == (header, columns)
 
 
 def outcome(call):
@@ -773,7 +955,7 @@ def test_unquoted_table_never_reaches_csv_reader(tmp_path, monkeypatch, newline)
     monkeypatch.setattr(data_module.csv, "reader", refuse)
     text = newline.join(["a;b;y", "1; x ;0", "", "2;z;1", ""])
     table = load_table(write(tmp_path, "t.csv", text), "y", delimiter=";")
-    assert table.columns == {"a": ("1", "2"), "b": ("x", "z")}
+    assert dict(raw_columns(table)) == {"a": ("1", "2"), "b": ("x", "z")}
     with pytest.raises(AssertionError, match="csv.reader called"):
         load_table(write(tmp_path, "q.csv", f'a,y{newline}"1",0{newline}'), "y")
 
@@ -794,7 +976,7 @@ def test_cell_over_the_field_size_limit_names_its_line(tmp_path, newline, name):
         load_predictions(p, 3, column="y")
     # a cell of exactly the limit is read
     p = write(tmp_path, "u.csv", f"{name},y{newline}1,{long_cell[1:]}{newline}")
-    assert load_table(p, "a", positive_value="1").columns["y"] == (long_cell[1:],)
+    assert decode(load_table(p, "a", positive_value="1").columns["y"]) == (long_cell[1:],)
 
 
 def test_other_csv_reader_errors_name_their_line(tmp_path, monkeypatch):

@@ -87,6 +87,23 @@ class TestStream:
         assert got == twin.random(size).ravel().tolist()
         loop_draws(stream, twin, 20)
 
+    @given(
+        seed=st.integers(0, 2**63),
+        scalar_draws=st.integers(0, 3),
+        size=st.integers(0, 300),
+        picks=st.lists(st.booleans(), max_size=300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_draws_at_rows_equal_the_generator_batch_at_them(self, seed, scalar_draws, size, picks):
+        # the rows' entries of one batch, the stream left past the whole batch
+        rows = [i for i, pick in zip(range(size), picks) if pick]
+        stream, twin = Stream(seed), np.random.default_rng(seed)
+        loop_draws(stream, twin, scalar_draws)
+        got = stream.random_at(rows, size)
+        assert all(type(x) is float for x in got)
+        assert got == twin.random(size)[rows].tolist()
+        loop_draws(stream, twin, 5)
+
     @pytest.mark.parametrize("seed", [0, 5, 2**40])
     def test_fold_permutations_equal_the_generator(self, seed):
         groups = [range(0, 7), range(7, 5000), range(0)]
