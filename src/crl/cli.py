@@ -56,7 +56,7 @@ from .model_io import (
 )
 from .objective import autac_hat, curve
 from .search import ALPHA_CANDIDATES, SearchConfig, _run_chains, check_candidates
-from .search import run_search, tune_alpha
+from .search import SearchResult, run_search, tune_alpha
 from .streams import Stream, child_seeds
 from .synth import planted_benchmark
 
@@ -261,6 +261,24 @@ def _fit(args, data: BinaryDataset, preds: PredictionVector, seed: int):
     return run_search(data, preds, pool, replace(args.search, seed=seed))
 
 
+def _fitted_model(result: SearchResult, feature_names, n_rows: int, **extra) -> ModelDocument:
+    """The model of a chain fitted on ``n_rows`` rows, its ``training`` block naming the run.
+
+    The block holds what the chain reached and the seed it ran with, then
+    the caller's ``extra`` keys.
+    """
+    training = {
+        "n_rows": n_rows,
+        "blackbox_accuracy": result.curve.points[0][1],
+        "autac": result.objective.autac,
+        "alpha": result.objective.alpha,
+        "objective": result.objective.objective,
+        "seed": result.seed,
+        **extra,
+    }
+    return model_from_training(result.best_list, feature_names, result.curve, training)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -272,21 +290,7 @@ def cmd_train(args) -> int:
     result = _fit(args, data, preds, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    doc = model_from_training(
-        result.best_list,
-        data.feature_names,
-        result.curve,
-        training={
-            "n_rows": data.n_rows,
-            "blackbox_accuracy": result.curve.points[0][1],
-            "autac": result.objective.autac,
-            "alpha": result.objective.alpha,
-            "objective": result.objective.objective,
-            "seed": args.seed,
-        },
-    )
-    save_model(out / "model.json", doc)
+    save_model(out / "model.json", _fitted_model(result, data.feature_names, data.n_rows))
     save_curve_csv(out / "curve.csv", result.curve)
     save_trace_csv(out / "trace.csv", result.trace)
     manifest.save(out / "manifest.json")
@@ -391,8 +395,12 @@ def cmd_tune(args) -> int:
         print(c.summary())
     print(f"chosen alpha: {report.chosen_alpha}")
     if args.model_out:
-        doc = model_from_training(
-            report.chosen.best_list, data.feature_names, report.chosen.curve
+        doc = _fitted_model(
+            report.chosen,
+            data.feature_names,
+            data.n_rows,
+            chosen_alpha=report.chosen_alpha,
+            tied_alphas=list(report.tied_alphas),
         )
         save_model(args.model_out, doc)
     return 0
@@ -429,15 +437,18 @@ def cmd_cv(args) -> int:
         for i, (result, test_curve, trace_text) in enumerate(fitted):
             fold_dir = out / f"fold_{i}"
             fold_dir.mkdir(exist_ok=True)
-            doc = model_from_training(result.best_list, data.feature_names, result.curve)
-            save_model(fold_dir / "model.json", doc)
+            n_rows_train = data.n_rows - len(folds[i])
+            save_model(
+                fold_dir / "model.json",
+                _fitted_model(result, data.feature_names, n_rows_train, fold=i),
+            )
             save_curve_csv(fold_dir / "curve_train.csv", result.curve)
             save_curve_csv(fold_dir / "curve_test.csv", test_curve)
             save_trace_text(fold_dir / "trace.csv", trace_text)
             fold_rows.append(
                 {
                     "fold": i,
-                    "n_rows_train": data.n_rows - len(folds[i]),
+                    "n_rows_train": n_rows_train,
                     "n_rows_test": len(folds[i]),
                     "n_rules": len(result.best_list),
                     "train_autac": result.objective.autac,
@@ -472,44 +483,19 @@ def cmd_cv(args) -> int:
     return 0
 
 
-def _pairwise_sum(values: list[float]) -> float:
-    """numpy's float64 sum of ``values``, bit for bit: pairwise summation.
-
-    Below 8 values a plain loop; up to 128, eight running sums over the
-    values in steps of 8, combined pairwise, then the remainder added in
-    turn; above, the sums of two halves, the first a multiple of 8 long.
-    """
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n <= 128:
-        r = list(values[:8])
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            for j in range(8):
-                r[j] += values[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for v in values[tail:]:
-            total += v
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-
-
 def _mean(values: list[float]) -> float:
-    """``numpy.mean`` of ``values``, bit for bit."""
-    return _pairwise_sum(values) / len(values)
+    """The mean of ``values``, its sum exactly rounded."""
+    return math.fsum(values) / len(values)
 
 
 def _sample_std(values: list[float]) -> float:
-    """``numpy.std(values, ddof=1)``, bit for bit."""
+    """The sample standard deviation of ``values``.
+
+    ``math.hypot`` takes the root sum of squared deviations, which neither
+    underflows nor overflows.
+    """
     mean = _mean(values)
-    squares = [(v - mean) * (v - mean) for v in values]
-    return math.sqrt(_pairwise_sum(squares) / (len(values) - 1))
+    return math.hypot(*(v - mean for v in values)) / math.sqrt(len(values) - 1)
 
 
 def _cv_table(report: dict) -> str:
@@ -536,6 +522,13 @@ def cmd_synth(args) -> int:
             oracle_accuracy=args.oracle_accuracy,
             covered_oracle_accuracy=args.covered_oracle_accuracy,
         )
+    # a planted condition is "column i takes value 1"; a draw where some
+    # column never does is refused before anything is written
+    planted = sorted({i for rule in bench.planted for i in rule.conditions})
+    for i in planted:
+        if not bench.data.feature_bits[i]:
+            name = bench.data.feature_names[i]
+            raise DataError(f"planted feature {name!r} is never 1 in {args.rows} rows")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = map(tuple.__add__, bench.data.matrix, zip(bench.data.labels))
@@ -547,15 +540,11 @@ def cmd_synth(args) -> int:
     _, manifest = binarize(load_table(out / "data.csv", "label"))
     manifest.save(out / "manifest.json")
 
-    # a planted condition is "column i takes value 1"; name it as binarize did
+    # name each planted condition as binarize did
     names = {}
-    for rule in bench.planted:
-        for i in rule.conditions:
-            col = manifest.columns[i]
-            k = int.from_bytes(col.codes(encode_cells(("1",))), "little")
-            if k == len(col.categories):
-                raise DataError(f"planted feature {col.name!r} is never 1 in {args.rows} rows")
-            names[i] = col.feature_names()[k]
+    for i in planted:
+        col = manifest.columns[i]
+        names[i] = col.feature_names()[int.from_bytes(col.codes(encode_cells(("1",))), "little")]
     planted_curve = curve(bench.planted, bench.data, bench.preds)
     doc = model_from_training(bench.planted, names, planted_curve)
     save_model(out / "planted_model.json", doc)

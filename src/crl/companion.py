@@ -10,7 +10,7 @@ black-box prediction. The prediction modes are:
   expectation by letting the rows covered exactly by the next rule adopt it
   with probability q, where q is the fractional position of t between the two
   surrounding levels of the training-time curve (each row draws its own
-  uniform epsilon, and only those rows' draws are made).
+  uniform epsilon).
 
 Each row's first-match rule is read off one prefix sweep of the evaluated
 rows. That rule, the row's black-box value and, in the stochastic mode, the
@@ -102,11 +102,9 @@ class CompanionEvaluator:
         ``level_transparencies``, the training-time transparency of levels
         0..M (``ModelDocument.level_transparencies()`` or the training curve's
         ``transparency``), never through this dataset's curve. Row i takes the
-        i-th of one batch of ``n_rows`` uniforms; rows whose first match is
-        rule index m adopt it when that draw is < q. Only those rows' draws
-        are made, by ``rng.random_at(rows, n_rows)`` (a
-        :class:`~crl.streams.Stream`, or any object with that method); the
-        other rows' draws only move the stream on. On the
+        i-th of one batch ``rng.random(n_rows)`` (a
+        :class:`~crl.streams.Stream`, or a numpy ``Generator``); rows whose
+        first match is rule index m adopt it when that draw is < q. On the
         training rows the expected fraction of rule-answered rows equals t;
         on any rows, t equal to level m's entry (q = 0) gives level m's
         predictions for every seed. Levels whose transparencies are given
@@ -123,7 +121,8 @@ class CompanionEvaluator:
             )
         m, q = level_for_t(level_transparencies, t)
         band = self._band_rows(m)
-        adopted = compress(band, map(float(q).__gt__, rng.random_at(band, self.data.n_rows)))
+        draws = rng.random(self.data.n_rows)
+        adopted = [row for row in band if draws[row] < q]
         return self._assemble(self._covered[m] | sum(map((1).__lshift__, adopted)))
 
     def _band_rows(self, m: int) -> list[int]:

@@ -16,7 +16,7 @@ from .errors import DataError
 from .mining import CandidatePool
 from .objective import TradeoffCurve
 from .rules import Rule, RuleList
-from .search import SearchTrace
+from .search import SearchStep, SearchTrace
 
 MODEL_FORMAT = "crl-model"
 MODEL_VERSION = 1
@@ -30,7 +30,7 @@ CURVE_FIELDS = (
     "exclusive_support",
     "rule_part_accuracy",
 )
-TRACE_FIELDS = ("iteration", "op", "proposed_objective", "accepted", "best_objective")
+TRACE_FIELDS = SearchStep._fields
 # Training-time statistics of rule m, in the order TradeoffCurve.level_stats
 # gives them: its exclusive support and accuracy on the rows it answers, then
 # curve point m (cumulative transparency and accuracy).

@@ -119,6 +119,7 @@ class SearchResult:
     curve: TradeoffCurve
     trace: SearchTrace | None  # None in a tune report and in a cv fold's reply
     objective: ObjectiveValue
+    seed: int  # the seed the chain ran with
 
 
 def temperature(n: int, c0: float) -> float:
@@ -235,7 +236,9 @@ def run_search(
     best_list = RuleList(tuple(pool.rules[i] for i in best))
     best_curve = curve(best_list, data, preds)
     obj = ObjectiveValue(autac_hat(best_curve), config.alpha, len(best_list))
-    return SearchResult(best_list=best_list, curve=best_curve, trace=trace, objective=obj)
+    return SearchResult(
+        best_list=best_list, curve=best_curve, trace=trace, objective=obj, seed=config.seed
+    )
 
 
 @dataclass(frozen=True)

@@ -39,15 +39,3 @@ def make_random_preds(seed, data, accuracy=0.7):
     preds = np.where(keep, labels, 1 - labels).astype(np.uint8)
     return PredictionVector(preds)
 
-
-class Twin:
-    """A numpy ``Generator`` of a seed, drawing as a ``Stream`` of that seed does."""
-
-    def __init__(self, seed):
-        self.generator = np.random.default_rng(seed)
-
-    def random(self, size):
-        return self.generator.random(size)
-
-    def random_at(self, rows, size):
-        return self.generator.random(size)[list(rows)].tolist()

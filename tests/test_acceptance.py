@@ -27,8 +27,9 @@ from crl import (
 )
 from crl.cli import main
 from crl.search import accept, temperature
+from crl.streams import Stream
 
-from conftest import Twin, make_random_dataset, make_random_preds
+from conftest import make_random_dataset, make_random_preds
 from oracles import (
     brute_force_pool,
     exhaustive_best_autac,
@@ -100,7 +101,7 @@ def test_criterion_3_stochastic_consistency():
     midpoints = [(a + b) / 2 for a, b in zip(ts, ts[1:])]
     targets = boundary + midpoints  # ten values of t
     assert len(targets) == 10
-    rng = Twin(4242)
+    rng = np.random.default_rng(4242)
     for t in targets:
         trans_sum = 0.0
         acc_sum = 0.0
@@ -134,7 +135,7 @@ def test_criterion_5_search_soundness(bench_split):
     assert all(b0 <= b1 for b0, b1 in zip(best, best[1:]))
     from crl.search import init_list
 
-    state = init_list(pool, cfg.init_size, np.random.default_rng(cfg.seed))
+    state = init_list(pool, cfg.init_size, Stream(cfg.seed))
     init = RuleList(tuple(pool.rules[i] for i in state))
     assert best[-1] >= objective(init, data_tr, preds_tr, cfg.alpha).objective
     r2 = run_search(data_tr, preds_tr, pool, cfg)

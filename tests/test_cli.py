@@ -9,6 +9,7 @@ import math
 import os
 import re
 import signal
+import statistics
 import time
 from contextlib import closing
 
@@ -102,6 +103,21 @@ class TestSynth:
         assert run("synth", "--rows", 1, "--out", tmp_path) == 3
         assert "never 1" in one_error_line(capsys, "data error")
 
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_refused_draw_writes_no_directory(self, tmp_path, capsys, rows, seed):
+        # a draw is written whole or not at all: some of these draws leave a
+        # planted column constant 0, the others write every artifact
+        out = tmp_path / "bench"
+        code = run("synth", "--rows", rows, "--seed", seed, "--out", out)
+        if code == 0:
+            names = sorted(p.name for p in out.iterdir())
+            assert names == ["data.csv", "manifest.json", "planted_model.json", "preds.txt"]
+        else:
+            assert code == 3
+            assert "never 1" in one_error_line(capsys, "data error")
+            assert not out.exists()
+
     @pytest.mark.parametrize("rows, seed", [(50, 3), (300, 4), (1000, 7)])
     def test_planted_model_names_the_planted_list(self, tmp_path, capsys, rows, seed):
         # GOLDEN_DIGESTS pins one (rows, seed); these check the planted model elsewhere
@@ -122,10 +138,18 @@ class TestSynth:
         assert autac_from_stdout(capsys) == expected
 
 
+TRAINING_KEYS = ["n_rows", "blackbox_accuracy", "autac", "alpha", "objective", "seed"]
+
+
 class TestTrain:
     def test_artifacts(self, trained_dir):
         for name in ("model.json", "curve.csv", "trace.csv", "manifest.json"):
             assert (trained_dir / name).exists()
+
+    def test_training_block_names_the_run(self, trained_dir):
+        training = json.loads((trained_dir / "model.json").read_text())["training"]
+        assert list(training) == TRAINING_KEYS
+        assert (training["n_rows"], training["seed"]) == (400, 1)
 
     def test_curve_csv_matches_recomputed_points(self, bench_dir, trained_dir):
         table = load_table(bench_dir / "data.csv", "label")
@@ -512,7 +536,14 @@ class TestMineAndTune:
         obj = json.loads(out.read_text())
         assert obj["chosen_alpha"] in (0.01, 0.001)
         assert len(obj["candidates"]) == 2
-        assert (tmp_path / "tuned.json").exists()
+        training = json.loads((tmp_path / "tuned.json").read_text())["training"]
+        assert list(training) == [*TRAINING_KEYS, "chosen_alpha", "tied_alphas"]
+        chosen = obj["chosen_alpha"]
+        seed = child_seeds(0, 2)[[0.01, 0.001].index(chosen)]
+        assert (training["alpha"], training["chosen_alpha"]) == (chosen, chosen)
+        assert (training["tied_alphas"], training["seed"], training["n_rows"]) == (
+            obj["tied_alphas"], seed, 400
+        )
 
     def test_worker_count_leaves_tune_output_byte_identical(self, worker_runs):
         runs = [worker_runs(n, "tune") for n in (1, 2)]
@@ -636,9 +667,22 @@ class TestCv:
             for (t0, a0), (t1, a1) in zip(stored, stored[1:]):
                 s += (a1 + a0) * (t1 - t0)
             autacs.append(0.5 * s)
-        assert report["autac_mean"] == float(np.mean(autacs))
-        assert report["autac_std"] == float(np.std(autacs, ddof=1))
+        mean = math.fsum(autacs) / 5
+        assert report["autac_mean"] == mean
+        assert report["autac_std"] == math.hypot(*(a - mean for a in autacs)) / 2
         assert (out / "report.txt").exists()
+
+    def test_fold_models_name_their_fold_and_seed(self, tmp_path):
+        data_path = tmp_path / "d.csv"
+        write_random_csv(data_path, 100, seed=0)
+        out = tmp_path / "cv"
+        assert self.run_cv(data_path, out, 0.9) == 0
+        report = json.loads((out / "report.json").read_text())
+        for i, seed in enumerate(child_seeds(5, 5)):
+            training = json.loads((out / f"fold_{i}" / "model.json").read_text())["training"]
+            assert list(training) == [*TRAINING_KEYS, "fold"]
+            assert (training["fold"], training["seed"], training["n_rows"]) == (i, seed, 80)
+            assert training["autac"] == report["folds"][i]["train_autac"]
 
     def test_deterministic_reports(self, tmp_path):
         data_path = tmp_path / "d.csv"
@@ -1222,22 +1266,25 @@ def test_out_of_range_knob_exit_code(tmp_path, capsys, command, knob, value, cod
 # Any change to these digests is a behaviour change of the CLI, not a refactor.
 GOLDEN_DIGESTS = {
     "train/model.json": (
-        "f8dd8f4261dd10a466b881e65723510a5266b6333582a8fafd6808c531dcc64e"
+        "dbf52fdf259e31fd1a03e23f3eecadda6d6933f26248562f5659bc3b2f932212"
     ),
     "train/curve.csv": (
-        "da0af1e9dc91530dd1f0055f03cab8566a105ff94fed522347a26ef30be62c43"
+        "2f1d421aac5726f5cf47b500f3fedaf764d83007d56d9c4ced00ffd1351af143"
     ),
     "train/trace.csv": (
-        "f803932b5df5ae432f98659f28626a99ba062e7f43d4b6df586689ab5d5ec921"
+        "c9c3654cbc5e03c4ce3ee3cd1e089228702dfaa2e4a5443587d4472e04437bb0"
     ),
     "cv/fold_1/trace.csv": (
-        "b3e120cc0fb7fdaea2ea29e9131bb1357eff346dab11fa7c8e01e33eaa870548"
+        "ff7c8e9c37437df611233d4b119c4c5daf7c0afed42a8ace9f7383023862a5c1"
+    ),
+    "cv/fold_1/model.json": (
+        "47ef5f1ee87b58cc9e1e7dcda7a159cdf5340da19654d5057409e65acfe10d63"
     ),
     "cv/report.json": (
-        "a5ca89d3572b26951f2e6a46f2c70d3cc22254e9c457dc73ba53bd7242147981"
+        "e1daaddeaecb409450804cebb765f79e77277da811a00a876b919336060ca011"
     ),
     "predict.csv": (
-        "390fe72c3626254c0a8b30f08da803ff4068f060fd9bd929251c94817a3f23d5"
+        "7e96ce50607672b2a7181f2662bddaa0693ae01ca0657ef3802847e50182f5c8"
     ),
     "train/manifest.json": (
         "e61c54ff30d4691c242300c9f326d1a68120c8948bf9eb6d7e8d0a51d05bbcaf"
@@ -1246,7 +1293,7 @@ GOLDEN_DIGESTS = {
         "e61c54ff30d4691c242300c9f326d1a68120c8948bf9eb6d7e8d0a51d05bbcaf"
     ),
     "bench/planted_model.json": (
-        "c5e1dd6fbf43d42485f75a33ac1c513680c0c0049259395ba93bd3bb0fdbc11e"
+        "8ad140889796ccce605b0c05d433b629a08401dc9d3e92867cc97cb4e87d83a8"
     ),
 }
 
@@ -1677,8 +1724,11 @@ def test_input_file_that_is_not_utf8_is_data_error(bench_dir, trained_dir, tmp_p
     )
 )
 @settings(max_examples=300, deadline=None)
-def test_cv_mean_and_std_equal_numpy(values):
-    # numpy sums float64 pairwise: a loop below 8 values, 8 partial sums up
-    # to 128, halves above; the report's mean and std must match it bit for bit
-    assert cli._mean(values).hex() == float(np.mean(values)).hex()
-    assert cli._sample_std(values).hex() == float(np.std(values, ddof=1)).hex()
+def test_cv_mean_and_std_equal_statistics(values):
+    # the mean's sum is exactly rounded, so it is statistics.fmean's bit for
+    # bit; the std is within a few ulps of the exactly computed statistics.stdev,
+    # give or take the mean's rounding, an ulp of the values at most
+    assert cli._mean(values).hex() == statistics.fmean(values).hex()
+    std = cli._sample_std(values)
+    scale = max(map(abs, values))
+    assert std == pytest.approx(statistics.stdev(values), rel=1e-13, abs=1e-15 * scale)

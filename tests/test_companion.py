@@ -14,7 +14,7 @@ from crl import (
 from crl.objective import level_for_t
 from crl.streams import Stream
 
-from conftest import Twin, make_random_dataset, make_random_preds
+from conftest import make_random_dataset, make_random_preds
 from oracles import as_array, random_instance, simulate_first_match
 
 
@@ -103,7 +103,7 @@ class TestStochasticPredictions:
         for m in range(ev.n_levels + 1):
             lvl_out, lvl_prov = ev.level_predictions(m)
             for seed in (0, 1, 99):
-                out, prov = ev.stochastic_predictions(ts[m], Twin(seed), ts)
+                out, prov = ev.stochastic_predictions(ts[m], np.random.default_rng(seed), ts)
                 assert out == lvl_out
                 assert prov == lvl_prov
 
@@ -111,7 +111,7 @@ class TestStochasticPredictions:
         ev = fixed_model()
         ts = ev.curve.transparency
         with pytest.raises(DataError, match="exceeds list coverage"):
-            ev.stochastic_predictions(ev.curve.coverage + 0.01, Twin(0), ts)
+            ev.stochastic_predictions(ev.curve.coverage + 0.01, np.random.default_rng(0), ts)
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_wrong_number_of_level_transparencies_refused(self, extra):
@@ -119,7 +119,7 @@ class TestStochasticPredictions:
         ts = ev.curve.transparency
         ts = ts[:extra] if extra < 0 else ts + (1.0,)
         with pytest.raises(DataError, match=rf"^{len(ts)} level transparencies .* \(need 6\)$"):
-            ev.stochastic_predictions(0.0, Twin(0), ts)
+            ev.stochastic_predictions(0.0, np.random.default_rng(0), ts)
 
     def test_descending_level_transparencies_refused(self):
         # a swapped pair of levels would send t to the wrong level
@@ -128,20 +128,20 @@ class TestStochasticPredictions:
         ts[2], ts[3] = ts[3], ts[2]
         assert ts[2] > ts[3]
         with pytest.raises(DataError, match=r"^level transparencies must ascend"):
-            ev.stochastic_predictions(ts[3], Twin(0), tuple(ts))
+            ev.stochastic_predictions(ts[3], np.random.default_rng(0), tuple(ts))
 
     def test_tied_level_transparencies_accepted(self):
         ev = fixed_model()
         ts = ev.curve.transparency
         tied = (ts[0], ts[1], ts[1], *ts[3:])
-        out, _ = ev.stochastic_predictions(ts[1], Twin(0), tied)
+        out, _ = ev.stochastic_predictions(ts[1], np.random.default_rng(0), tied)
         assert out == ev.level_predictions(2)[0]
 
     def test_expected_transparency_midpoint(self):
         ev = fixed_model()
         ts = ev.curve.transparency
         t = (ts[2] + ts[3]) / 2
-        rng = Twin(123)
+        rng = np.random.default_rng(123)
         draws = 20_000
         total = 0.0
         for _ in range(draws):
@@ -156,7 +156,7 @@ class TestStochasticPredictions:
         ts = ev.curve.transparency
         t = (ts[1] + ts[2]) / 2
         seed = 5
-        out, prov = ev.stochastic_predictions(t, Twin(seed), ts)
+        out, prov = ev.stochastic_predictions(t, np.random.default_rng(seed), ts)
         eps = np.random.default_rng(seed).random(ev.data.n_rows)
         specs = [(r.conditions, r.output) for r in ev.rule_list]
         match = simulate_first_match(specs, ev.data.matrix)
@@ -173,11 +173,11 @@ class TestStochasticPredictions:
         ev = fixed_model()
         ts = ev.curve.transparency
         t = (ts[2] + ts[3]) / 2
-        full_out, full_prov = ev.stochastic_predictions(t, Twin(3), ts)
+        full_out, full_prov = ev.stochastic_predictions(t, np.random.default_rng(3), ts)
         rows = range(ev.data.n_rows // 3)
         head = CompanionEvaluator(ev.rule_list, ev.data.subset(rows), ev.preds.subset(rows))
         assert head.curve.transparency != ts
-        out, prov = head.stochastic_predictions(t, Twin(3), ts)
+        out, prov = head.stochastic_predictions(t, np.random.default_rng(3), ts)
         assert out == full_out[: len(rows)]
         assert prov == full_prov[: len(rows)]
 
@@ -200,7 +200,7 @@ class TestStochasticPredictions:
         t = where * ts[-1]
 
         def rng():
-            return Stream(draw_seed) if kind == "stream" else Twin(draw_seed)
+            return Stream(draw_seed) if kind == "stream" else np.random.default_rng(draw_seed)
 
         out, prov = ev.stochastic_predictions(t, rng(), ts)
         m, q = level_for_t(ts, t)

@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import itertools
 import os
+import random
 import re
 import runpy
 import subprocess
@@ -99,7 +100,11 @@ RANDOM_NAMES = {"default_rng", "SeedSequence", "PCG64", "random_raw"}
 
 
 def random_draws(source: str) -> list[str]:
-    """Each place ``source`` names numpy's random module, a seeding name or a bit generator's state."""
+    """Each place ``source`` names a random module, a seeding name or a bit generator's state.
+
+    The random modules are numpy's and the standard library's: an import of
+    ``random`` or from it, and an attribute read off a name ``random``.
+    """
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -121,6 +126,7 @@ def random_draws(source: str) -> list[str]:
                 name.replace("np.", "numpy.", 1).startswith("numpy.random")
                 or parts[-1] in RANDOM_NAMES
                 or (parts[-1] == "state" and parts[0] == "bit_generator")
+                or (parts[0] == "random" and not isinstance(node, ast.Name))
             ):
                 found.append(f"{node.lineno}:{name}")
     return found
@@ -130,11 +136,14 @@ def test_random_draws_finds_every_spelling():
     source = (
         "import numpy.random\nfrom numpy import random\nfrom numpy.random import PCG64\n"
         "rng = np.random.default_rng(0)\nx = rng.bit_generator.state\ny = bits.random_raw(4)\n"
-        "z = SeedSequence(1)\nw = rng.random()\n"
+        "z = SeedSequence(1)\nw = rng.random()\nimport random\nfrom random import Random\n"
+        "v = random.getrandbits(8)\nimport os, random as r\nrandom = 3\n"
     )
+    # a draw spelled rng.random() (line 8) and a variable named random (line 13) are not
     assert sorted(random_draws(source)) == [
-        "1:numpy.random", "2:numpy.random", "3:numpy.random.PCG64", "4:np.random",
-        "4:random.default_rng", "5:bit_generator.state", "6:bits.random_raw", "7:SeedSequence",
+        "10:random.Random", "11:random.getrandbits", "12:random", "1:numpy.random",
+        "2:numpy.random", "3:numpy.random.PCG64", "4:np.random", "4:random.default_rng",
+        "5:bit_generator.state", "6:bits.random_raw", "7:SeedSequence", "9:random",
     ]
 
 
@@ -146,6 +155,50 @@ def test_only_streams_draws_random_numbers():
         if path.name != "streams.py"
     }
     assert {name: found for name, found in drawing.items() if found} == {}
+
+
+# Python keeps only seeding and random() stable across versions; getrandbits
+# feeds the bounded draws, whose pinned values catch a change in it.
+STABLE_RANDOM_METHODS = {"random", "getrandbits"}
+RANDOM_METHODS = {name for name in dir(random.Random) if not name.startswith("_")}
+
+
+def random_method_uses(source: str) -> list[str]:
+    """Each place ``source`` reaches the standard library's generator other than
+    through ``Random(seed)`` and its ``random`` and ``getrandbits``, by line.
+
+    A stream's own methods, read off ``self``, do not count.
+    """
+    unstable = RANDOM_METHODS - STABLE_RANDOM_METHODS
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "random":
+            # every name but the class is a function of the module's shared generator
+            names = [alias.name for alias in node.names if alias.name != "Random"]
+        elif isinstance(node, ast.Attribute) and node.attr in unstable:
+            on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+            names = [] if on_self else [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names]
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
+def test_random_method_uses_finds_every_spelling():
+    source = (
+        "from random import Random, shuffle\ng = Random(1)\nx = g.randrange(5)\n"
+        "y = g.random() + g.getrandbits(32)\nrandom.seed(3)\nself.choice(4, 2, False)\n"
+        "Random(2).sample(range(4), 2)\nfrom random import *\nz = self._gen.shuffle\n"
+    )
+    assert random_method_uses(source) == [
+        "1:shuffle", "3:randrange", "5:seed", "7:sample", "8:*", "9:shuffle"
+    ]
+
+
+def test_streams_calls_only_the_stable_random_methods():
+    # a CPython change to any other method would change every draw silently
+    source = (ROOT / "src" / "crl" / "streams.py").read_text()
+    assert random_method_uses(source) == []
 
 
 def numpy_imports(source: str) -> list[str]:

@@ -1,10 +1,12 @@
-"""Twin properties: every :class:`Stream` draw equals the same call on a numpy
-``Generator`` of the same seed, and leaves the two streams at the same place;
-the seeds, raw outputs and permutations under it equal numpy's too."""
+"""Properties of the one random stream: every :class:`Stream` draw is the
+documented reduction of ``random.Random(seed)``'s ``random()`` and
+``getrandbits(32)``, and leaves the stream where that reduction does; bounded
+draws are uniform; child seeds are distinct; the first draws of a few seeds
+are pinned, so a change in the standard library's generator fails here."""
 
-from itertools import islice
+import math
+import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,41 @@ from hypothesis import strategies as st
 from crl.mining import CandidatePool
 from crl.rules import Rule
 from crl.search import init_list
-from crl.streams import SeedSequence, Stream, _raw_outputs, child_seeds, permutations
+from crl.streams import Stream, child_seeds, permutations
+
+
+class Generator:
+    """The draws a :class:`Stream` documents, spelled out on ``random.Random(seed)``."""
+
+    def __init__(self, seed):
+        self.generator = random.Random(seed)
+
+    def random(self, size=None):
+        if size is None:
+            return self.generator.random()
+        return [self.generator.random() for _ in range(size)]
+
+    def integers(self, high):
+        # Lemire: x * high, kept unless its low word is below 2**32 mod high
+        while True:
+            m = self.generator.getrandbits(32) * high
+            if m % 2**32 >= 2**32 % high:
+                return m // 2**32
+
+    def swap_down(self, items, lowest):
+        # each position from the last down to ``lowest`` swaps with one at or below it
+        for i in range(len(items) - 1, lowest - 1, -1):
+            j = self.integers(i + 1)
+            items[i], items[j] = items[j], items[i]
+        return items
+
+    def choice(self, m, size, replace):
+        assert not replace
+        return self.swap_down(list(range(m)), max(m - size, 1))[m - size :]
+
+    def permutation(self, items):
+        return self.swap_down(list(items), 1)
+
 
 _DRAW = st.one_of(
     st.just(("random",)),
@@ -23,17 +59,17 @@ _DRAW = st.one_of(
 
 
 def draw_both(stream, twin, draw):
-    """One draw from each; the stream's result as a plain value, and the twin's."""
+    """One draw from each of a stream and its twin."""
     if draw[0] == "random":
         return stream.random(), twin.random()
     if draw[0] == "integers":
         got = stream.integers(draw[1])
         assert type(got) is int
-        return got, int(twin.integers(draw[1]))
+        return got, twin.integers(draw[1])
     if draw[0] == "choice":
         _, m, k = draw
-        return stream.choice(m, size=k, replace=False), twin.choice(m, size=k, replace=False).tolist()
-    return stream.random(draw[1]), twin.random(draw[1]).tolist()
+        return stream.choice(m, size=k, replace=False), twin.choice(m, size=k, replace=False)
+    return stream.random(draw[1]), twin.random(draw[1])
 
 
 def loop_draws(stream, twin, n):
@@ -54,64 +90,31 @@ class TestStream:
     def test_every_draw_equals_the_generator(self, seed, init_size, draws):
         # the whole chain: the initial list, then the loop's draws, from one stream
         pool = CandidatePool(tuple(Rule((i,), 1) for i in range(40)), (1.0,) * 40, 0.05, 2)
-        stream, twin = Stream(seed), np.random.default_rng(seed)
+        stream, twin = Stream(seed), Generator(seed)
         assert init_list(pool, init_size, stream) == init_list(pool, init_size, twin)
         for draw in draws:
             got, want = draw_both(stream, twin, draw)
             assert got == want, draw
 
-    @pytest.mark.parametrize(
-        "m, k",
-        [
-            (1, 0), (1, 1), (2, 2), (13, 5), (100, 100), (10000, 10000),
-            (10001, 200), (10001, 201), (12000, 240), (12000, 300), (20000, 401), (20000, 20000),
-        ],
-    )
-    def test_choice_equals_the_generator_in_both_branches(self, m, k):
-        # numpy shuffles a Floyd sample, or a tail of range(m) when m > 10000 and k > m // 50
-        for seed in range(3):
-            stream, twin = Stream(seed), np.random.default_rng(seed)
-            got, want = draw_both(stream, twin, ("choice", m, k))
-            assert got == want, seed
-            loop_draws(stream, twin, 50)
-
     @pytest.mark.parametrize("size", [1, 20000, (300, 10)])
     @pytest.mark.parametrize("scalar_draws", [0, 1, 2, 1500])
     def test_batch_random_equals_the_generator(self, size, scalar_draws):
-        # a batch drawn first, or after scalar draws that cache a half; a
-        # 2-d batch of the Generator is the flat batch, row by row
-        stream, twin = Stream(4), np.random.default_rng(4)
+        # a batch is the next draws of random(), in turn, wherever the stream stands
+        stream, twin = Stream(4), Generator(4)
         loop_draws(stream, twin, scalar_draws)
-        got = stream.random(int(np.prod(size)))
+        got = stream.random(math.prod(size) if isinstance(size, tuple) else size)
         assert all(type(x) is float for x in got)
-        assert got == twin.random(size).ravel().tolist()
+        assert got == twin.random(len(got))
         loop_draws(stream, twin, 20)
-
-    @given(
-        seed=st.integers(0, 2**63),
-        scalar_draws=st.integers(0, 3),
-        size=st.integers(0, 300),
-        picks=st.lists(st.booleans(), max_size=300),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_draws_at_rows_equal_the_generator_batch_at_them(self, seed, scalar_draws, size, picks):
-        # the rows' entries of one batch, the stream left past the whole batch
-        rows = [i for i, pick in zip(range(size), picks) if pick]
-        stream, twin = Stream(seed), np.random.default_rng(seed)
-        loop_draws(stream, twin, scalar_draws)
-        got = stream.random_at(rows, size)
-        assert all(type(x) is float for x in got)
-        assert got == twin.random(size)[rows].tolist()
-        loop_draws(stream, twin, 5)
 
     @pytest.mark.parametrize("seed", [0, 5, 2**40])
     def test_fold_permutations_equal_the_generator(self, seed):
         groups = [range(0, 7), range(7, 5000), range(0)]
-        twin = np.random.default_rng(seed)
+        twin = Generator(seed)
         got = permutations(seed, groups)
         assert len(got) == len(groups)
         for perm, group in zip(got, groups):
-            assert perm == twin.permutation(np.array(group, dtype=np.intp)).tolist()
+            assert perm == twin.permutation(group)
 
     @pytest.mark.parametrize("high", [2**32, 2**32 + 1, 2**40])
     def test_refuses_ranges_of_2_to_the_32_or_more(self, high):
@@ -122,61 +125,41 @@ class TestStream:
         with pytest.raises(ValueError, match="without replacement"):
             Stream(0).choice(5, size=2, replace=True)
 
+    # (high, buckets): a value v counts in bucket v % buckets. Without the
+    # rejection step, v = x * high >> 32 would take the multiples of 3 twice
+    # as often as the others for high = 3 * 2**30.
+    @pytest.mark.parametrize("high, buckets", [(2, 2), (7, 7), (947, 947), (3 * 2**30, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_integers_are_uniform(self, seed, high, buckets):
+        stream = Stream(seed)
+        n = 40 * buckets + 20000
+        counts = [0] * buckets
+        for _ in range(n):
+            v = stream.integers(high)
+            assert 0 <= v < high
+            counts[v % buckets] += 1
+        expected = n / buckets
+        chi2 = sum((c - expected) ** 2 for c in counts) / expected
+        # the 0.999 quantile of chi-square, by the Wilson-Hilferty approximation
+        df = buckets - 1
+        bound = df * (1 - 2 / (9 * df) + 3.09 * math.sqrt(2 / (9 * df))) ** 3
+        assert chi2 < bound
 
-# seeds whose entropy is one, one full, two and three 32-bit words
-_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 1]
-
-
-class TestSeedSequence:
-    @pytest.mark.parametrize("seed", _SEEDS)
-    @pytest.mark.parametrize("n_words", [1, 4, 8, 13])
-    def test_state_equals_numpy(self, seed, n_words):
-        want = np.random.SeedSequence(seed).generate_state(n_words).tolist()
-        assert SeedSequence(seed).generate_state(n_words) == want
-
-    @pytest.mark.parametrize("seed", _SEEDS)
-    def test_spawn_equals_numpy(self, seed):
-        # a child's spawn key pads the run entropy to the pool size first
-        twins = np.random.SeedSequence(seed).spawn(3)
-        for child, twin in zip(SeedSequence(seed).spawn(3), twins):
-            assert child.generate_state(8) == twin.generate_state(8).tolist()
-            for grandchild, twin_grandchild in zip(child.spawn(2), twin.spawn(2)):
-                assert grandchild.generate_state(4) == twin_grandchild.generate_state(4).tolist()
-        want = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(5)]
-        assert child_seeds(seed, 5) == want
-
-    @given(seed=st.integers(0, 2**130))
-    @settings(max_examples=100, deadline=None)
-    def test_any_seed_equals_numpy(self, seed):
-        assert SeedSequence(seed).generate_state(8) == (
-            np.random.SeedSequence(seed).generate_state(8).tolist()
-        )
-
-    def test_negative_seed_refused(self):
-        with pytest.raises(ValueError, match="negative"):
-            SeedSequence(-1)
-
-
-class TestRawOutputs:
-    @pytest.mark.parametrize("seed", _SEEDS)
-    def test_first_1000_equal_pcg64(self, seed):
-        want = np.random.PCG64(seed).random_raw(1000).tolist()
-        assert list(islice(_raw_outputs(seed), 1000)) == want
-
-    @given(seed=st.integers(0, 2**70))
-    @settings(max_examples=100, deadline=None)
-    def test_any_seed_equals_pcg64(self, seed):
-        want = np.random.PCG64(seed).random_raw(20).tolist()
-        assert list(islice(_raw_outputs(seed), 20)) == want
+    @given(seed=st.integers(0, 2**63), m=st.integers(1, 300), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_choice_values_are_distinct(self, seed, m, data):
+        k = data.draw(st.integers(0, m))
+        got = Stream(seed).choice(m, size=k, replace=False)
+        assert len(got) == k == len(set(got))
+        assert all(type(x) is int and 0 <= x < m for x in got)
 
 
 class TestPermutation:
     @pytest.mark.parametrize("size", [1, 2, 3, 255, 256, 257, 65537, 20000])
     def test_sizes_equal_the_generator(self, size):
-        # each position i draws on [0, i] with the mask of i's bit length
         for seed in range(2):
-            stream, twin = Stream(seed), np.random.default_rng(seed)
-            assert stream.permutation(range(size)) == twin.permutation(size).tolist()
+            stream, twin = Stream(seed), Generator(seed)
+            assert stream.permutation(range(size)) == twin.permutation(range(size))
             loop_draws(stream, twin, 5)
 
     @given(
@@ -186,6 +169,72 @@ class TestPermutation:
     @settings(max_examples=30, deadline=None)
     def test_groups_in_turn_equal_the_generator(self, seed, sizes):
         groups = [range(start, start + size) for start, size in zip([0, 7, 40000], sizes)]
-        twin = np.random.default_rng(seed)
+        twin = Generator(seed)
         for perm, group in zip(permutations(seed, groups), groups):
-            assert perm == twin.permutation(np.array(group, dtype=np.intp)).tolist()
+            assert perm == twin.permutation(group)
+
+    @given(seed=st.integers(0, 2**63), items=st.lists(st.integers()))
+    @settings(max_examples=200, deadline=None)
+    def test_permutation_is_a_permutation(self, seed, items):
+        got = Stream(seed).permutation(items)
+        assert sorted(got) == sorted(items)
+
+
+class TestChildSeeds:
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2**40])
+    def test_distinct_and_each_a_function_of_its_index(self, seed):
+        seeds = child_seeds(seed, 200)
+        assert len(set(seeds)) == 200
+        assert all(type(s) is int and 0 <= s < 2**32 for s in seeds)
+        # seed i depends on (seed, i) alone: not on how many are asked for,
+        # and not on the draws of Stream(seed), which split_folds makes
+        assert child_seeds(seed, 3) == seeds[:3]
+        assert set(seeds).isdisjoint(child_seeds(seed + 1, 200))
+        bits = random.Random(seed).getrandbits
+        assert set(seeds).isdisjoint(bits(32) for _ in range(1000))
+
+    def test_negative_seed_refused(self):
+        for make in (Stream, lambda seed: child_seeds(seed, 2)):
+            with pytest.raises(ValueError, match="negative"):
+                make(-1)
+
+
+# seed -> (two random(), two integers(947), one integers(2**31 + 5),
+#          choice(20, size=3), permutation(range(8)), child_seeds(seed, 3))
+PINNED = {
+    0: (
+        [0.8444218515250481, 0.7579544029403025],
+        [398, 38, 2073320065],
+        [7, 9, 10],
+        [2, 0, 6, 3, 1, 4, 5, 7],
+        [3245836172, 1017390288, 3347940529],
+    ),
+    1: (
+        [0.13436424411240122, 0.8474337369372327],
+        [723, 59, 1063938751],
+        [18, 8, 15],
+        [6, 3, 7, 0, 1, 4, 2, 5],
+        [1270782280, 979083465, 2454714150],
+    ),
+    2**40: (
+        [0.1036394562812375, 0.6705558677439764],
+        [404, 46, 857154283],
+        [1, 10, 12],
+        [1, 6, 0, 7, 3, 2, 4, 5],
+        [2681909791, 1354842915, 4122924956],
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED))
+def test_first_draws_are_pinned(seed):
+    # every artifact's digest rests on these; they change only with the stream
+    stream = Stream(seed)
+    got = (
+        [stream.random(), stream.random()],
+        [stream.integers(947), stream.integers(947), stream.integers(2**31 + 5)],
+        stream.choice(20, size=3, replace=False),
+        stream.permutation(range(8)),
+        child_seeds(seed, 3),
+    )
+    assert got == PINNED[seed]
