@@ -149,48 +149,49 @@ def init_list(pool: CandidatePool, k: int, rng: Stream) -> tuple[int, ...]:
 
 def propose(
     state: tuple[int, ...],
-    pool: CandidatePool,
+    n_pool: int,
     rng: Stream,
 ) -> tuple[tuple[int, ...], str, int]:
-    """Draw one edit of a list of pool indices; returns (new state, operation, k).
+    """Draw one edit of a list of indices into a pool of ``n_pool`` rules.
 
-    Operations are equiprobable. Add draws a pool rule, then an insertion slot
-    among the M+1 positions; remove and replace draw a list position (replace
-    additionally draws the incoming pool rule); swap draws two distinct
-    positions. Proposals that are impossible on the state, including one
-    that would hold a pool index twice, re-draw the operation, and after
-    ``PROPOSE_ATTEMPTS`` failures the unchanged state is returned with operation
-    "identity". ``k`` is the first position the edit touches (``len(state)``
-    for identity): the two states share their first ``k`` indices, which is
-    what :meth:`~crl.objective.ChainScorer.score` resumes from.
+    Returns (new state, operation, k). Operations are equiprobable. Add draws
+    a pool rule, then an insertion slot among the M+1 positions; remove and
+    replace draw a list position (replace additionally draws the incoming
+    pool rule); swap draws two distinct positions with
+    :meth:`~crl.streams.Stream.pair`. Proposals that are impossible on the
+    state, including one that would hold a pool index twice, re-draw the
+    operation, and after ``PROPOSE_ATTEMPTS`` failures the unchanged state is
+    returned with operation "identity". ``k`` is the first position the edit
+    touches (``len(state)`` for identity): the two states share their first
+    ``k`` indices, which is what :meth:`~crl.objective.ChainScorer.score`
+    resumes from.
     """
     m = len(state)
-    n_pool = len(pool)
     for _ in range(PROPOSE_ATTEMPTS):
         delta = rng.random()
         if delta < 0.25:
-            j = int(rng.integers(n_pool))
-            pos = int(rng.integers(m + 1))
+            j = rng.integers(n_pool)
+            pos = rng.integers(m + 1)
             if j in state:
                 continue
             return state[:pos] + (j,) + state[pos:], "add", pos
         elif delta < 0.5:
             if m < 1:
                 continue
-            i = int(rng.integers(m))
+            i = rng.integers(m)
             return state[:i] + state[i + 1 :], "remove", i
         elif delta < 0.75:
             if m < 2:
                 continue
-            i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
+            i, j = rng.pair(m)
             swapped = list(state)
             swapped[i], swapped[j] = swapped[j], swapped[i]
             return tuple(swapped), "swap", min(i, j)
         else:
             if m < 1:
                 continue
-            i = int(rng.integers(m))
-            j = int(rng.integers(n_pool))
+            i = rng.integers(m)
+            j = rng.integers(n_pool)
             if j != state[i] and j in state:
                 continue
             return state[:i] + (j,) + state[i + 1 :], "replace", i
@@ -219,8 +220,10 @@ def run_search(
 
     trace = SearchTrace()
     guard = config.max_rules_guard
+    n_pool = len(pool)
     for n in range(1, config.n_iters + 1):
-        proposal, op, k = propose(current, pool, rng)
+        # propose and accept stay lookups of this module's names: perfbench/tracing.py patches them
+        proposal, op, k = propose(current, n_pool, rng)
         proposed_obj = scorer.score(proposal, k)
         if guard is not None and len(proposal) > guard:
             accepted = False

@@ -28,10 +28,13 @@ class Stream:
     * ``choice(m, size=k, replace=False)`` and ``permutation`` are one
       Fisher-Yates shuffle from the back: position i swaps with one drawn by
       ``integers`` on [0, i], for the last k positions of ``range(m)``, which
-      ``choice`` returns, or for every position of a permutation.
+      ``choice`` returns, or for every position of a permutation;
+    * ``pair(m)`` is ``choice(m, size=2, replace=False)`` as a tuple, read
+      off the shuffle's two draws without building ``range(m)``.
 
     ``integers`` and ``choice`` refuse ranges of 2**32 values or more; no
-    candidate pool or table that size can be held in memory.
+    candidate pool or table that size can be held in memory. They refuse an
+    empty or negative range and a negative size as well.
     """
 
     __slots__ = ("_random", "_bits")
@@ -49,6 +52,8 @@ class Stream:
         return [draw() for draw in repeat(self._random, size)]
 
     def integers(self, high: int) -> int:
+        if high < 1:
+            raise ValueError(f"range [0, {high}) is empty")
         m = self._bits(32) * high
         if (m & _M32) < high:
             # Every range of 2**32 values or more reaches this branch.
@@ -60,9 +65,25 @@ class Stream:
         return m >> 32
 
     def choice(self, m: int, size: int, replace: bool) -> list[int]:
+        if size < 0:
+            raise ValueError(f"size {size} is negative")
         if replace or size > m:
             raise ValueError("only draws of at most m values without replacement are supported")
         return self._shuffle(list(range(m)), size)[m - size :]
+
+    def pair(self, m: int) -> tuple[int, int]:
+        """Two distinct values of ``range(m)``: ``choice(m, size=2, replace=False)``, m >= 2.
+
+        The shuffle's last position draws j = ``integers(m)`` and takes the
+        value j, and the value m - 1 goes to position j. Position m - 2 then
+        draws i = ``integers(m - 1)`` (for m = 2 it draws nothing and reads 0)
+        and takes the value at position i: m - 1 if i == j, else i.
+        """
+        if m < 2:
+            raise ValueError(f"cannot draw two distinct values of range({m})")
+        j = self.integers(m)
+        i = self.integers(m - 1) if m > 2 else 0
+        return (m - 1 if i == j else i), j
 
     def permutation(self, items) -> list:
         """A shuffled list of ``items``."""

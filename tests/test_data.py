@@ -4,6 +4,7 @@ import json
 import re
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,27 @@ class TestQuantileBin:
         assert list(map(repr, quantile_edges(counts.items(), q))) == list(map(repr, want))
         fitted, _ = ManifestColumn.fit("v", encode(cells), q)
         assert list(map(repr, fitted.edges)) == list(map(repr, want))
+
+    @pytest.mark.parametrize("distinct", [1, 2, 32, 33, 256, 257])
+    @pytest.mark.parametrize("blanks", [0, 5])
+    def test_byte_counts_fit_as_a_counter(self, monkeypatch, distinct, blanks):
+        # a column of few distinct cells is counted with bytes.count on the
+        # indices' low bytes, a larger one with a Counter; both fit alike
+        rng = np.random.default_rng(distinct + blanks)
+        values = [repr(x) for x in rng.uniform(-50.0, 50.0, distinct).tolist()]
+        rows = values + [values[i] for i in rng.zipf(1.5, 900) % distinct] + [""] * blanks
+        column = encode(rng.permutation(rows).tolist())
+        got = ManifestColumn.fit("v", column, 7)
+        monkeypatch.setattr(
+            data_module,
+            "_cell_counts",
+            lambda n, index: list(map(Counter(index).__getitem__, range(n))),
+        )
+        want = ManifestColumn.fit("v", column, 7)
+        assert got == want
+        assert list(map(repr, got[0].edges)) == list(map(repr, want[0].edges))
+        assert got[0].kind == "numeric"
+        assert len(column[0]) == distinct + (blanks > 0)
 
     @given(
         values=st.lists(

@@ -8,6 +8,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ class _ScriptedRng:
     def integers(self, *args):
         return self._integers.pop(0)
 
-    def choice(self, n, size, replace):
+    def pair(self, m):
         raise AssertionError("swap should not be reachable in this script")
 
 
@@ -172,7 +173,7 @@ class TestPropose:
         pool = pool_from_rules(rules)
         current = RuleList((rules[0], rules[1]))
         rng = _ScriptedRng(uniforms=[0.1], integers=[4, 1])
-        new, op, k = propose(as_state(pool, current), pool, rng)
+        new, op, k = propose(as_state(pool, current), len(pool), rng)
         assert op == "add" and k == 1
         assert as_list(pool, new).rules == (rules[0], rules[4], rules[1])
 
@@ -182,7 +183,7 @@ class TestPropose:
         current = RuleList((rules[0],))
         # scripted: swap requested, re-draw lands on remove
         rng = _ScriptedRng(uniforms=[0.6, 0.3], integers=[0])
-        new, op, k = propose(as_state(pool, current), pool, rng)
+        new, op, k = propose(as_state(pool, current), len(pool), rng)
         assert op == "remove" and k == 0
         assert len(new) == 0
 
@@ -193,7 +194,7 @@ class TestPropose:
         # every attempt asks for add, which always duplicates the only rule
         rng = _ScriptedRng(uniforms=[0.1] * 16, integers=[0, 0] * 16)
         state = as_state(pool, current)
-        new, op, k = propose(state, pool, rng)
+        new, op, k = propose(state, len(pool), rng)
         assert op == "identity" and k == 1
         assert new is state
 
@@ -210,9 +211,8 @@ class TestPropose:
         rules = [Rule((i,), z) for i in range(5) for z in (0, 1)]
         pool = pool_from_rules(rules)
         current = RuleList((rules[0], rules[3], rules[5]))
-        rng = np.random.default_rng(seed)
         state = as_state(pool, current)
-        new, op, _k = propose(state, pool, rng)
+        new, op, _k = propose(state, len(pool), Stream(seed))
         keys = [(r.conditions, r.output) for r in as_list(pool, new)]
         assert len(keys) == len(set(keys))
         if op == "add":
@@ -238,7 +238,7 @@ class TestPropose:
         n_pool, indices = state
         pool = pool_from_rules([Rule((i,), 1) for i in range(n_pool)])
         old = tuple(indices)
-        new, op, k = propose(old, pool, np.random.default_rng(seed))
+        new, op, k = propose(old, n_pool, Stream(seed))
         assert len(set(new)) == len(new)
         assert all(0 <= i < n_pool for i in new)
         if op == "identity":
@@ -273,12 +273,12 @@ class TestRunSearch:
     def test_scorer_matches_objective_module_bitwise(self):
         data, preds, pool = small_problem(seed=8)
         scorer = ChainScorer(data, preds, pool.rules, alpha=0.001, rules_only=False)
-        rng = np.random.default_rng(0)
+        rng = Stream(0)
         current = init_list(pool, 3, rng)
         scorer.score(current, 0)
         scorer.commit()
         for _ in range(200):
-            current, _op, k = propose(current, pool, rng)
+            current, _op, k = propose(current, len(pool), rng)
             expected = objective(as_list(pool, current), data, preds, alpha=0.001).objective
             assert scorer.score(current, k) == expected
             scorer.commit()
@@ -321,12 +321,12 @@ class TestRunSearch:
         data, preds, pool = small_problem(seed=13)
         alpha = 0.001
         scorer = ChainScorer(data, preds, pool.rules, alpha=alpha, rules_only=True)
-        rng = np.random.default_rng(4)
+        rng = Stream(4)
         current = init_list(pool, 3, rng)
         scorer.score(current, 0)
         scorer.commit()
         for _ in range(200):
-            current, _op, k = propose(current, pool, rng)
+            current, _op, k = propose(current, len(pool), rng)
             expected = rules_only_oracle(data, as_list(pool, current), alpha)
             assert scorer.score(current, k) == expected
             scorer.commit()
@@ -347,7 +347,7 @@ class TestRunSearch:
         def full_sweep(state):
             return sweep([masks[i] for i in state], scorer.base_correct, data.n_rows)
 
-        rng = np.random.default_rng(seed)
+        rng = Stream(seed)
         current = init_list(pool, 3, rng)
         scorer.score(current, 0)
         scorer.commit()
@@ -355,7 +355,7 @@ class TestRunSearch:
             if rng.random() < 0.1:
                 proposal, k = current, len(current)  # an identity proposal
             else:
-                proposal, _op, k = propose(current, pool, rng)
+                proposal, _op, k = propose(current, len(pool), rng)
             committed = scorer.committed
             got = scorer.score(proposal, k)
             rule_list = as_list(pool, proposal)
@@ -386,7 +386,7 @@ class TestRunSearch:
         # `crl.objective` names the objective function, so patch the module's globals
         monkeypatch.setitem(ChainScorer.score.__globals__, "sweep", recording_sweep)
         scorer = ChainScorer(data, preds, pool.rules, alpha=0.001, rules_only=False)
-        rng = np.random.default_rng(3)
+        rng = Stream(3)
         current = init_list(pool, 3, rng)
         scorer.score(current, 0)
         scorer.commit()
@@ -394,7 +394,7 @@ class TestRunSearch:
         commits = 1
         repeats_across_commits = 0
         for n in range(1, 1500):
-            proposal, _op, k = propose(current, pool, rng)
+            proposal, _op, k = propose(current, len(pool), rng)
             before = len(swept)
             scorer.score(proposal, k)
             if proposal in first_scored_at:
@@ -434,6 +434,88 @@ class TestRunSearch:
         scorer.commit()
         assert scorer.committed[0] == b_next
         assert scorer.committed[1] == full_sweep(b_next)
+
+    @given(
+        seed=st.integers(0, 6),
+        scoring=st.sampled_from(["companion", "rules_only"]),
+        steps=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_first_levels_score_as_objective(self, seed, scoring, steps):
+        # A state swept from k = 0 whose first rule has started a swept list
+        # before resumes from that rule's cached level 1; its objective is
+        # still objective()'s, bit for bit, through memo hits and commits.
+        data, preds, pool = small_problem(seed=seed, n_rows=60)
+        alpha = 0.001
+        rules_only = scoring == "rules_only"
+        scorer = ChainScorer(data, preds, pool.rules, alpha=alpha, rules_only=rules_only)
+        masks = cover_masks(pool.rules, data, scorer.base_correct)
+        n_pool = min(len(pool), 6)  # few rules, so first rules and states repeat
+        swept = []  # the rules each sweep walks
+
+        def recording_sweep(walked, *args):
+            swept.append(len(walked))
+            return sweep(walked, *args)
+
+        started = set()  # the first rules of the states swept from k = 0
+        scored = set()
+
+        def check_sweep(state, k):
+            if k == 0 and state:
+                resumed = state[0] in started
+                started.add(state[0])
+                assert swept[-1] == len(state) - resumed
+            else:
+                assert swept[-1] == len(state) - k
+
+        with patch.dict(ChainScorer.score.__globals__, {"sweep": recording_sweep}):
+            for _ in range(steps.draw(st.integers(1, 40))):
+                current = scorer.committed[0]
+                if steps.draw(st.booleans()):
+                    state, _op, k = propose(current, n_pool, Stream(steps.draw(st.integers(0, 99))))
+                else:
+                    state = tuple(
+                        steps.draw(st.lists(st.integers(0, n_pool - 1), unique=True, max_size=4))
+                    )
+                    k = steps.draw(st.integers(0, first_difference(current, state)))
+                before = len(swept)
+                got = scorer.score(state, k)
+                hit = state in scored
+                assert len(swept) == before + (not hit)
+                if not hit:
+                    check_sweep(state, k)
+                scored.add(state)
+                rule_list = as_list(pool, state)
+                if rules_only:
+                    expected = rules_only_oracle(data, rule_list, alpha)
+                else:  # objective() sweeps through the recorder as well
+                    expected = objective(rule_list, data, preds, alpha).objective
+                assert got == expected
+                if steps.draw(st.booleans()):
+                    before = len(swept)
+                    scorer.commit()
+                    assert len(swept) == before + hit  # a hit is swept when committed
+                    if hit:
+                        check_sweep(state, k)
+                    assert scorer.committed[0] == state
+                    assert scorer.committed[1] == sweep(
+                        [masks[i] for i in state], scorer.base_correct, data.n_rows
+                    )
+
+    def test_loop_calls_propose_and_accept_through_the_module(self, monkeypatch):
+        # perfbench/tracing.py times both by patching these names of crl.search
+        data, preds, pool = small_problem()
+        calls = {"propose": 0, "accept": 0}
+        for name in calls:
+
+            def counted(*args, real=getattr(search, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(search, name, counted)
+        result = run_search(data, preds, pool, SearchConfig(alpha=0.001, n_iters=300, seed=2))
+        assert calls == {"propose": 300, "accept": 300}
+        assert len(result.trace.steps) == 300
 
     def test_empty_pool_rejected(self):
         data, preds, _ = small_problem()

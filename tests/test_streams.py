@@ -55,6 +55,7 @@ _DRAW = st.one_of(
     st.tuples(st.just("integers"), st.sampled_from([1, 2, 3, 144, 380, 2**31 + 5])),
     st.integers(1, 40).flatmap(lambda m: st.tuples(st.just("choice"), st.just(m), st.integers(0, m))),
     st.tuples(st.just("batch"), st.sampled_from([0, 1, 7, 2000])),
+    st.tuples(st.just("pair"), st.integers(2, 40)),
 )
 
 
@@ -69,6 +70,8 @@ def draw_both(stream, twin, draw):
     if draw[0] == "choice":
         _, m, k = draw
         return stream.choice(m, size=k, replace=False), twin.choice(m, size=k, replace=False)
+    if draw[0] == "pair":
+        return stream.pair(draw[1]), tuple(twin.choice(draw[1], size=2, replace=False))
     return stream.random(draw[1]), twin.random(draw[1])
 
 
@@ -124,6 +127,33 @@ class TestStream:
     def test_choice_refuses_draws_with_replacement(self):
         with pytest.raises(ValueError, match="without replacement"):
             Stream(0).choice(5, size=2, replace=True)
+
+    @pytest.mark.parametrize("high", [0, -1, -5, -(2**40)])
+    def test_refuses_empty_and_negative_ranges(self, high):
+        with pytest.raises(ValueError, match="is empty"):
+            Stream(0).integers(high)
+
+    @pytest.mark.parametrize("size", [-1, -3])
+    def test_choice_refuses_negative_sizes(self, size):
+        with pytest.raises(ValueError, match="negative"):
+            Stream(0).choice(3, size=size, replace=False)
+
+    @pytest.mark.parametrize("m", [-1, 0, 1])
+    def test_pair_refuses_ranges_of_fewer_than_two(self, m):
+        with pytest.raises(ValueError, match="two distinct"):
+            Stream(0).pair(m)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+    def test_pair_is_choice_of_two(self, seed):
+        # the swap's two draws, read off without the shuffle, for every list
+        # length the search reaches and far beyond; the twin stays in step
+        stream, twin = Stream(seed), Generator(seed)
+        for m in range(2, 301):
+            assert stream.pair(m) == tuple(twin.choice(m, size=2, replace=False)), m
+            assert Stream(seed + m).pair(m) == tuple(
+                Stream(seed + m).choice(m, size=2, replace=False)
+            ), m
+            loop_draws(stream, twin, 1)
 
     # (high, buckets): a value v counts in bucket v % buckets. Without the
     # rejection step, v = x * high >> 32 would take the multiples of 3 twice
